@@ -117,7 +117,7 @@ def classify_linear_existence(
     # both components nonzero with different magnitudes: gaussian required
     if model.family == GAUSSIAN:
         return ClassificationVerdict("yes", "gaussian-required", "analytic")
-    if model.is_analytic:
+    if model.table is None:  # an analytic family, neither gaussian nor tabulated
         return ClassificationVerdict("no", "gaussian-required", "analytic")
     evidence = _curve_evidence(model, b, samples, seed)
     return ClassificationVerdict("undetermined", "gaussian-required", "numerical", evidence)

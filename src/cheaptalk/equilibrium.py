@@ -36,19 +36,13 @@ from scipy.optimize import brentq
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import as_point, assign_actions_batch
 from .sources import (
-    EXPONENTIAL,
     GAUSSIAN,
-    LAPLACE,
-    TABULATED,
-    UNIFORM,
     EstimateWithError,
     SourceModel,
     conditional_mean_curve,
     conditional_support,
-    iid_exponential,
     iid_gaussian,
-    iid_laplace,
-    iid_uniform,
+    iid_model,
     pair_coordinate_interval,
     truncated_moments_1d,
 )
@@ -76,9 +70,6 @@ __all__ = [
     "verify_linear_equilibrium",
     "expected_distortions",
 ]
-
-_IID_FAMILIES = (GAUSSIAN, UNIFORM, EXPONENTIAL, LAPLACE)
-
 
 @dataclass(eq=False)
 class ActionSet:
@@ -314,16 +305,6 @@ class ScalarQuantizer:
         return float(total)
 
 
-def _support_bounds(model: SourceModel) -> tuple[float, float]:
-    if model.family == UNIFORM:
-        return float(model.lo[0]), float(model.hi[0])
-    if model.family == EXPONENTIAL:
-        return 0.0, math.inf
-    if model.family == TABULATED:
-        return model.support_interval(0)
-    return -math.inf, math.inf
-
-
 def _boundary_above(model: SourceModel, left: float, target: float, hi: float, scale: float):
     """Smallest x > left with conditional mean of [left, x] equal to target."""
     def g(x):
@@ -452,7 +433,7 @@ def solve_scalar_biased(
         raise DimensionMismatchError("the scalar solver needs a 1-D source model")
     if k < 1:
         raise ValueError("need at least one bin")
-    lo, hi = _support_bounds(model)
+    lo, hi = model.marginals[0].lo, model.marginals[0].hi
     _, mean, _ = truncated_moments_1d(model, lo, hi)
     if k == 1:
         return ScalarQuantizer(
@@ -552,9 +533,6 @@ class QuantizerPolicy:
         codes = assign_actions_batch(points, self.action_set.actions, self.bias)
         return self.action_set.actions[codes], codes
 
-    def action_se_for_code(self, code: int) -> float:
-        return 0.0
-
 
 @dataclass(eq=False)
 class RevealQuantizePolicy:
@@ -562,16 +540,14 @@ class RevealQuantizePolicy:
 
     The revealed coordinates are approximated by ``grid_levels`` uniform
     cells each (the continuum claim is therefore explicitly approximate, at
-    the reported resolution); the value attached to a cell is its
-    conditional mean, exact where the family allows and pilot-estimated
-    (with a standard error) otherwise.  The last transformed coordinate,
-    which carries the whole bias, follows a scalar biased quantizer.
+    the reported resolution); the value attached to a cell is its midpoint.
+    The last transformed coordinate, which carries the whole bias, follows a
+    scalar biased quantizer.
     """
 
     transform: LinearTransform
     cell_edges: list[np.ndarray]
     cell_values: list[np.ndarray]
-    cell_value_se: list[np.ndarray]
     last_boundaries: np.ndarray
     last_actions: np.ndarray
     last_bias: float
@@ -596,24 +572,23 @@ class RevealQuantizePolicy:
     def transformed_coordinates(self, points) -> np.ndarray:
         return self.transform.apply(np.asarray(points, dtype=float), "forward")
 
-    def _cells(self, x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for r in range(self.n_revealed):
-            levels = self.cell_values[r].shape[0]
-            idx = np.clip(np.searchsorted(self.cell_edges[r], x[:, r], side="right") - 1, 0, levels - 1)
-            out.append(idx)
-        return out
+    def _cell(self, x: np.ndarray, r: int) -> np.ndarray:
+        """Cell index of every row of x along revealed coordinate r."""
+        levels = self.cell_values[r].shape[0]
+        return np.clip(np.searchsorted(self.cell_edges[r], x[:, r], side="right") - 1, 0, levels - 1)
 
     def decode_transformed(self, x: np.ndarray):
-        """(y, codes) for pre-transformed observations x."""
+        """(y, codes) for pre-transformed observations x; codes sort like the cell tuples."""
         y = np.empty_like(x)
         codes = np.zeros(x.shape[0], dtype=np.int64)
-        for r, idx in enumerate(self._cells(x)):
+        bound = 1
+        for r in range(self.n_revealed):
+            idx = self._cell(x, r)
             y[:, r] = self.cell_values[r][idx]
-            codes = codes * self.cell_values[r].shape[0] + idx
+            codes, bound = _push_digit(codes, bound, idx, self.cell_values[r].shape[0])
         j = np.searchsorted(self.last_boundaries[1:-1], x[:, -1], side="left")
         y[:, -1] = self.last_actions[j]
-        codes = codes * self.k_last + j
+        codes, _ = _push_digit(codes, bound, j, self.k_last)
         return y, codes
 
     def decode(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -621,25 +596,27 @@ class RevealQuantizePolicy:
         y, codes = self.decode_transformed(x)
         return self.transform.apply(y, "inverse"), codes
 
-    def code_components(self, code: int) -> tuple[list[int], int]:
-        j = int(code % self.k_last)
-        rest = int(code // self.k_last)
-        cells = []
-        for r in range(self.n_revealed - 1, -1, -1):
-            levels = self.cell_values[r].shape[0]
-            cells.append(rest % levels)
-            rest //= levels
-        return cells[::-1], j
-
-    def action_se_for_code(self, code: int) -> float:
-        cells, _ = self.code_components(code)
-        var = 0.0
-        for r, c in enumerate(cells):
-            var += float(self.cell_value_se[r][c]) ** 2
-        return math.sqrt(var)
-
 
 EncoderPolicy = QuantizerPolicy | RevealQuantizePolicy
+
+
+def _push_digit(codes: np.ndarray, bound: int, digit: np.ndarray, radix: int):
+    """Append one mixed-radix digit, in place, to ``codes`` in ``[0, bound)``.
+
+    Codes that could pass 2**62 are first replaced by their dense ranks (order
+    kept); ``np.unique(return_inverse=True)`` would do it with ~45 MB more peak
+    memory on an 8-D verify at 1e6 samples."""
+    if bound * radix > 1 << 62 and codes.size:
+        order = np.argsort(codes)
+        ranks = codes[order]
+        is_new = ranks[1:] != ranks[:-1]
+        ranks[0] = 0
+        np.cumsum(is_new, out=ranks[1:])
+        codes[order] = ranks
+        bound = int(ranks[-1]) + 1
+    codes *= radix
+    codes += digit
+    return codes, bound * radix
 
 
 def _transformed_interval(model: SourceModel, row: np.ndarray) -> tuple[float, float]:
@@ -681,7 +658,7 @@ def construct_reveal_plus_quantize(
         raise ValueError("reveal-and-quantize needs at least two dimensions")
     if k_last < 1:
         raise ValueError("the last coordinate needs at least one bin")
-    if model.family not in _IID_FAMILIES:
+    if model.cov is not None or model.table is not None:  # not i.i.d.
         raise ValueError(
             f"reveal-and-quantize is not supported for the {model.family!r} family"
         )
@@ -692,20 +669,22 @@ def construct_reveal_plus_quantize(
         biased = int(nonzero[0]) if nonzero.size else n - 1
         order = [j for j in range(n) if j != biased] + [biased]
         transform = permutation_transform(order, bias=b)
-        intervals = [_marginal_model(model, j).support_interval(0) for j in order[:-1]]
-        scalar = solve_scalar_biased(_marginal_model(model, order[-1]), float(b[biased]), k_last)
+        intervals = [model.support_interval(j) for j in order[:-1]]
+        scalar = solve_scalar_biased(
+            iid_model(model.family, model.marginals[biased], 1), float(b[biased]), k_last
+        )
         return _assemble_reveal_policy(transform, intervals, scalar.boundaries,
                                        scalar.actions, float(b[biased]), grid_levels)
 
     if model.family == GAUSSIAN:
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
-        sd = math.sqrt(model.sigma_sq)
-        half = sd * float(-stats.norm.ppf(model.truncation_eps))
+        sigma_sq = model.marginal_variance(0)
+        half = math.sqrt(sigma_sq) * float(-stats.norm.ppf(model.truncation_eps))
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         beta = float(transform.transformed_bias[-1])
         scalar = solve_scalar_biased(
-            iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=model.sigma_sq), beta, k_last
+            iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=sigma_sq), beta, k_last
         )
         return _assemble_reveal_policy(transform, intervals, scalar.boundaries,
                                        scalar.actions, beta, grid_levels)
@@ -738,35 +717,20 @@ def construct_reveal_plus_quantize(
 
 def _assemble_reveal_policy(transform, intervals, last_boundaries, last_actions,
                             last_bias, grid_levels) -> RevealQuantizePolicy:
-    cell_edges, cell_values, cell_se = [], [], []
+    cell_edges, cell_values = [], []
     for lo, hi in intervals:
         edges = np.linspace(lo, hi, grid_levels + 1)
         cell_edges.append(edges)
         cell_values.append(0.5 * (edges[:-1] + edges[1:]))
-        cell_se.append(np.zeros(grid_levels))
     return RevealQuantizePolicy(
         transform=transform,
         cell_edges=cell_edges,
         cell_values=cell_values,
-        cell_value_se=cell_se,
         last_boundaries=np.asarray(last_boundaries, dtype=float),
         last_actions=np.asarray(last_actions, dtype=float),
         last_bias=float(last_bias),
         grid_levels=grid_levels,
     )
-
-
-def _marginal_model(model: SourceModel, j: int) -> SourceModel:
-    """The 1-D marginal of coordinate ``j`` for i.i.d. families."""
-    if model.family == GAUSSIAN:
-        return iid_gaussian(1, mean=float(model.mean[j]), sigma_sq=model.sigma_sq)
-    if model.family == UNIFORM:
-        return iid_uniform(1, lo=float(model.lo[j]), hi=float(model.hi[j]))
-    if model.family == EXPONENTIAL:
-        return iid_exponential(1, rate=model.rate)
-    if model.family == LAPLACE:
-        return iid_laplace(1, mean=float(model.mean[j]), scale=model.laplace_scale)
-    raise ValueError(f"no 1-D marginal extraction for family {model.family!r}")
 
 
 # -- verification ------------------------------------------------------------------
@@ -869,10 +833,9 @@ def verify_equilibrium(
 
     Checks (a) the pairwise separation condition over realized decoder
     actions (sampled pairs when the realized set is large), (b) centroid
-    residuals on the most-populated bins, against the combined Monte Carlo
-    and policy-side standard error, (c) the encoder's best deviation within
-    the policy's message set, and (d) estimates both players' expected
-    costs.
+    residuals on the most-populated bins, against their Monte Carlo standard
+    error, (c) the encoder's best deviation within the policy's message set,
+    and (d) estimates both players' expected costs.
     """
     b = as_point(b, dim=model.dim)
     m = model.sample(samples, seed)
@@ -973,16 +936,14 @@ def _centroid_check(policy, m, codes, uniq, counts, realized_u, centroid_bins,
     x = policy.transformed_coordinates(m)
     n_coords = policy.n_revealed + 1
     per_coord = max(2, centroid_bins // n_coords)
-    cell_idx = policy._cells(x)
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
-        cnts, means, ses = _bin_stats(x[:, r], cell_idx[r], levels)
+        cnts, means, ses = _bin_stats(x[:, r], policy._cell(x, r), levels)
         top = np.argsort(-cnts, kind="stable")[:per_coord]
         for c in top:
             if cnts[c] < min_bin_count:
                 continue
-            se = math.hypot(float(ses[c]), float(policy.cell_value_se[r][c]))
-            consider(abs(float(policy.cell_values[r][c] - means[c])), se)
+            consider(abs(float(policy.cell_values[r][c] - means[c])), float(ses[c]))
     j = np.searchsorted(policy.last_boundaries[1:-1], x[:, -1], side="left")
     cnts, means, ses = _bin_stats(x[:, -1], j, policy.k_last)
     for jj in range(policy.k_last):

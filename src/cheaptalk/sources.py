@@ -1,10 +1,12 @@
 """Source probability models: sampling, quadrature, and conditional means.
 
 A :class:`SourceModel` describes the distribution of the n-dimensional
-observation.  Analytic families (gaussian, uniform, exponential, laplace,
-and a correlated 2-D gaussian) carry closed-form marginals; arbitrary
-densities can be supplied as a piecewise-constant table on a uniform grid,
-loaded from CSV.
+observation.  It holds one frozen 1-D marginal per coordinate (gaussian,
+uniform, exponential, laplace or table: support ends, moments, pdf/cdf/ppf,
+truncated moments), plus the joint law where it is not a product: the
+covariance of the correlated 2-D gaussian, or the table of a tabulated
+density (1-D or 2-D, loaded from CSV).  Adding an i.i.d. family takes one
+marginal class, one factory and its family name.
 
 Estimation helpers return :class:`EstimateWithError`; quadrature results
 carry ``stderr = 0`` and Monte Carlo results carry the usual standard error
@@ -36,7 +38,13 @@ __all__ = [
     "TABULATED",
     "EstimateWithError",
     "Region",
+    "GaussianMarginal",
+    "UniformMarginal",
+    "ExponentialMarginal",
+    "LaplaceMarginal",
+    "TableMarginal",
     "SourceModel",
+    "iid_model",
     "iid_gaussian",
     "correlated_gaussian_2d",
     "iid_uniform",
@@ -120,12 +128,270 @@ class Region:
         raise ValueError("region has no membership predicate (sample-mask regions are fixed)")
 
 
+@dataclass(frozen=True)
+class GaussianMarginal:
+    """Normal law with the given ``mean`` and ``variance``."""
+
+    mean: float
+    variance: float
+    lo = -math.inf
+    hi = math.inf
+    symmetric = True
+
+    def pdf(self, x):
+        return stats.norm.pdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+
+    def cdf(self, x):
+        return stats.norm.cdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+
+    def ppf(self, q):
+        return stats.norm.ppf(q, loc=self.mean, scale=math.sqrt(self.variance))
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.normal(self.mean, math.sqrt(self.variance), size=size)
+
+    def truncated_moments(self, a: float, b: float):
+        mu, sd = self.mean, math.sqrt(self.variance)
+        alpha = (a - mu) / sd if np.isfinite(a) else -np.inf
+        beta = (b - mu) / sd if np.isfinite(b) else np.inf
+        if alpha > 0.0:
+            mass = stats.norm.sf(alpha) - stats.norm.sf(beta)
+        else:
+            mass = stats.norm.cdf(beta) - stats.norm.cdf(alpha)
+        if mass <= 0.0:
+            return 0.0, math.nan, math.nan
+        pa = stats.norm.pdf(alpha) if np.isfinite(alpha) else 0.0
+        pb = stats.norm.pdf(beta) if np.isfinite(beta) else 0.0
+        z_mean = (pa - pb) / mass
+        apa = alpha * pa if np.isfinite(alpha) else 0.0
+        bpb = beta * pb if np.isfinite(beta) else 0.0
+        z_second = 1.0 + (apa - bpb) / mass
+        mean = mu + sd * z_mean
+        second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
+        return float(mass), float(mean), float(second)
+
+
+@dataclass(frozen=True)
+class UniformMarginal:
+    """Uniform law on ``[lo, hi]``."""
+
+    lo: float
+    hi: float
+    symmetric = True
+
+    @property
+    def mean(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def variance(self) -> float:
+        return float((self.hi - self.lo) ** 2 / 12.0)
+
+    def pdf(self, x):
+        width = self.hi - self.lo
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / width, 0.0)
+
+    def cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+
+    def ppf(self, q):
+        return self.lo + q * (self.hi - self.lo)
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=size)
+
+    def truncated_moments(self, a: float, b: float):
+        left, right = max(a, self.lo), min(b, self.hi)
+        if right <= left:
+            return 0.0, math.nan, math.nan
+        mass = (right - left) / (self.hi - self.lo)
+        return mass, 0.5 * (left + right), (right**3 - left**3) / (3.0 * (right - left))
+
+
+@dataclass(frozen=True)
+class ExponentialMarginal:
+    """Exponential law on ``[0, inf)`` with the given ``rate``."""
+
+    rate: float
+    lo = 0.0
+    hi = math.inf
+    symmetric = False
+
+    @property
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    @property
+    def variance(self) -> float:
+        return 1.0 / self.rate**2
+
+    def pdf(self, x):
+        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
+
+    def cdf(self, x):
+        return np.where(x >= 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
+
+    def ppf(self, q):
+        return -np.log1p(-q) / self.rate
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size=size)
+
+    def truncated_moments(self, a: float, b: float):
+        rate = self.rate
+        a = max(a, 0.0)
+        if b <= a:
+            return 0.0, math.nan, math.nan
+        mass = float(np.exp(-rate * a) - (np.exp(-rate * b) if np.isfinite(b) else 0.0))
+        if mass <= 0.0:
+            return 0.0, math.nan, math.nan
+        if np.isfinite(b):
+            width = b - a
+            arg = rate * width
+            mean = a + 1.0 / rate - (width / np.expm1(arg) if arg < 700 else 0.0)
+        else:
+            mean = a + 1.0 / rate
+
+        def g2(x):
+            return (x**2 + 2.0 * x / rate + 2.0 / rate**2) * np.exp(-rate * x)
+
+        upper = g2(b) if np.isfinite(b) else 0.0
+        second = (g2(a) - upper) / mass
+        return mass, float(mean), float(second)
+
+
+@dataclass(frozen=True)
+class LaplaceMarginal:
+    """Laplace law with the given ``mean`` (its location) and ``scale``."""
+
+    mean: float
+    scale: float
+    lo = -math.inf
+    hi = math.inf
+    symmetric = True
+
+    @property
+    def variance(self) -> float:
+        return 2.0 * self.scale**2
+
+    def pdf(self, x):
+        s = self.scale
+        return np.exp(-np.abs(x - self.mean) / s) / (2.0 * s)
+
+    def cdf(self, x):
+        s = self.scale
+        z = (x - self.mean) / s
+        return np.where(z <= 0.0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
+
+    def ppf(self, q):
+        s, mu = self.scale, self.mean
+        return np.where(q < 0.5, mu + s * np.log(2.0 * q), mu - s * np.log(2.0 * np.maximum(1.0 - q, 1e-300)))
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.laplace(self.mean, self.scale, size=size)
+
+    def truncated_moments(self, a: float, b: float):
+        mu, s = self.mean, self.scale
+
+        def cdf(x):
+            if not np.isfinite(x):
+                return 0.0 if x < 0 else 1.0
+            z = (x - mu) / s
+            return 0.5 * math.exp(z) if z <= 0 else 1.0 - 0.5 * math.exp(-z)
+
+        def m1(x):
+            if not np.isfinite(x):
+                return 0.0 if x < 0 else mu
+            if x <= mu:
+                return 0.5 * (x - s) * math.exp((x - mu) / s)
+            return mu - 0.5 * (x + s) * math.exp(-(x - mu) / s)
+
+        def m2(x):
+            if not np.isfinite(x):
+                return 0.0 if x < 0 else mu**2 + 2.0 * s**2
+            if x <= mu:
+                return 0.5 * (x**2 - 2.0 * s * x + 2.0 * s**2) * math.exp((x - mu) / s)
+            return mu**2 + 2.0 * s**2 - 0.5 * (x**2 + 2.0 * s * x + 2.0 * s**2) * math.exp(-(x - mu) / s)
+
+        mass = cdf(b) - cdf(a)
+        if mass <= 0.0:
+            return 0.0, math.nan, math.nan
+        return float(mass), float((m1(b) - m1(a)) / mass), float((m2(b) - m2(a)) / mass)
+
+
+@dataclass(frozen=True, eq=False)
+class TableMarginal:
+    """Piecewise-constant density: ``density[k]`` on ``[lo + k step, lo + (k+1) step)``.
+
+    A tabulated source takes its mean and its sampler from the joint table and
+    its symmetry verdict from a numeric test, so this class has no ``mean``,
+    ``draw`` or ``symmetric``.
+    """
+
+    density: np.ndarray
+    lo: float
+    step: float
+
+    @property
+    def hi(self) -> float:
+        return self.lo + self.step * self.density.shape[0]
+
+    @property
+    def variance(self) -> float:
+        dens, lo, step = self.density, self.lo, self.step
+        edges = lo + step * np.arange(dens.shape[0] + 1)
+        mass = float(np.sum(dens * step))
+        mean = float(np.sum(dens * (edges[1:] ** 2 - edges[:-1] ** 2) / 2.0)) / mass
+        second = float(np.sum(dens * (edges[1:] ** 3 - edges[:-1] ** 3) / 3.0)) / mass
+        return second - mean**2
+
+    def pdf(self, x):
+        dens, lo, step = self.density, self.lo, self.step
+        k = np.floor((x - lo) / step).astype(int)
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        ok = (k >= 0) & (k < dens.shape[0])
+        out[ok] = dens[k[ok]]
+        return out
+
+    def cdf(self, x):
+        dens, lo, step = self.density, self.lo, self.step
+        cum = np.concatenate([[0.0], np.cumsum(dens * step)])
+        pos = np.clip((x - lo) / step, 0.0, dens.shape[0])
+        k = np.floor(pos).astype(int)
+        k = np.clip(k, 0, dens.shape[0] - 1)
+        return np.minimum(cum[k] + dens[k] * (pos - k) * step, 1.0)
+
+    def ppf(self, q):
+        dens, lo, step = self.density, self.lo, self.step
+        cum = np.concatenate([[0.0], np.cumsum(dens * step)])
+        cum /= cum[-1]
+        k = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, dens.shape[0] - 1)
+        base = cum[k]
+        cell_mass = np.maximum(cum[k + 1] - cum[k], 1e-300)
+        return lo + (k + (q - base) / cell_mass) * step
+
+    def truncated_moments(self, a: float, b: float):
+        dens, lo, step = self.density, self.lo, self.step
+        edges = lo + step * np.arange(dens.shape[0] + 1)
+        left = np.clip(edges[:-1], a, b)
+        right = np.clip(edges[1:], a, b)
+        w = np.maximum(right - left, 0.0)
+        mass = float(np.sum(dens * w))
+        if mass <= 0.0:
+            return 0.0, math.nan, math.nan
+        mean = float(np.sum(dens * (right**2 - left**2) / 2.0)) / mass
+        second = float(np.sum(dens * (right**3 - left**3) / 3.0)) / mass
+        return mass, mean, second
+
+
 @dataclass(eq=False)
 class SourceModel:
     """Distribution of the n-dimensional source observation.
 
     Use the family factories (``iid_gaussian`` etc.) rather than the raw
-    constructor.  ``symmetric`` is the analytic marginal-symmetry flag:
+    constructor.  ``marginals`` holds one 1-D law per coordinate; ``cov``
+    and ``table`` hold the joint law of correlated gaussian and tabulated
+    sources.  ``symmetric`` is the analytic marginal-symmetry flag:
     True/False when the family decides it, None when only a numeric test
     applies (tabulated densities).
     """
@@ -133,15 +399,9 @@ class SourceModel:
     family: str
     dim: int
     mean: np.ndarray
-    sigma_sq: float | None = None
+    marginals: tuple
     cov: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    rate: float | None = None
-    laplace_scale: float | None = None
-    tab_lo: np.ndarray | None = None
-    tab_step: np.ndarray | None = None
-    tab_density: np.ndarray | None = None
+    table: np.ndarray | None = None
     truncation_eps: float = 1e-6
     symmetric: bool | None = None
 
@@ -159,88 +419,24 @@ class SourceModel:
         return self.mean.copy()
 
     def marginal_variance(self, i: int) -> float:
-        if self.family == GAUSSIAN:
-            return float(self.sigma_sq)
-        if self.family == CORRELATED_GAUSSIAN_2D:
-            return float(self.cov[i, i])
-        if self.family == UNIFORM:
-            return float((self.hi[i] - self.lo[i]) ** 2 / 12.0)
-        if self.family == EXPONENTIAL:
-            return 1.0 / self.rate**2
-        if self.family == LAPLACE:
-            return 2.0 * self.laplace_scale**2
-        # tabulated: exact second moment of the piecewise-constant density
-        mass, mean, second = self._tabulated_marginal_moments(i)
-        return second - mean**2
-
-    @property
-    def total_variance(self) -> float:
-        return float(sum(self.marginal_variance(i) for i in range(self.dim)))
+        return self.marginals[i].variance
 
     def marginal_pdf(self, i: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == GAUSSIAN:
-            return stats.norm.pdf(x, loc=self.mean[i], scale=math.sqrt(self.sigma_sq))
-        if self.family == CORRELATED_GAUSSIAN_2D:
-            return stats.norm.pdf(x, loc=self.mean[i], scale=math.sqrt(self.cov[i, i]))
-        if self.family == UNIFORM:
-            width = self.hi[i] - self.lo[i]
-            return np.where((x >= self.lo[i]) & (x <= self.hi[i]), 1.0 / width, 0.0)
-        if self.family == EXPONENTIAL:
-            return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
-        if self.family == LAPLACE:
-            s = self.laplace_scale
-            return np.exp(-np.abs(x - self.mean[i]) / s) / (2.0 * s)
-        return self._tabulated_marginal_pdf(i, x)
+        return self.marginals[i].pdf(np.asarray(x, dtype=float))
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == GAUSSIAN:
-            return stats.norm.cdf(x, loc=self.mean[i], scale=math.sqrt(self.sigma_sq))
-        if self.family == CORRELATED_GAUSSIAN_2D:
-            return stats.norm.cdf(x, loc=self.mean[i], scale=math.sqrt(self.cov[i, i]))
-        if self.family == UNIFORM:
-            return np.clip((x - self.lo[i]) / (self.hi[i] - self.lo[i]), 0.0, 1.0)
-        if self.family == EXPONENTIAL:
-            return np.where(x >= 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
-        if self.family == LAPLACE:
-            s = self.laplace_scale
-            z = (x - self.mean[i]) / s
-            return np.where(z <= 0.0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
-        return self._tabulated_marginal_cdf(i, x)
+        return self.marginals[i].cdf(np.asarray(x, dtype=float))
 
     def marginal_ppf(self, i: int, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self.family == GAUSSIAN:
-            return stats.norm.ppf(q, loc=self.mean[i], scale=math.sqrt(self.sigma_sq))
-        if self.family == CORRELATED_GAUSSIAN_2D:
-            return stats.norm.ppf(q, loc=self.mean[i], scale=math.sqrt(self.cov[i, i]))
-        if self.family == UNIFORM:
-            return self.lo[i] + q * (self.hi[i] - self.lo[i])
-        if self.family == EXPONENTIAL:
-            return -np.log1p(-q) / self.rate
-        if self.family == LAPLACE:
-            s, mu = self.laplace_scale, self.mean[i]
-            return np.where(q < 0.5, mu + s * np.log(2.0 * q), mu - s * np.log(2.0 * np.maximum(1.0 - q, 1e-300)))
-        return self._tabulated_marginal_ppf(i, q)
+        return self.marginals[i].ppf(np.asarray(q, dtype=float))
 
     def support_interval(self, i: int, eps: float | None = None) -> tuple[float, float]:
-        """Marginal support of coordinate ``i``, epsilon-truncated if unbounded."""
+        """Support of coordinate ``i``, cut at the eps quantiles where unbounded."""
         eps = self.truncation_eps if eps is None else eps
-        if self.family == UNIFORM:
-            return float(self.lo[i]), float(self.hi[i])
-        if self.family == TABULATED:
-            return (
-                float(self.tab_lo[i]),
-                float(self.tab_lo[i] + self.tab_step[i] * self._tab_shape[i]),
-            )
-        if self.family == EXPONENTIAL:
-            return 0.0, float(self.marginal_ppf(i, 1.0 - eps))
-        return float(self.marginal_ppf(i, eps)), float(self.marginal_ppf(i, 1.0 - eps))
-
-    @property
-    def is_analytic(self) -> bool:
-        return self.family != TABULATED
+        marginal = self.marginals[i]
+        lo = marginal.lo if math.isfinite(marginal.lo) else self.marginal_ppf(i, eps)
+        hi = marginal.hi if math.isfinite(marginal.hi) else self.marginal_ppf(i, 1.0 - eps)
+        return float(lo), float(hi)
 
     # -- sampling ------------------------------------------------------------
 
@@ -266,19 +462,17 @@ class SourceModel:
         return out
 
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        n = self.dim
-        if self.family == GAUSSIAN:
-            return rng.normal(self.mean, math.sqrt(self.sigma_sq), size=(m, n))
-        if self.family == CORRELATED_GAUSSIAN_2D:
+        if self.cov is not None:
             chol = np.linalg.cholesky(self.cov)
             return self.mean + rng.standard_normal((m, 2)) @ chol.T
-        if self.family == UNIFORM:
-            return rng.uniform(self.lo, self.hi, size=(m, n))
-        if self.family == EXPONENTIAL:
-            return rng.exponential(1.0 / self.rate, size=(m, n))
-        if self.family == LAPLACE:
-            return rng.laplace(self.mean, self.laplace_scale, size=(m, n))
-        return self._tabulated_draw(rng, m)
+        if self.table is not None:
+            centers, masses = self._tabulated_cells()
+            probs = masses / masses.sum()
+            idx = rng.choice(masses.shape[0], size=m, p=probs)
+            jitter = rng.random((m, self.dim)) - 0.5
+            return centers[idx] + jitter * np.array([mg.step for mg in self.marginals])
+        # i.i.d. coordinates: one draw from their common marginal
+        return self.marginals[0].draw(rng, (m, self.dim))
 
     # -- joint density and quadrature ---------------------------------------
 
@@ -286,10 +480,19 @@ class SourceModel:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
-        if self.family == CORRELATED_GAUSSIAN_2D:
+        if self.cov is not None:
             return stats.multivariate_normal.pdf(pts, mean=self.mean, cov=self.cov)
-        if self.family == TABULATED:
-            return self._tabulated_joint_pdf(pts)
+        if self.table is not None:
+            shape = self.table.shape
+            dens = np.zeros(pts.shape[0])
+            idx = []
+            inside = np.ones(pts.shape[0], dtype=bool)
+            for i, m in enumerate(self.marginals):
+                k = np.floor((pts[:, i] - m.lo) / m.step).astype(int)
+                inside &= (k >= 0) & (k < shape[i])
+                idx.append(np.clip(k, 0, shape[i] - 1))
+            dens[inside] = self.table[tuple(a[inside] for a in idx)]
+            return dens
         dens = np.ones(pts.shape[0])
         for i in range(self.dim):
             dens *= self.marginal_pdf(i, pts[:, i])
@@ -302,7 +505,7 @@ class SourceModel:
         CDF increments; the correlated gaussian uses midpoint density times
         area, and tabulated densities use their native cells exactly.
         """
-        if self.family == TABULATED:
+        if self.table is not None:
             return self._tabulated_cells()
         if self.dim > 3:
             raise ValueError("tensor-grid quadrature is limited to dimension <= 3")
@@ -315,7 +518,7 @@ class SourceModel:
         centers_1d = [0.5 * (e[1:] + e[:-1]) for e in edges]
         mesh = np.meshgrid(*centers_1d, indexing="ij")
         centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        if self.family == CORRELATED_GAUSSIAN_2D:
+        if self.cov is not None:
             area = np.prod([e[1] - e[0] for e in edges])
             masses = self.joint_pdf(centers) * area
         else:
@@ -328,95 +531,34 @@ class SourceModel:
 
     # -- tabulated-density internals ----------------------------------------
 
-    @property
-    def _tab_shape(self) -> tuple[int, ...]:
-        return self.tab_density.shape
-
     def _tabulated_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        shape = self._tab_shape
-        vol = float(np.prod(self.tab_step))
+        vol = float(np.prod([m.step for m in self.marginals]))
         axes = [
-            self.tab_lo[i] + self.tab_step[i] * (np.arange(shape[i]) + 0.5)
-            for i in range(self.dim)
+            m.lo + m.step * (np.arange(self.table.shape[i]) + 0.5)
+            for i, m in enumerate(self.marginals)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        masses = self.tab_density.ravel() * vol
+        masses = self.table.ravel() * vol
         return centers, masses
-
-    def _tabulated_draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        centers, masses = self._tabulated_cells()
-        probs = masses / masses.sum()
-        idx = rng.choice(masses.shape[0], size=m, p=probs)
-        jitter = rng.random((m, self.dim)) - 0.5
-        return centers[idx] + jitter * self.tab_step
-
-    def _tabulated_joint_pdf(self, pts: np.ndarray) -> np.ndarray:
-        shape = self._tab_shape
-        dens = np.zeros(pts.shape[0])
-        idx = []
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for i in range(self.dim):
-            k = np.floor((pts[:, i] - self.tab_lo[i]) / self.tab_step[i]).astype(int)
-            inside &= (k >= 0) & (k < shape[i])
-            idx.append(np.clip(k, 0, shape[i] - 1))
-        dens[inside] = self.tab_density[tuple(a[inside] for a in idx)]
-        return dens
-
-    def _tabulated_marginal_density_1d(self, i: int) -> tuple[np.ndarray, float, float]:
-        """(cell densities, lo, step) of the marginal along axis i."""
-        if self.dim == 1:
-            dens = self.tab_density
-        else:
-            other = 1 - i
-            dens = self.tab_density.sum(axis=other) * self.tab_step[other]
-        return dens, float(self.tab_lo[i]), float(self.tab_step[i])
-
-    def _tabulated_marginal_pdf(self, i: int, x: np.ndarray) -> np.ndarray:
-        dens, lo, step = self._tabulated_marginal_density_1d(i)
-        k = np.floor((x - lo) / step).astype(int)
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        ok = (k >= 0) & (k < dens.shape[0])
-        out[ok] = dens[k[ok]]
-        return out
-
-    def _tabulated_marginal_cdf(self, i: int, x: np.ndarray) -> np.ndarray:
-        dens, lo, step = self._tabulated_marginal_density_1d(i)
-        cum = np.concatenate([[0.0], np.cumsum(dens * step)])
-        pos = np.clip((x - lo) / step, 0.0, dens.shape[0])
-        k = np.floor(pos).astype(int)
-        k = np.clip(k, 0, dens.shape[0] - 1)
-        return np.minimum(cum[k] + dens[k] * (pos - k) * step, 1.0)
-
-    def _tabulated_marginal_ppf(self, i: int, q: np.ndarray) -> np.ndarray:
-        dens, lo, step = self._tabulated_marginal_density_1d(i)
-        cum = np.concatenate([[0.0], np.cumsum(dens * step)])
-        cum /= cum[-1]
-        k = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, dens.shape[0] - 1)
-        base = cum[k]
-        cell_mass = np.maximum(cum[k + 1] - cum[k], 1e-300)
-        return lo + (k + (q - base) / cell_mass) * step
-
-    def _tabulated_marginal_moments(self, i: int) -> tuple[float, float, float]:
-        dens, lo, step = self._tabulated_marginal_density_1d(i)
-        edges = lo + step * np.arange(dens.shape[0] + 1)
-        mass = float(np.sum(dens * step))
-        mean = float(np.sum(dens * (edges[1:] ** 2 - edges[:-1] ** 2) / 2.0)) / mass
-        second = float(np.sum(dens * (edges[1:] ** 3 - edges[:-1] ** 3) / 3.0)) / mass
-        return mass, mean, second
 
 
 # -- factories ----------------------------------------------------------------
+
+
+def iid_model(family: str, marginal, n: int) -> SourceModel:
+    """n i.i.d. coordinates that share one marginal law."""
+    return SourceModel(
+        family=family, dim=n, mean=np.full(n, marginal.mean), marginals=(marginal,) * n,
+        symmetric=marginal.symmetric,
+    )
 
 
 def iid_gaussian(n: int, mean: float = 0.0, sigma_sq: float = 1.0) -> SourceModel:
     """n i.i.d. gaussian coordinates with common mean and variance."""
     if sigma_sq <= 0.0:
         raise ValueError("variance must be positive")
-    return SourceModel(
-        family=GAUSSIAN, dim=n, mean=np.full(n, float(mean)), sigma_sq=float(sigma_sq),
-        symmetric=True,
-    )
+    return iid_model(GAUSSIAN, GaussianMarginal(float(mean), float(sigma_sq)), n)
 
 
 def correlated_gaussian_2d(
@@ -426,39 +568,32 @@ def correlated_gaussian_2d(
     cov = np.array([[sigma1_sq, rho], [rho, sigma2_sq]], dtype=float)
     if sigma1_sq <= 0.0 or sigma2_sq <= 0.0 or rho**2 > sigma1_sq * sigma2_sq:
         raise ValueError("covariance matrix must be positive semidefinite with positive variances")
+    mean = np.asarray(mean, dtype=float)
+    if mean.shape != (2,):
+        raise ValueError("the mean of a 2-D gaussian needs two entries")
     return SourceModel(
-        family=CORRELATED_GAUSSIAN_2D, dim=2, mean=np.asarray(mean, dtype=float), cov=cov,
-        symmetric=True,
+        family=CORRELATED_GAUSSIAN_2D, dim=2, mean=mean,
+        marginals=tuple(GaussianMarginal(float(mean[i]), float(cov[i, i])) for i in range(2)),
+        cov=cov, symmetric=True,
     )
 
 
 def iid_uniform(n: int, lo: float = 0.0, hi: float = 1.0) -> SourceModel:
     if hi <= lo:
         raise ValueError("upper support bound must exceed the lower bound")
-    return SourceModel(
-        family=UNIFORM, dim=n,
-        mean=np.full(n, 0.5 * (lo + hi)),
-        lo=np.full(n, float(lo)), hi=np.full(n, float(hi)),
-        symmetric=True,
-    )
+    return iid_model(UNIFORM, UniformMarginal(float(lo), float(hi)), n)
 
 
 def iid_exponential(n: int, rate: float = 1.0) -> SourceModel:
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    return SourceModel(
-        family=EXPONENTIAL, dim=n, mean=np.full(n, 1.0 / rate), rate=float(rate),
-        symmetric=False,
-    )
+    return iid_model(EXPONENTIAL, ExponentialMarginal(float(rate)), n)
 
 
 def iid_laplace(n: int, mean: float = 0.0, scale: float = 1.0) -> SourceModel:
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    return SourceModel(
-        family=LAPLACE, dim=n, mean=np.full(n, float(mean)), laplace_scale=float(scale),
-        symmetric=True,
-    )
+    return iid_model(LAPLACE, LaplaceMarginal(float(mean), float(scale)), n)
 
 
 def tabulated_density(lo, step, density, normalize_tol: float = 1e-6) -> SourceModel:
@@ -483,10 +618,15 @@ def tabulated_density(lo, step, density, normalize_tol: float = 1e-6) -> SourceM
     if abs(total - 1.0) > normalize_tol:
         raise ValueError(f"density integrates to {total:.8f}, expected 1 within {normalize_tol}")
     density = density / total
-    model = SourceModel(
-        family=TABULATED, dim=n, mean=np.zeros(n),
-        tab_lo=lo, tab_step=step, tab_density=density, symmetric=None,
+    # the marginal along axis i integrates the other axis out
+    marginals = tuple(
+        TableMarginal(
+            density if n == 1 else density.sum(axis=1 - i) * step[1 - i],
+            float(lo[i]), float(step[i]),
+        )
+        for i in range(n)
     )
+    model = SourceModel(family=TABULATED, dim=n, mean=np.zeros(n), marginals=marginals, table=density)
     centers, masses = model._tabulated_cells()
     model.mean = (centers * masses[:, None]).sum(axis=0) / masses.sum()
     return model
@@ -534,89 +674,6 @@ def tabulated_from_csv(path) -> SourceModel:
 # -- truncated moments ---------------------------------------------------------
 
 
-def _gaussian_truncated_moments(mu: float, sd: float, a: float, b: float):
-    alpha = (a - mu) / sd if np.isfinite(a) else -np.inf
-    beta = (b - mu) / sd if np.isfinite(b) else np.inf
-    if alpha > 0.0:
-        mass = stats.norm.sf(alpha) - stats.norm.sf(beta)
-    else:
-        mass = stats.norm.cdf(beta) - stats.norm.cdf(alpha)
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
-    pa = stats.norm.pdf(alpha) if np.isfinite(alpha) else 0.0
-    pb = stats.norm.pdf(beta) if np.isfinite(beta) else 0.0
-    z_mean = (pa - pb) / mass
-    apa = alpha * pa if np.isfinite(alpha) else 0.0
-    bpb = beta * pb if np.isfinite(beta) else 0.0
-    z_second = 1.0 + (apa - bpb) / mass
-    mean = mu + sd * z_mean
-    second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
-    return float(mass), float(mean), float(second)
-
-
-def _exponential_truncated_moments(rate: float, a: float, b: float):
-    a = max(a, 0.0)
-    if b <= a:
-        return 0.0, math.nan, math.nan
-    mass = float(np.exp(-rate * a) - (np.exp(-rate * b) if np.isfinite(b) else 0.0))
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
-    if np.isfinite(b):
-        width = b - a
-        arg = rate * width
-        mean = a + 1.0 / rate - (width / np.expm1(arg) if arg < 700 else 0.0)
-    else:
-        mean = a + 1.0 / rate
-
-    def g2(x):
-        return (x**2 + 2.0 * x / rate + 2.0 / rate**2) * np.exp(-rate * x)
-
-    upper = g2(b) if np.isfinite(b) else 0.0
-    second = (g2(a) - upper) / mass
-    return mass, float(mean), float(second)
-
-
-def _laplace_truncated_moments(mu: float, s: float, a: float, b: float):
-    def cdf(x):
-        if not np.isfinite(x):
-            return 0.0 if x < 0 else 1.0
-        z = (x - mu) / s
-        return 0.5 * math.exp(z) if z <= 0 else 1.0 - 0.5 * math.exp(-z)
-
-    def m1(x):
-        if not np.isfinite(x):
-            return 0.0 if x < 0 else mu
-        if x <= mu:
-            return 0.5 * (x - s) * math.exp((x - mu) / s)
-        return mu - 0.5 * (x + s) * math.exp(-(x - mu) / s)
-
-    def m2(x):
-        if not np.isfinite(x):
-            return 0.0 if x < 0 else mu**2 + 2.0 * s**2
-        if x <= mu:
-            return 0.5 * (x**2 - 2.0 * s * x + 2.0 * s**2) * math.exp((x - mu) / s)
-        return mu**2 + 2.0 * s**2 - 0.5 * (x**2 + 2.0 * s * x + 2.0 * s**2) * math.exp(-(x - mu) / s)
-
-    mass = cdf(b) - cdf(a)
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
-    return float(mass), float((m1(b) - m1(a)) / mass), float((m2(b) - m2(a)) / mass)
-
-
-def _tabulated_truncated_moments(model: SourceModel, a: float, b: float):
-    dens, lo, step = model._tabulated_marginal_density_1d(0)
-    edges = lo + step * np.arange(dens.shape[0] + 1)
-    left = np.clip(edges[:-1], a, b)
-    right = np.clip(edges[1:], a, b)
-    w = np.maximum(right - left, 0.0)
-    mass = float(np.sum(dens * w))
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
-    mean = float(np.sum(dens * (right**2 - left**2) / 2.0)) / mass
-    second = float(np.sum(dens * (right**3 - left**3) / 3.0)) / mass
-    return mass, mean, second
-
-
 def truncated_moments_1d(model: SourceModel, a: float, b: float):
     """(mass, mean, second moment) of a 1-D model restricted to ``[a, b]``.
 
@@ -627,22 +684,7 @@ def truncated_moments_1d(model: SourceModel, a: float, b: float):
         raise DimensionMismatchError("truncated moments require a 1-D source model")
     if b < a:
         raise ValueError("interval is empty")
-    if model.family == GAUSSIAN:
-        return _gaussian_truncated_moments(model.mean[0], math.sqrt(model.sigma_sq), a, b)
-    if model.family == UNIFORM:
-        lo, hi = float(model.lo[0]), float(model.hi[0])
-        left, right = max(a, lo), min(b, hi)
-        if right <= left:
-            return 0.0, math.nan, math.nan
-        mass = (right - left) / (hi - lo)
-        return mass, 0.5 * (left + right), (right**3 - left**3) / (3.0 * (right - left))
-    if model.family == EXPONENTIAL:
-        return _exponential_truncated_moments(model.rate, a, b)
-    if model.family == LAPLACE:
-        return _laplace_truncated_moments(model.mean[0], model.laplace_scale, a, b)
-    if model.family == TABULATED:
-        return _tabulated_truncated_moments(model, a, b)
-    raise ValueError(f"truncated moments unsupported for family {model.family!r}")
+    return model.marginals[0].truncated_moments(a, b)
 
 
 def truncated_mean_1d(model: SourceModel, a: float, b: float) -> float:
@@ -845,7 +887,7 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
         raise ValueError(f"x2={x2:g} lies outside the support of X2 [{lo2:g}, {hi2:g}]")
 
     if model.family in (GAUSSIAN, CORRELATED_GAUSSIAN_2D):
-        cov_m = model.cov if model.family == CORRELATED_GAUSSIAN_2D else np.eye(2) * model.sigma_sq
+        cov_m = model.cov if model.cov is not None else np.eye(2) * model.marginal_variance(0)
         A = np.array([[-b[1], b[0]], [b[0], b[1]]])
         cov_x = A @ cov_m @ A.T
         mu_x = A @ model.mean
@@ -853,12 +895,8 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
         cond_var = max(cov_x[0, 0] - cov_x[0, 1] ** 2 / cov_x[1, 1], 0.0)
         if cond_var == 0.0:
             return float(cond_mean), float(cond_mean)
-        sd = math.sqrt(cond_var)
-        eps = model.truncation_eps
-        return (
-            float(stats.norm.ppf(eps, loc=cond_mean, scale=sd)),
-            float(stats.norm.ppf(1.0 - eps, loc=cond_mean, scale=sd)),
-        )
+        cond = GaussianMarginal(cond_mean, cond_var)
+        return float(cond.ppf(model.truncation_eps)), float(cond.ppf(1.0 - model.truncation_eps))
 
     lo0, hi0 = model.support_interval(0)
     lo1, hi1 = model.support_interval(1)

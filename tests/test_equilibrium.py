@@ -323,6 +323,20 @@ class TestConstructRevealPlusQuantize:
         cert = verify_equilibrium(policy, model, b, samples=300_000, seed=25)
         assert cert.passed, cert.to_dict()
 
+    def test_codes_past_63_bits_stay_ordered_and_distinct(self):
+        # 7 revealed coordinates at 1024 levels times 3 bins need 73 bits
+        model = iid_gaussian(8)
+        b = [0.9, -0.8, 0.7, -0.6, 0.5, -0.4, 0.3, -0.2]
+        policy = construct_reveal_plus_quantize(model, b, 3, grid_levels=1024)
+        x = policy.transformed_coordinates(model.sample(20_000, seed=5))
+        _, codes = policy.decode_transformed(x)
+        last = np.searchsorted(policy.last_boundaries[1:-1], x[:, -1], side="left")
+        cells = np.column_stack([policy._cell(x, r) for r in range(7)] + [last])
+        assert codes.min() >= 0
+        assert np.unique(codes).size == np.unique(cells, axis=0).shape[0]
+        # codes sort the cell-index rows lexicographically
+        assert np.array_equal(np.argsort(codes, kind="stable"), np.lexsort(cells.T[::-1]))
+
     def test_zero_bias_team_policy(self):
         model = iid_gaussian(2)
         policy = construct_reveal_plus_quantize(model, [0.0, 0.0], 1)

@@ -27,6 +27,46 @@ from cheaptalk.sources import (
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E[Z | Z > 0] for a standard normal
 
+INF = math.inf
+# an asymmetric 1-D table on [-1.5, 1.5], and a 2-D table whose axes differ
+_TABLE_1D = tabulated_density(-1.5, 0.5, [0.1, 0.3, 0.6, 0.5, 0.3, 0.2])
+_TABLE_2D = tabulated_density(
+    [0.0, -1.0], [0.25, 0.5],
+    np.outer([1.0, 2.0, 3.0, 2.0], [1.0, 0.5, 0.5, 2.0]) / (32.0 * 0.125),
+)
+
+
+@pytest.mark.parametrize(
+    "model, ends",
+    [
+        (iid_gaussian(1, mean=0.3, sigma_sq=2.0), [(-INF, INF)]),
+        (iid_uniform(1, lo=-1.0, hi=3.0), [(-1.0, 3.0)]),
+        (iid_exponential(1, rate=1.5), [(0.0, INF)]),
+        (iid_laplace(1, mean=0.4, scale=0.9), [(-INF, INF)]),
+        (_TABLE_1D, [(-1.5, 1.5)]),
+        (correlated_gaussian_2d(1.0, 2.0, 0.5, mean=(0.1, -0.2)), [(-INF, INF)] * 2),
+        (_TABLE_2D, [(0.0, 1.0), (-1.0, 1.0)]),
+    ],
+    ids=["gaussian", "uniform", "exponential", "laplace", "table-1d", "correlated", "table-2d"],
+)
+def test_marginal_contract(model, ends):
+    """Every family: cdf inverts ppf, the support rule, and full-support moments."""
+    qs = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
+    eps = model.truncation_eps
+    for i, (lo, hi) in enumerate(ends):
+        x = model.marginal_ppf(i, qs)
+        assert np.allclose(model.marginal_cdf(i, x), qs, rtol=1e-9, atol=1e-12)
+        expected = (
+            lo if math.isfinite(lo) else float(model.marginal_ppf(i, eps)),
+            hi if math.isfinite(hi) else float(model.marginal_ppf(i, 1.0 - eps)),
+        )
+        assert model.support_interval(i) == expected
+    if model.dim == 1:
+        mass, mean, second = truncated_moments_1d(model, *ends[0])
+        assert mass == pytest.approx(1.0, rel=1e-12)
+        assert mean == pytest.approx(model.mean[0], rel=1e-12, abs=1e-14)
+        assert second == pytest.approx(model.marginal_variance(0) + mean**2, rel=1e-10)
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
@@ -90,7 +130,12 @@ class TestTruncatedMoments:
 
     @pytest.mark.parametrize(
         "model",
-        [iid_exponential(1, rate=1.7), iid_laplace(1, mean=0.4, scale=0.9)],
+        [
+            iid_exponential(1, rate=1.7),
+            iid_laplace(1, mean=0.4, scale=0.9),
+            iid_uniform(1, lo=-1.0, hi=2.0),
+            _TABLE_1D,
+        ],
     )
     def test_against_quadrature(self, model):
         pdf = lambda x: model.marginal_pdf(0, np.array([x]))[0]
