@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.optimize import brentq
+from scipy import special
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import as_point, assign_actions_batch
@@ -305,11 +304,18 @@ class ScalarQuantizer:
         return float(total)
 
 
+def _brentq(f, a: float, b: float, scale: float) -> float:
+    """Root of f in [a, b] at the scalar solver's tolerances."""
+    from scipy.optimize import brentq  # imported on demand: only scalar solves need it
+
+    return float(brentq(f, a, b, xtol=1e-13 * scale, rtol=8.9e-16))
+
+
 def _boundary_above(model: SourceModel, left: float, target: float, hi: float, scale: float):
     """Smallest x > left with conditional mean of [left, x] equal to target."""
     def g(x):
         mass, mean, _ = truncated_moments_1d(model, left, x)
-        if mass <= 0.0 or not np.isfinite(mean):
+        if mass <= 0.0 or not math.isfinite(mean):
             return -1.0
         return mean - target
 
@@ -319,7 +325,7 @@ def _boundary_above(model: SourceModel, left: float, target: float, hi: float, s
     lo_x = left + 1e-13 * scale
     if g(lo_x) >= 0.0:
         return lo_x
-    if np.isfinite(hi):
+    if math.isfinite(hi):
         hi_x = hi
     else:
         hi_x = left + max(scale, abs(target - left))
@@ -329,14 +335,14 @@ def _boundary_above(model: SourceModel, left: float, target: float, hi: float, s
             hi_x = left + (hi_x - left) * 2.0
         else:
             return None
-    return float(brentq(g, lo_x, hi_x, xtol=1e-13 * scale, rtol=8.9e-16))
+    return _brentq(g, lo_x, hi_x, scale)
 
 
 def _boundary_below(model: SourceModel, right: float, target: float, lo: float, scale: float):
     """Largest x < right with conditional mean of [x, right] equal to target."""
     def g(x):
         mass, mean, _ = truncated_moments_1d(model, x, right)
-        if mass <= 0.0 or not np.isfinite(mean):
+        if mass <= 0.0 or not math.isfinite(mean):
             return 1.0
         return mean - target
 
@@ -346,7 +352,7 @@ def _boundary_below(model: SourceModel, right: float, target: float, lo: float, 
     hi_x = right - 1e-13 * scale
     if g(hi_x) <= 0.0:
         return hi_x
-    if np.isfinite(lo):
+    if math.isfinite(lo):
         lo_x = lo
     else:
         lo_x = right - max(scale, abs(right - target))
@@ -356,7 +362,7 @@ def _boundary_below(model: SourceModel, right: float, target: float, lo: float, 
             lo_x = right - (right - lo_x) * 2.0
         else:
             return None
-    return float(brentq(g, lo_x, hi_x, xtol=1e-13 * scale, rtol=8.9e-16))
+    return _brentq(g, lo_x, hi_x, scale)
 
 
 def _shoot_up(model: SourceModel, beta: float, k: int, l1: float, lo: float, hi: float, scale: float):
@@ -417,6 +423,30 @@ def _shoot_down(model: SourceModel, beta: float, k: int, l_last: float, lo: floa
     return "ok", actions[-1] - head_mean, bounds[::-1], actions[::-1]
 
 
+_TAIL_SDS = np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
+
+
+def _scan_grid(model: SourceModel, beta: float, scan_points: int) -> np.ndarray:
+    """Strictly increasing scan points for the shooting variable.
+
+    The 1e-9 .. 1 - 1e-9 quantiles, extended into an unbounded tail on the
+    side the bias pushes bins into (far-tail bins sit beyond any quantile
+    grid).  Only tail points past the outermost quantile are kept: a heavy
+    tail's extreme quantiles lie beyond 7 sd.
+    """
+    eps = 1e-9
+    grid = np.asarray(model.marginal_ppf(0, np.linspace(eps, 1.0 - eps, scan_points)), dtype=float)
+    marginal = model.marginals[0]
+    sd = math.sqrt(model.marginal_variance(0))
+    if beta >= 0.0 and not math.isfinite(marginal.hi):
+        ext = model.mean[0] + sd * _TAIL_SDS
+        grid = np.concatenate([grid, ext[ext > grid[-1]]])
+    if beta < 0.0 and not math.isfinite(marginal.lo):
+        ext = (model.mean[0] - sd * _TAIL_SDS)[::-1]
+        grid = np.concatenate([ext[ext < grid[0]], grid])
+    return grid
+
+
 def solve_scalar_biased(
     model: SourceModel, beta: float, k: int, *, scan_points: int = 257
 ) -> ScalarQuantizer:
@@ -452,17 +482,7 @@ def solve_scalar_biased(
             return math.inf
         return r
 
-    eps = 1e-9
-    qs = np.linspace(eps, 1.0 - eps, scan_points)
-    grid = np.asarray(model.marginal_ppf(0, qs), dtype=float)
-    # extend into an unbounded tail: far-tail bins sit beyond any quantile grid
-    sd = math.sqrt(model.marginal_variance(0))
-    if beta >= 0.0 and not np.isfinite(hi):
-        ext = model.mean[0] + sd * np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
-        grid = np.concatenate([grid, ext])
-    if beta < 0.0 and not np.isfinite(lo):
-        ext = model.mean[0] - sd * np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
-        grid = np.concatenate([ext[::-1], grid])
+    grid = _scan_grid(model, beta, scan_points)
     vals = np.array([shoot(x) for x in grid])
 
     bracket = None
@@ -475,14 +495,15 @@ def solve_scalar_biased(
             break
 
     def infeasible() -> InfeasibleBinCountError:
+        # K-1 bins if they fit, else the largest count the K-1 failure reports:
+        # one nested solve per smaller K, however far down the first feasible K lies
         max_feasible = 1
-        for k_try in range(k - 1, 1, -1):
+        if k > 2:
             try:
-                solve_scalar_biased(model, beta, k_try, scan_points=scan_points)
-                max_feasible = k_try
-                break
-            except InfeasibleBinCountError:
-                continue
+                solve_scalar_biased(model, beta, k - 1, scan_points=scan_points)
+                max_feasible = k - 1
+            except InfeasibleBinCountError as exc:
+                max_feasible = exc.max_feasible
         return InfeasibleBinCountError(requested=k, max_feasible=max_feasible)
 
     if bracket is None:
@@ -496,7 +517,7 @@ def solve_scalar_biased(
             return 1e30
         return r
 
-    x_star = float(brentq(residual_clipped, bracket[0], bracket[1], xtol=1e-13 * scale, rtol=8.9e-16))
+    x_star = _brentq(residual_clipped, bracket[0], bracket[1], scale)
     status, resid, bounds, actions = recursion(model, beta, k, x_star, lo, hi, scale)
     if status != "ok" or abs(resid) > 1e-8 * scale:
         # brentq can land on a feasibility jump rather than a true root
@@ -680,7 +701,7 @@ def construct_reveal_plus_quantize(
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
-        half = math.sqrt(sigma_sq) * float(-stats.norm.ppf(model.truncation_eps))
+        half = math.sqrt(sigma_sq) * float(-special.ndtri(model.truncation_eps))
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         beta = float(transform.transformed_bias[-1])
         scalar = solve_scalar_biased(
@@ -839,12 +860,21 @@ def verify_equilibrium(
     """
     b = as_point(b, dim=model.dim)
     m = model.sample(samples, seed)
-    u, codes = policy.decode(m)
+    if isinstance(policy, QuantizerPolicy):
+        u, codes = policy.decode(m)
+        x = y = None
+    else:
+        # transform and decode once; the centroid and deviation checks reuse x and y
+        x = policy.transformed_coordinates(m)
+        y, codes = policy.decode_transformed(x)
+        u = policy.transform.apply(y, "inverse")
 
-    diff_e = m - u - b
-    diff_d = m - u
-    ce = np.sum(diff_e * diff_e, axis=1)
-    cd = np.sum(diff_d * diff_d, axis=1)
+    # one residual array at a time: m - u - b evaluates as (m - u) - b
+    d = m - u
+    cd = np.sum(d * d, axis=1)
+    d -= b
+    ce = np.sum(d * d, axis=1)
+    del d
     je = EstimateWithError(float(ce.mean()), float(ce.std(ddof=1) / math.sqrt(samples)), samples)
     jd = EstimateWithError(float(cd.mean()), float(cd.std(ddof=1) / math.sqrt(samples)), samples)
 
@@ -857,11 +887,11 @@ def verify_equilibrium(
     pass_geometry = min_slack >= -geo_tolerance
 
     max_resid, max_resid_se, max_z, evaluated = _centroid_check(
-        policy, m, codes, uniq, counts, realized_u, centroid_bins
+        policy, m, x, codes, uniq, counts, realized_u, centroid_bins
     )
     pass_centroid = max_z <= 3.0
 
-    gain = _deviation_gains(policy, m, u, codes, b)
+    gain = _deviation_gains(policy, m, codes, b, x, y)
     gain_mean = float(gain.mean())
     gain_se = float(gain.std(ddof=1) / math.sqrt(gain.shape[0]))
     deviation = EstimateWithError(gain_mean, gain_se, gain.shape[0])
@@ -900,7 +930,7 @@ def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
     return counts, means, se
 
 
-def _centroid_check(policy, m, codes, uniq, counts, realized_u, centroid_bins,
+def _centroid_check(policy, m, x, codes, uniq, counts, realized_u, centroid_bins,
                     min_bin_count: int = 30):
     """Largest centroid residual (value, stderr, z) over well-populated bins.
 
@@ -933,7 +963,6 @@ def _centroid_check(policy, m, codes, uniq, counts, realized_u, centroid_bins,
             consider(resid, se)
         return max_resid, max_resid_se, max_z, evaluated
 
-    x = policy.transformed_coordinates(m)
     n_coords = policy.n_revealed + 1
     per_coord = max(2, centroid_bins // n_coords)
     for r in range(policy.n_revealed):
@@ -953,8 +982,12 @@ def _centroid_check(policy, m, codes, uniq, counts, realized_u, centroid_bins,
     return max_resid, max_resid_se, max_z, evaluated
 
 
-def _deviation_gains(policy: EncoderPolicy, m, u, codes, b) -> np.ndarray:
-    """Per-sample cost reduction available by re-reporting within the policy."""
+def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y) -> np.ndarray:
+    """Per-sample cost reduction available by re-reporting within the policy.
+
+    ``x`` and ``y`` are the transformed sample and its decoded values
+    (reveal-and-quantize policies only).
+    """
     if isinstance(policy, QuantizerPolicy):
         acts = policy.action_set.actions
         target = m - b
@@ -962,7 +995,6 @@ def _deviation_gains(policy: EncoderPolicy, m, u, codes, b) -> np.ndarray:
         assigned = scores[np.arange(m.shape[0]), codes]
         return assigned - scores.min(axis=1)
 
-    x = policy.transformed_coordinates(m)
     best = np.zeros(x.shape[0])
     for r in range(policy.n_revealed):
         vals = np.sort(policy.cell_values[r])
@@ -978,7 +1010,6 @@ def _deviation_gains(policy: EncoderPolicy, m, u, codes, b) -> np.ndarray:
     hi = acts[np.clip(pos, 0, acts.shape[0] - 1)]
     best += np.minimum((target - lo) ** 2, (target - hi) ** 2)
 
-    y, _ = policy.decode_transformed(x)
     assigned = np.sum((x[:, :-1] - y[:, :-1]) ** 2, axis=1) + (target - y[:, -1]) ** 2
     return assigned - best
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import BinDeathError, DimensionMismatchError
 from .geometry import Hyperplane, as_point
@@ -70,6 +70,17 @@ TABULATED = "tabulated-density"
 _FAMILIES = (GAUSSIAN, CORRELATED_GAUSSIAN_2D, UNIFORM, EXPONENTIAL, LAPLACE, TABULATED)
 
 _SAMPLE_CHUNK = 1 << 16
+
+# scipy.stats.norm's constant and density formula, so that the gaussian
+# closed forms reproduce its values bit for bit without importing scipy.stats
+_NORM_PDF_C = math.sqrt(2.0 * math.pi)
+
+
+def _norm_pdf(z):
+    # an array, even 0-d, squares as scipy.stats does (z * z); a Python float
+    # would square with pow(), which differs in the last bit on ~7 in 10,000 inputs
+    z = np.asarray(z)
+    return np.exp(-z**2 / 2.0) / _NORM_PDF_C
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,32 +150,33 @@ class GaussianMarginal:
     symmetric = True
 
     def pdf(self, x):
-        return stats.norm.pdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+        sd = math.sqrt(self.variance)
+        return _norm_pdf((np.asarray(x, dtype=float) - self.mean) / sd) / sd
 
     def cdf(self, x):
-        return stats.norm.cdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+        return special.ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
 
     def ppf(self, q):
-        return stats.norm.ppf(q, loc=self.mean, scale=math.sqrt(self.variance))
+        return special.ndtri(np.asarray(q, dtype=float)) * math.sqrt(self.variance) + self.mean
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
     def truncated_moments(self, a: float, b: float):
         mu, sd = self.mean, math.sqrt(self.variance)
-        alpha = (a - mu) / sd if np.isfinite(a) else -np.inf
-        beta = (b - mu) / sd if np.isfinite(b) else np.inf
+        alpha = (a - mu) / sd if math.isfinite(a) else -math.inf
+        beta = (b - mu) / sd if math.isfinite(b) else math.inf
         if alpha > 0.0:
-            mass = stats.norm.sf(alpha) - stats.norm.sf(beta)
+            mass = special.ndtr(-alpha) - special.ndtr(-beta)
         else:
-            mass = stats.norm.cdf(beta) - stats.norm.cdf(alpha)
+            mass = special.ndtr(beta) - special.ndtr(alpha)
         if mass <= 0.0:
             return 0.0, math.nan, math.nan
-        pa = stats.norm.pdf(alpha) if np.isfinite(alpha) else 0.0
-        pb = stats.norm.pdf(beta) if np.isfinite(beta) else 0.0
+        pa = _norm_pdf(alpha) if math.isfinite(alpha) else 0.0
+        pb = _norm_pdf(beta) if math.isfinite(beta) else 0.0
         z_mean = (pa - pb) / mass
-        apa = alpha * pa if np.isfinite(alpha) else 0.0
-        bpb = beta * pb if np.isfinite(beta) else 0.0
+        apa = alpha * pa if math.isfinite(alpha) else 0.0
+        bpb = beta * pb if math.isfinite(beta) else 0.0
         z_second = 1.0 + (apa - bpb) / mass
         mean = mu + sd * z_mean
         second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
@@ -242,10 +254,10 @@ class ExponentialMarginal:
         a = max(a, 0.0)
         if b <= a:
             return 0.0, math.nan, math.nan
-        mass = float(np.exp(-rate * a) - (np.exp(-rate * b) if np.isfinite(b) else 0.0))
+        mass = float(np.exp(-rate * a) - (np.exp(-rate * b) if math.isfinite(b) else 0.0))
         if mass <= 0.0:
             return 0.0, math.nan, math.nan
-        if np.isfinite(b):
+        if math.isfinite(b):
             width = b - a
             arg = rate * width
             mean = a + 1.0 / rate - (width / np.expm1(arg) if arg < 700 else 0.0)
@@ -255,7 +267,7 @@ class ExponentialMarginal:
         def g2(x):
             return (x**2 + 2.0 * x / rate + 2.0 / rate**2) * np.exp(-rate * x)
 
-        upper = g2(b) if np.isfinite(b) else 0.0
+        upper = g2(b) if math.isfinite(b) else 0.0
         second = (g2(a) - upper) / mass
         return mass, float(mean), float(second)
 
@@ -294,20 +306,20 @@ class LaplaceMarginal:
         mu, s = self.mean, self.scale
 
         def cdf(x):
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 return 0.0 if x < 0 else 1.0
             z = (x - mu) / s
             return 0.5 * math.exp(z) if z <= 0 else 1.0 - 0.5 * math.exp(-z)
 
         def m1(x):
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 return 0.0 if x < 0 else mu
             if x <= mu:
                 return 0.5 * (x - s) * math.exp((x - mu) / s)
             return mu - 0.5 * (x + s) * math.exp(-(x - mu) / s)
 
         def m2(x):
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 return 0.0 if x < 0 else mu**2 + 2.0 * s**2
             if x <= mu:
                 return 0.5 * (x**2 - 2.0 * s * x + 2.0 * s**2) * math.exp((x - mu) / s)
@@ -481,7 +493,9 @@ class SourceModel:
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
         if self.cov is not None:
-            return stats.multivariate_normal.pdf(pts, mean=self.mean, cov=self.cov)
+            from scipy.stats import multivariate_normal  # the one scipy.stats user: import on demand
+
+            return multivariate_normal.pdf(pts, mean=self.mean, cov=self.cov)
         if self.table is not None:
             shape = self.table.shape
             dens = np.zeros(pts.shape[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cheaptalk import equilibrium, transforms
 from cheaptalk.equilibrium import (
     ActionSet,
     QuantizerPolicy,
@@ -123,6 +124,44 @@ class TestScalarSolver:
                     model, quant.boundaries[j], quant.boundaries[j + 1]
                 )
                 assert mean == pytest.approx(quant.actions[j], abs=1e-9)
+
+    @pytest.mark.parametrize("model, beta", [(iid_exponential(1), -0.125), (iid_laplace(1), 0.1)],
+                             ids=["exponential", "laplace"])
+    def test_infeasible_chain_is_linear(self, model, beta, monkeypatch):
+        k = 8
+        brute = 1
+        for kk in range(2, k + 1):
+            try:
+                solve_scalar_biased(model, beta, kk)
+                brute = kk
+            except InfeasibleBinCountError:
+                break
+        assert 1 < brute < k - 1  # the chain has at least two steps to walk
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        solve = equilibrium.solve_scalar_biased
+        monkeypatch.setattr(equilibrium, "solve_scalar_biased", counted)
+        with pytest.raises(InfeasibleBinCountError) as info:
+            equilibrium.solve_scalar_biased(model, beta, k)
+        assert info.value.max_feasible == brute
+        # one nested solve per bin count from K-1 down to the feasible one
+        assert calls == list(range(k, brute - 1, -1))
+        assert len(calls) - 1 <= k - 2
+
+    @pytest.mark.parametrize("model", [iid_gaussian(1), iid_uniform(1), iid_exponential(1),
+                                       iid_laplace(1, mean=0.3, scale=2.0)],
+                             ids=["gaussian", "uniform", "exponential", "laplace"])
+    @pytest.mark.parametrize("beta", [0.1, -0.1])
+    def test_scan_grid_strictly_increases(self, model, beta):
+        grid = equilibrium._scan_grid(model, beta, 257)
+        assert np.all(np.diff(grid) > 0.0)
+        if model.family == "iid-gaussian":  # all seven tail points lie past the 1e-9 quantile
+            assert grid.shape == (257 + 7,)
 
 
 class TestBestResponse:
@@ -247,6 +286,21 @@ class TestVerifyEquilibrium:
         assert cert.je.value - cert.jd.value == pytest.approx(
             2.0, abs=3 * math.hypot(cert.je.stderr, cert.jd.stderr)
         )
+
+    def test_reveal_verify_transforms_once(self, monkeypatch):
+        model = iid_gaussian(3)
+        b = [0.5, -0.3, 0.2]
+        policy = construct_reveal_plus_quantize(model, b, 2, grid_levels=64)
+        directions = []
+        apply = transforms.LinearTransform.apply
+
+        def counted(self, p, direction="forward"):
+            directions.append(direction)
+            return apply(self, p, direction)
+
+        monkeypatch.setattr(transforms.LinearTransform, "apply", counted)
+        verify_equilibrium(policy, model, b, samples=20_000, seed=3)
+        assert directions == ["forward", "inverse"]
 
     def test_solved_quantizer_passes(self):
         model = iid_uniform(1)

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import cheaptalk
 from cheaptalk.errors import BinDeathError
 from cheaptalk.geometry import Hyperplane
 from cheaptalk.sources import (
     EstimateWithError,
+    GaussianMarginal,
     Region,
     conditional_mean_curve,
     conditional_support,
@@ -153,6 +158,81 @@ class TestTruncatedMoments:
     def test_empty_interval(self):
         with pytest.raises(BinDeathError):
             truncated_mean_1d(iid_uniform(1), 2.0, 3.0)
+
+
+def _norm_truncated_moments(mu, sd, a, b):
+    """The gaussian truncated moments written with scipy.stats.norm."""
+    alpha = (a - mu) / sd if np.isfinite(a) else -np.inf
+    beta = (b - mu) / sd if np.isfinite(b) else np.inf
+    if alpha > 0.0:
+        mass = stats.norm.sf(alpha) - stats.norm.sf(beta)
+    else:
+        mass = stats.norm.cdf(beta) - stats.norm.cdf(alpha)
+    if mass <= 0.0:
+        return 0.0, math.nan, math.nan
+    pa = stats.norm.pdf(alpha) if np.isfinite(alpha) else 0.0
+    pb = stats.norm.pdf(beta) if np.isfinite(beta) else 0.0
+    z_mean = (pa - pb) / mass
+    apa = alpha * pa if np.isfinite(alpha) else 0.0
+    bpb = beta * pb if np.isfinite(beta) else 0.0
+    z_second = 1.0 + (apa - bpb) / mass
+    mean = mu + sd * z_mean
+    second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
+    return float(mass), float(mean), float(second)
+
+
+class TestGaussianClosedForms:
+    """The gaussian marginal reproduces scipy.stats.norm exactly, not approximately."""
+
+    X = np.concatenate([[0.0, 1.0, -1.0, INF, -INF, math.nan, 1e-300, -38.5, 38.5],
+                        np.linspace(-40.0, 40.0, 2001)])
+    Q = np.concatenate([[0.0, 1.0, 0.5, math.nan, -0.5, 1.5, 1e-300, 1e-9, 1.0 - 1e-9],
+                        np.linspace(0.0, 1.0, 2001)])
+
+    @pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (0.7, 2.25), (-3.0, 0.01)])
+    def test_pdf_cdf_ppf_equal_scipy(self, mean, variance):
+        marginal = GaussianMarginal(mean, variance)
+        norm = stats.norm(loc=mean, scale=math.sqrt(variance))
+        for ours, ref, arg in [(marginal.pdf, norm.pdf, self.X), (marginal.cdf, norm.cdf, self.X),
+                               (marginal.ppf, norm.ppf, self.Q)]:
+            assert np.array_equal(ours(arg), ref(arg), equal_nan=True)
+            for v in (0.0, 1.0, 0.3):
+                assert ours(v) == ref(v)
+        # one scalar at a time, as the scalar solver calls it: squaring a Python
+        # float with pow() would differ in the last bit on ~7 of 10,000 inputs
+        xs = np.random.default_rng(1).normal(0.0, 4.0, size=20_000)
+        assert [marginal.pdf(v) for v in xs] == list(norm.pdf(xs))
+
+    def test_truncated_moments_equal_scipy(self):
+        rng = np.random.default_rng(0)
+        ends = list(map(tuple, np.sort(rng.normal(0.0, 6.0, size=(160, 2)), axis=1)))
+        ends += [(-INF, INF), (-INF, 0.3), (0.3, INF), (-INF, -39.0), (39.0, INF),
+                 (-40.0, -37.5), (37.5, 40.0), (-8.5, -8.4), (8.4, 8.5), (0.0, 0.0),
+                 (-1e-12, 1e-12), (12.0, 30.0), (-30.0, -12.0)]
+        ends += [(a, INF) for a in np.linspace(-10.0, 10.0, 13)]
+        ends += [(-INF, b) for b in np.linspace(-10.0, 10.0, 13)]
+        for mu, sigma_sq in [(0.0, 1.0), (0.7, 2.25)]:
+            model = iid_gaussian(1, mean=mu, sigma_sq=sigma_sq)
+            for a, b in ends:
+                got = truncated_moments_1d(model, a, b)
+                want = _norm_truncated_moments(mu, math.sqrt(sigma_sq), a, b)
+                assert np.array_equal(got, want, equal_nan=True), (mu, a, b)
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    """scipy.stats loads only for the correlated-gaussian joint pdf."""
+    code = (
+        "import sys, cheaptalk\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'optimize']))\n"
+        "print(heavy())\n"
+        "cheaptalk.correlated_gaussian_2d(1.0, 1.0, 0.5).joint_pdf([0.0, 0.0])\n"
+        "print('scipy.stats' in heavy())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cheaptalk.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 class TestRegionMean:
