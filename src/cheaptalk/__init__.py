@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleBinCountError,
     InfeasibleDistortionError,
-    NonConvergenceError,
 )
 from .geometry import (
     Hyperplane,

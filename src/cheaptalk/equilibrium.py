@@ -38,6 +38,7 @@ from .sources import (
     GAUSSIAN,
     EstimateWithError,
     SourceModel,
+    _pair_coordinates,
     conditional_mean_curve,
     conditional_support,
     iid_gaussian,
@@ -112,7 +113,6 @@ class SolverConfig:
     samples: int = 1_000_000
     seed: int = 42
     init: str = "quantile"
-    method: str = "auto"
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -135,7 +135,7 @@ class FixedPointResult:
 # -- evaluation measures --------------------------------------------------------
 
 
-def _evaluation_measure(model: SourceModel, samples: int, seed: int, method: str):
+def _evaluation_measure(model: SourceModel, samples: int, seed: int):
     """(points, weights) representing the source for expectation sweeps.
 
     Exact tensor-grid cells for dimension <= 2 (and tabulated tables);
@@ -143,11 +143,8 @@ def _evaluation_measure(model: SourceModel, samples: int, seed: int, method: str
     once per solve so the Lloyd iteration is deterministic and converges
     exactly on it.
     """
-    if method == "auto":
-        method = "quadrature" if model.dim <= 2 else "mc"
-    if method == "quadrature":
-        centers, masses = model.quadrature_cells(samples)
-        return centers, masses
+    if model.dim <= 2:
+        return model.quadrature_cells(samples)
     pts = model.sample(samples, seed)
     return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
 
@@ -160,7 +157,6 @@ def best_response_step(
     samples: int = 1_000_000,
     seed: int = 0,
     damping: float = 1.0,
-    method: str = "auto",
     _measure=None,
 ) -> ActionSet:
     """One simultaneous best-response sweep.
@@ -171,7 +167,7 @@ def best_response_step(
     index when a bin receives no mass.
     """
     b = as_point(b, dim=actions.dim)
-    pts, w = _measure if _measure is not None else _evaluation_measure(model, samples, seed, method)
+    pts, w = _measure if _measure is not None else _evaluation_measure(model, samples, seed)
     idx = assign_actions_batch(pts, actions.actions, b)
     k = actions.k
     mass = np.bincount(idx, weights=w, minlength=k)
@@ -232,7 +228,7 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
     b = as_point(b, dim=model.dim)
     if k < 1:
         raise ValueError("need at least one action")
-    pts, w = _evaluation_measure(model, config.samples, config.seed, config.method)
+    pts, w = _evaluation_measure(model, config.samples, config.seed)
 
     restarts = 0
     while True:
@@ -311,116 +307,79 @@ def _brentq(f, a: float, b: float, scale: float) -> float:
     return float(brentq(f, a, b, xtol=1e-13 * scale, rtol=8.9e-16))
 
 
-def _boundary_above(model: SourceModel, left: float, target: float, hi: float, scale: float):
-    """Smallest x > left with conditional mean of [left, x] equal to target."""
+def _bin_moments(model: SourceModel, a: float, b: float):
+    """Truncated moments of the bin between a and b, given in either order
+    (``truncated_moments_1d`` takes the smaller end first)."""
+    return truncated_moments_1d(model, a, b) if a <= b else truncated_moments_1d(model, b, a)
+
+
+def _next_boundary(model: SourceModel, start: float, target: float, end: float, scale: float, s: float):
+    """Nearest x past ``start`` in direction ``s`` (+1 up, -1 down) at which the
+    bin between ``start`` and ``x`` has conditional mean ``target``; None when
+    the target is out of reach before the support end ``end``."""
     def g(x):
-        mass, mean, _ = truncated_moments_1d(model, left, x)
+        mass, mean, _ = _bin_moments(model, start, x)
         if mass <= 0.0 or not math.isfinite(mean):
-            return -1.0
+            return -s
         return mean - target
 
-    upper_mass, upper_mean, _ = truncated_moments_1d(model, left, hi)
-    if upper_mass <= 0.0 or target >= upper_mean:
+    whole_mass, whole_mean, _ = _bin_moments(model, start, end)
+    if whole_mass <= 0.0 or s * target >= s * whole_mean:
         return None  # the target centroid is unreachable before the support end
-    lo_x = left + 1e-13 * scale
-    if g(lo_x) >= 0.0:
-        return lo_x
-    if math.isfinite(hi):
-        hi_x = hi
+    near = start + s * (1e-13 * scale)
+    if s * g(near) >= 0.0:
+        return near
+    if math.isfinite(end):
+        far = end
     else:
-        hi_x = left + max(scale, abs(target - left))
+        far = start + s * max(scale, abs(target - start))
         for _ in range(200):
-            if g(hi_x) > 0.0:
+            if s * g(far) > 0.0:
                 break
-            hi_x = left + (hi_x - left) * 2.0
+            far = start + (far - start) * 2.0
         else:
             return None
-    return _brentq(g, lo_x, hi_x, scale)
+    # the smaller end first: brentq's iterates, so the root's last bits, depend on the order
+    return _brentq(g, near, far, scale) if s > 0 else _brentq(g, far, near, scale)
 
 
-def _boundary_below(model: SourceModel, right: float, target: float, lo: float, scale: float):
-    """Largest x < right with conditional mean of [x, right] equal to target."""
-    def g(x):
-        mass, mean, _ = truncated_moments_1d(model, x, right)
-        if mass <= 0.0 or not math.isfinite(mean):
-            return 1.0
-        return mean - target
+def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: float, scale: float, s: float):
+    """The Crawford-Sobel recursion run from one outer boundary ``x0``.
 
-    lower_mass, lower_mean, _ = truncated_moments_1d(model, lo, right)
-    if lower_mass <= 0.0 or target <= lower_mean:
-        return None
-    hi_x = right - 1e-13 * scale
-    if g(hi_x) <= 0.0:
-        return hi_x
-    if math.isfinite(lo):
-        lo_x = lo
-    else:
-        lo_x = right - max(scale, abs(right - target))
-        for _ in range(200):
-            if g(lo_x) < 0.0:
-                break
-            lo_x = right - (right - lo_x) * 2.0
-        else:
-            return None
-    return _brentq(g, lo_x, hi_x, scale)
-
-
-def _shoot_up(model: SourceModel, beta: float, k: int, l1: float, lo: float, hi: float, scale: float):
-    """Forward recursion from the first (lowest) boundary.
-
-    Returns ``(status, residual, bounds, actions)`` with status ``"ok"``,
-    ``"low"`` (bins collapsed: the shooting variable is too small) or
-    ``"high"`` (the recursion overflowed the support: too large).  The
-    residual is ``u_K - E[M | M > l_{K-1}]``, increasing in ``l1``.
+    ``s = +1`` starts at the first boundary and walks up, ``s = -1`` starts
+    at the last and walks down: each step sets the next action from
+    ``l_i = (u_i + u_{i+1})/2 + beta`` and finds the next boundary at which
+    that action is its bin's conditional mean.  Returns ``(residual, bounds,
+    actions)`` with bounds and actions in increasing order.  The residual,
+    the last action reached minus the mean of the bin left at the far end,
+    increases in ``x0``.  A recursion whose bins collapse (``x0`` too far
+    back) returns ``-s * 1e30`` and one that overflows the support (too far
+    ahead) ``s * 1e30``, both without bounds.
     """
-    mass, u, _ = truncated_moments_1d(model, lo, l1)
+    end = hi if s > 0 else lo
+    mass, u, _ = _bin_moments(model, lo if s > 0 else hi, x0)
     if mass <= 0.0:
-        return "low", 0.0, None, None
-    bounds = [l1]
+        return -s * 1e30, None, None
+    bounds = [x0]
     actions = [u]
-    for j in range(2, k + 1):
-        u_next = 2.0 * (bounds[-1] - beta) - actions[-1]
-        if u_next <= bounds[-1]:
-            return "low", 0.0, None, None
-        if j < k:
-            nxt = _boundary_above(model, bounds[-1], u_next, hi, scale)
+    for j in range(k - 1):
+        u = 2.0 * (bounds[-1] - beta) - actions[-1]
+        if s * u <= s * bounds[-1]:
+            return -s * 1e30, None, None
+        if j < k - 2:
+            nxt = _next_boundary(model, bounds[-1], u, end, scale, s)
             if nxt is None:
-                return "high", 0.0, None, None
+                return s * 1e30, None, None
             bounds.append(nxt)
-        actions.append(u_next)
-    tail_mass, tail_mean, _ = truncated_moments_1d(model, bounds[-1], hi)
-    if tail_mass <= 0.0:
-        return "high", 0.0, None, None
-    return "ok", actions[-1] - tail_mean, bounds, actions
-
-
-def _shoot_down(model: SourceModel, beta: float, k: int, l_last: float, lo: float, hi: float, scale: float):
-    """Backward recursion from the last (highest) boundary.
-
-    The stable direction when the bias pushes the extra bins into the upper
-    tail (``beta >= 0``): masses grow as the recursion descends, so errors
-    attenuate instead of amplifying.  The residual is
-    ``u_1 - E[M | M < l_1]``, increasing in ``l_last``.
-    """
-    mass, u, _ = truncated_moments_1d(model, l_last, hi)
-    if mass <= 0.0:
-        return "high", 0.0, None, None
-    bounds = [l_last]
-    actions = [u]
-    for j in range(k - 1, 0, -1):
-        u_prev = 2.0 * (bounds[-1] - beta) - actions[-1]
-        if u_prev >= bounds[-1]:
-            return "high", 0.0, None, None
-        if j > 1:
-            prev = _boundary_below(model, bounds[-1], u_prev, lo, scale)
-            if prev is None:
-                return "low", 0.0, None, None
-            bounds.append(prev)
-        actions.append(u_prev)
-    head_mass, head_mean, _ = truncated_moments_1d(model, lo, bounds[-1])
-    if head_mass <= 0.0:
-        return "low", 0.0, None, None
-    return "ok", actions[-1] - head_mean, bounds[::-1], actions[::-1]
+        actions.append(u)
+    end_mass, end_mean, _ = _bin_moments(model, bounds[-1], end)
+    if end_mass <= 0.0:
+        return s * 1e30, None, None
+    residual = actions[-1] - end_mean
+    if s < 0:
+        bounds.reverse()
+        actions.reverse()
+    return residual, bounds, actions
 
 
 _TAIL_SDS = np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
@@ -438,12 +397,10 @@ def _scan_grid(model: SourceModel, beta: float, scan_points: int) -> np.ndarray:
     grid = np.asarray(model.marginal_ppf(0, np.linspace(eps, 1.0 - eps, scan_points)), dtype=float)
     marginal = model.marginals[0]
     sd = math.sqrt(model.marginal_variance(0))
-    if beta >= 0.0 and not math.isfinite(marginal.hi):
-        ext = model.mean[0] + sd * _TAIL_SDS
-        grid = np.concatenate([grid, ext[ext > grid[-1]]])
-    if beta < 0.0 and not math.isfinite(marginal.lo):
-        ext = (model.mean[0] - sd * _TAIL_SDS)[::-1]
-        grid = np.concatenate([ext[ext < grid[0]], grid])
+    s = -1.0 if beta >= 0.0 else 1.0  # the shooting direction; the tail lies at -s
+    if not math.isfinite(marginal.hi if s < 0 else marginal.lo):
+        ext = model.mean[0] - s * sd * _TAIL_SDS
+        grid = np.sort(np.concatenate([grid, ext[(ext < grid[0]) | (ext > grid[-1])]]))
     return grid
 
 
@@ -452,10 +409,13 @@ def solve_scalar_biased(
 ) -> ScalarQuantizer:
     """Solve the K-bin scalar equilibrium by monotone shooting on one boundary.
 
-    A nonnegative bias pushes the extra bins toward the upper tail, so the
-    shooting runs backward from the last boundary there (and forward from
-    the first boundary for negative bias); that is the direction in which
-    the recursion is numerically stable.  Raises
+    One recursion, ``_shoot``, runs in either direction.  A nonnegative bias
+    pushes the extra bins toward the upper tail, so it runs down from the
+    last boundary (``s = -1``); a negative bias mirrors that and it runs up
+    from the first (``s = +1``).  Either way the masses grow as the recursion
+    proceeds, so errors attenuate instead of amplifying.  The shooting
+    variable is scanned for a sign change of the residual, which ``brentq``
+    then refines.  Raises
     :class:`InfeasibleBinCountError` (reporting the maximum feasible bin
     count) when no K-bin configuration fits the support.
     """
@@ -472,23 +432,19 @@ def solve_scalar_biased(
         )
 
     scale = max(math.sqrt(model.marginal_variance(0)), 1e-12)
-    recursion = _shoot_down if beta >= 0.0 else _shoot_up
+    s = -1.0 if beta >= 0.0 else 1.0
 
-    def shoot(x):
-        status, r, _, _ = recursion(model, beta, k, x, lo, hi, scale)
-        if status == "low":
-            return -math.inf
-        if status == "high":
-            return math.inf
-        return r
+    def residual(x):
+        return _shoot(model, beta, k, x, lo, hi, scale, s)[0]
 
     grid = _scan_grid(model, beta, scan_points)
-    vals = np.array([shoot(x) for x in grid])
+    # python floats: numpy scalars would slow every step of the recursion
+    vals = np.array([residual(x) for x in grid.tolist()])
 
     bracket = None
     for i in range(len(grid) - 1):
         fa, fb = vals[i], vals[i + 1]
-        if fa == fb:  # same sign, or the same infinite sentinel
+        if fa == fb:  # same sign, or the same out-of-range stand-in
             continue
         if (fa <= 0.0 <= fb) or (fb <= 0.0 <= fa):
             bracket = (grid[i], grid[i + 1])
@@ -509,17 +465,9 @@ def solve_scalar_biased(
     if bracket is None:
         raise infeasible()
 
-    def residual_clipped(l1):
-        r = shoot(l1)
-        if r == -math.inf:
-            return -1e30
-        if r == math.inf:
-            return 1e30
-        return r
-
-    x_star = _brentq(residual_clipped, bracket[0], bracket[1], scale)
-    status, resid, bounds, actions = recursion(model, beta, k, x_star, lo, hi, scale)
-    if status != "ok" or abs(resid) > 1e-8 * scale:
+    x_star = _brentq(residual, bracket[0], bracket[1], scale)
+    resid, bounds, actions = _shoot(model, beta, k, x_star, lo, hi, scale, s)
+    if bounds is None or abs(resid) > 1e-8 * scale:
         # brentq can land on a feasibility jump rather than a true root
         raise infeasible()
     return ScalarQuantizer(
@@ -997,7 +945,7 @@ def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y) -> np.ndarray:
 
     best = np.zeros(x.shape[0])
     for r in range(policy.n_revealed):
-        vals = np.sort(policy.cell_values[r])
+        vals = policy.cell_values[r]
         col = x[:, r]
         pos = np.searchsorted(vals, col)
         lo = vals[np.clip(pos - 1, 0, vals.shape[0] - 1)]
@@ -1101,7 +1049,7 @@ def verify_linear_equilibrium(
     b_tilde = float(b @ b)
 
     pilot = model.sample(min(samples, 200_000), seed)
-    x1_pilot = b[0] * pilot[:, 1] - b[1] * pilot[:, 0]
+    x1_pilot, _ = _pair_coordinates(b, pilot)
     grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, grid_points))
     curve = conditional_mean_curve(model, b, grid, samples=samples, seed=seed)
 
@@ -1135,8 +1083,7 @@ def verify_linear_equilibrium(
     probe_vals = np.array([float(np.asarray(e.value)) for e in probe_curve])
 
     probe = pilot[:report_points]
-    x1p = b[0] * probe[:, 1] - b[1] * probe[:, 0]
-    x2p = b[0] * probe[:, 0] + b[1] * probe[:, 1]
+    x1p, x2p = _pair_coordinates(b, probe)
     inside = (x1p >= probe_grid[1]) & (x1p <= probe_grid[-2])
     x1p, x2p = x1p[inside], x2p[inside]
     cost = (x1p[:, None] - probe_grid[None, :]) ** 2 + (

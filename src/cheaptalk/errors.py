@@ -6,7 +6,6 @@ __all__ = [
     "BinDeathError",
     "InfeasibleBinCountError",
     "InfeasibleDistortionError",
-    "NonConvergenceError",
 ]
 
 
@@ -44,7 +43,3 @@ class InfeasibleBinCountError(CheapTalkError):
 
 class InfeasibleDistortionError(CheapTalkError, ValueError):
     """The requested distortion pair cannot be met by any equilibrium code."""
-
-
-class NonConvergenceError(CheapTalkError):
-    """An iterative solver exhausted its iteration budget."""

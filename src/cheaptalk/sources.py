@@ -763,7 +763,7 @@ def region_mean(
 # -- conditional structure for the 2-D transformed problem ---------------------
 
 
-def _pair_coordinates(model: SourceModel, b: np.ndarray, pts: np.ndarray):
+def _pair_coordinates(b: np.ndarray, pts: np.ndarray):
     x1 = b[0] * pts[:, 1] - b[1] * pts[:, 0]
     x2 = b[0] * pts[:, 0] + b[1] * pts[:, 1]
     return x1, x2
@@ -821,7 +821,7 @@ def conditional_mean_curve(
         raise ValueError("grid points must lie within the truncated support of X1")
 
     pts = model.sample(samples, seed)
-    x1, x2 = _pair_coordinates(model, b, pts)
+    x1, x2 = _pair_coordinates(b, pts)
     order = np.argsort(x1, kind="stable")
     x1s, x2s = x1[order], x2[order]
     csum = np.concatenate([[0.0], np.cumsum(x2s)])

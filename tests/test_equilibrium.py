@@ -23,6 +23,7 @@ from cheaptalk.sources import (
     iid_gaussian,
     iid_laplace,
     iid_uniform,
+    tabulated_density,
 )
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
@@ -39,6 +40,15 @@ def uniform_recursion_boundaries(beta: float, k: int):
     if min(lengths) <= 0.0:
         return None
     return np.cumsum(lengths)[:-1]
+
+
+def triangle_table():
+    """Symmetric triangle density on [-1, 1], tabulated on 200 cells."""
+    edges = np.linspace(-1.0, 1.0, 201)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    dens = 1.0 - np.abs(centers)
+    dens /= dens.sum() * (edges[1] - edges[0])
+    return tabulated_density([-1.0], [edges[1] - edges[0]], dens)
 
 
 class TestScalarSolver:
@@ -92,9 +102,17 @@ class TestScalarSolver:
             # adjacent actions keep the scalar separation 2*beta
             assert np.all(np.diff(quant.actions) >= 2.0 * beta - 1e-9)
 
-    def test_negative_bias_mirrors_positive(self):
-        qp = solve_scalar_biased(iid_gaussian(1), 0.8, 3)
-        qn = solve_scalar_biased(iid_gaussian(1), -0.8, 3)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "model, beta",
+        [(iid_gaussian(1), 0.8), (iid_laplace(1), 0.3), (iid_uniform(1, -1.0, 1.0), 0.05),
+         (triangle_table(), 0.02)],
+        ids=["gaussian", "laplace", "uniform", "triangle"],
+    )
+    def test_negative_bias_mirrors_positive(self, model, beta, k):
+        # a symmetric source: -beta shoots up from the first boundary, +beta down from the last
+        qp = solve_scalar_biased(model, beta, k)
+        qn = solve_scalar_biased(model, -beta, k)
         assert np.allclose(qn.actions, -qp.actions[::-1], atol=1e-8)
         assert np.allclose(qn.boundaries[1:-1], -qp.boundaries[1:-1][::-1], atol=1e-8)
 
@@ -108,14 +126,9 @@ class TestScalarSolver:
         assert scaled.distortion() == pytest.approx(c**2 * base.distortion(), rel=1e-8)
 
     def test_laplace_and_tabulated_equilibrium_conditions(self):
-        from cheaptalk.sources import tabulated_density, truncated_moments_1d
+        from cheaptalk.sources import truncated_moments_1d
 
-        edges = np.linspace(-1.0, 1.0, 201)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = 1.0 - np.abs(centers)
-        dens /= dens.sum() * (edges[1] - edges[0])
-        for model, beta in ((iid_laplace(1), 0.3),
-                            (tabulated_density([-1.0], [edges[1] - edges[0]], dens), 0.02)):
+        for model, beta in ((iid_laplace(1), 0.3), (triangle_table(), 0.02)):
             quant = solve_scalar_biased(model, beta, 3)
             mids = 0.5 * (quant.actions[:-1] + quant.actions[1:]) + beta
             assert np.allclose(quant.boundaries[1:-1], mids, atol=1e-9)
