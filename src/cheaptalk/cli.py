@@ -265,9 +265,13 @@ def _cmd_verify(cfg: dict):
     bias = _get_bias(cfg, model.dim)
     policy = _build_policy(cfg, model, bias)
     s = cfg["solver"]
-    cert = verify_equilibrium(
-        policy, model, bias, samples=int(s["samples"]), seed=int(s["seed"])
-    )
+    samples, seed = int(s["samples"]), int(s["seed"])
+    try:
+        cert = verify_equilibrium(policy, model, bias, samples=samples, seed=seed)
+    except ValueError as exc:  # too few samples or a negative seed
+        raise ConfigError(
+            f"invalid solver block (solver.samples={samples}, solver.seed={seed}): {exc}"
+        ) from exc
     payload = {"policy_kind": policy.kind, **cert.to_dict()}
     return payload, (0 if cert.passed else 1), None
 

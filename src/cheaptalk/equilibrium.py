@@ -39,7 +39,8 @@ from .sources import (
     EstimateWithError,
     SourceModel,
     _pair_coordinates,
-    conditional_mean_curve,
+    _sorted_pairs,
+    _window_curve,
     conditional_support,
     iid_gaussian,
     iid_model,
@@ -511,7 +512,9 @@ class RevealQuantizePolicy:
     cells each (the continuum claim is therefore explicitly approximate, at
     the reported resolution); the value attached to a cell is its midpoint.
     The last transformed coordinate, which carries the whole bias, follows a
-    scalar biased quantizer.
+    scalar biased quantizer.  Every ``cell_edges[r]`` must be finite,
+    strictly increasing and uniform (as ``linspace`` makes them): cell
+    indices are computed by arithmetic, not by search.
     """
 
     transform: LinearTransform
@@ -521,6 +524,17 @@ class RevealQuantizePolicy:
     last_actions: np.ndarray
     last_bias: float
     grid_levels: int
+
+    def __post_init__(self):
+        for r, (e, v) in enumerate(zip(self.cell_edges, self.cell_values, strict=True)):
+            gaps = np.diff(e)
+            if not (gaps.size and np.all(np.isfinite(e)) and np.all(gaps > 0)
+                    and np.allclose(gaps, (e[-1] - e[0]) / gaps.size, rtol=1e-9, atol=0)):
+                raise ValueError(
+                    f"cell_edges[{r}] must be finite, strictly increasing and uniform"
+                )
+            if not np.array_equal(v, 0.5 * (e[:-1] + e[1:])):
+                raise ValueError(f"cell_values[{r}] must be the midpoints of cell_edges[{r}]")
 
     @property
     def kind(self) -> str:
@@ -542,20 +556,43 @@ class RevealQuantizePolicy:
         return self.transform.apply(np.asarray(points, dtype=float), "forward")
 
     def _cell(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Cell index of every row of x along revealed coordinate r."""
-        levels = self.cell_values[r].shape[0]
-        return np.clip(np.searchsorted(self.cell_edges[r], x[:, r], side="right") - 1, 0, levels - 1)
+        """Cell index of every row of x along revealed coordinate r.
 
-    def decode_transformed(self, x: np.ndarray):
-        """(y, codes) for pre-transformed observations x; codes sort like the cell tuples."""
+        Equal to ``clip(searchsorted(edges, x[:, r], "right") - 1, 0,
+        levels - 1)``.  The edges are finite, strictly increasing and uniform
+        (``__post_init__`` checks it), so the arithmetic index
+        ``floor((x - lo) / w)`` is at most one cell off, and one correction
+        step against the stored edges makes it exact.
+        """
+        edges = self.cell_edges[r]
+        levels = edges.shape[0] - 1
+        col = x[:, r]
+        i = np.floor((col - edges[0]) / ((edges[-1] - edges[0]) / levels))
+        i = np.clip(i, 0, levels - 1, out=i).astype(np.intp)
+        i -= (col < edges[i]) & (i > 0)
+        i += (col >= edges[i + 1]) & (i < levels - 1)
+        return i
+
+    def _cells(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Cell index columns of the revealed coordinates, and the last coordinate's bin."""
+        idx = [self._cell(x, r) for r in range(self.n_revealed)]
+        j = np.searchsorted(self.last_boundaries[1:-1], x[:, -1], side="left")
+        return idx, j
+
+    def decode_transformed(self, x: np.ndarray, cells=None):
+        """(y, codes) for pre-transformed observations x; codes sort like the cell tuples.
+
+        Revealed coordinates are indexed by arithmetic on their uniform grids
+        (see ``_cell``).  ``cells`` is ``self._cells(x)`` when the caller
+        already has it: the verifier indexes its sample once for all checks.
+        """
+        idx, j = self._cells(x) if cells is None else cells
         y = np.empty_like(x)
         codes = np.zeros(x.shape[0], dtype=np.int64)
         bound = 1
         for r in range(self.n_revealed):
-            idx = self._cell(x, r)
-            y[:, r] = self.cell_values[r][idx]
-            codes, bound = _push_digit(codes, bound, idx, self.cell_values[r].shape[0])
-        j = np.searchsorted(self.last_boundaries[1:-1], x[:, -1], side="left")
+            y[:, r] = self.cell_values[r][idx[r]]
+            codes, bound = _push_digit(codes, bound, idx[r], self.cell_values[r].shape[0])
         y[:, -1] = self.last_actions[j]
         codes, _ = _push_digit(codes, bound, j, self.k_last)
         return y, codes
@@ -804,17 +841,22 @@ def verify_equilibrium(
     actions (sampled pairs when the realized set is large), (b) centroid
     residuals on the most-populated bins, against their Monte Carlo standard
     error, (c) the encoder's best deviation within the policy's message set,
-    and (d) estimates both players' expected costs.
+    and (d) estimates both players' expected costs.  The standard errors
+    need at least two samples; fewer raise ``ValueError``.
     """
+    if samples < 2:
+        raise ValueError(f"verification needs at least 2 samples, got {samples}")
     b = as_point(b, dim=model.dim)
     m = model.sample(samples, seed)
     if isinstance(policy, QuantizerPolicy):
         u, codes = policy.decode(m)
-        x = y = None
+        x = y = cells = None
     else:
-        # transform and decode once; the centroid and deviation checks reuse x and y
+        # transform, index and decode once; the centroid and deviation checks
+        # reuse x, y and the cell indices
         x = policy.transformed_coordinates(m)
-        y, codes = policy.decode_transformed(x)
+        cells = policy._cells(x)
+        y, codes = policy.decode_transformed(x, cells)
         u = policy.transform.apply(y, "inverse")
 
     # one residual array at a time: m - u - b evaluates as (m - u) - b
@@ -830,16 +872,17 @@ def verify_equilibrium(
     if uniq.size == 0:
         raise BinDeathError(0, "policy induced no realized actions")
     realized_u = u[first_idx]
+    del u  # nothing reads it below; frees room for the cell index columns
 
     min_slack = _pairwise_min_slack(realized_u, counts, b, max_pairs, seed + 1)
     pass_geometry = min_slack >= -geo_tolerance
 
     max_resid, max_resid_se, max_z, evaluated = _centroid_check(
-        policy, m, x, codes, uniq, counts, realized_u, centroid_bins
+        policy, m, x, cells, codes, uniq, counts, realized_u, centroid_bins
     )
     pass_centroid = max_z <= 3.0
 
-    gain = _deviation_gains(policy, m, codes, b, x, y)
+    gain = _deviation_gains(policy, m, codes, b, x, y, cells)
     gain_mean = float(gain.mean())
     gain_se = float(gain.std(ddof=1) / math.sqrt(gain.shape[0]))
     deviation = EstimateWithError(gain_mean, gain_se, gain.shape[0])
@@ -878,7 +921,7 @@ def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
     return counts, means, se
 
 
-def _centroid_check(policy, m, x, codes, uniq, counts, realized_u, centroid_bins,
+def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u, centroid_bins,
                     min_bin_count: int = 30):
     """Largest centroid residual (value, stderr, z) over well-populated bins.
 
@@ -911,17 +954,17 @@ def _centroid_check(policy, m, x, codes, uniq, counts, realized_u, centroid_bins
             consider(resid, se)
         return max_resid, max_resid_se, max_z, evaluated
 
+    idx, j = cells
     n_coords = policy.n_revealed + 1
     per_coord = max(2, centroid_bins // n_coords)
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
-        cnts, means, ses = _bin_stats(x[:, r], policy._cell(x, r), levels)
+        cnts, means, ses = _bin_stats(x[:, r], idx[r], levels)
         top = np.argsort(-cnts, kind="stable")[:per_coord]
         for c in top:
             if cnts[c] < min_bin_count:
                 continue
             consider(abs(float(policy.cell_values[r][c] - means[c])), float(ses[c]))
-    j = np.searchsorted(policy.last_boundaries[1:-1], x[:, -1], side="left")
     cnts, means, ses = _bin_stats(x[:, -1], j, policy.k_last)
     for jj in range(policy.k_last):
         if cnts[jj] < min_bin_count:
@@ -930,11 +973,11 @@ def _centroid_check(policy, m, x, codes, uniq, counts, realized_u, centroid_bins
     return max_resid, max_resid_se, max_z, evaluated
 
 
-def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y) -> np.ndarray:
+def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y, cells) -> np.ndarray:
     """Per-sample cost reduction available by re-reporting within the policy.
 
-    ``x`` and ``y`` are the transformed sample and its decoded values
-    (reveal-and-quantize policies only).
+    ``x``, ``y`` and ``cells`` are the transformed sample, its decoded values
+    and its cell indices (reveal-and-quantize policies only).
     """
     if isinstance(policy, QuantizerPolicy):
         acts = policy.action_set.actions
@@ -944,10 +987,11 @@ def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y) -> np.ndarray:
         return assigned - scores.min(axis=1)
 
     best = np.zeros(x.shape[0])
-    for r in range(policy.n_revealed):
+    for r, idx in enumerate(cells[0]):
         vals = policy.cell_values[r]
         col = x[:, r]
-        pos = np.searchsorted(vals, col)
+        # each cell holds its midpoint, so this is np.searchsorted(vals, col)
+        pos = idx + (col > vals[idx])
         lo = vals[np.clip(pos - 1, 0, vals.shape[0] - 1)]
         hi = vals[np.clip(pos, 0, vals.shape[0] - 1)]
         best += np.minimum((col - lo) ** 2, (col - hi) ** 2)
@@ -1039,7 +1083,12 @@ def verify_linear_equilibrium(
     """Check whether full revelation of the bias-orthogonal coordinate holds up.
 
     Works in the pair coordinates ``x1 = b1 m2 - b2 m1`` (revealed) and
-    ``x2 = b1 m1 + b2 m2`` (bias ``b1^2 + b2^2``).
+    ``x2 = b1 m1 + b2 m2`` (bias ``b1^2 + b2^2``).  One sample of ``samples``
+    points is drawn and sorted once; the curve and the probe curve are both
+    read off it (each equals ``conditional_mean_curve`` with the same
+    ``samples`` and ``seed``), and the pilot is its first
+    ``min(samples, 200_000)`` rows, which is what ``model.sample`` would
+    draw for that count.
     """
     if model.dim != 2:
         raise DimensionMismatchError("linear-equilibrium verification needs a 2-D source")
@@ -1048,10 +1097,11 @@ def verify_linear_equilibrium(
         raise ValueError("bias vector must be nonzero")
     b_tilde = float(b @ b)
 
-    pilot = model.sample(min(samples, 200_000), seed)
+    pairs = _sorted_pairs(model, b, samples, seed)
+    pilot = pairs.pts[: min(samples, 200_000)]
     x1_pilot, _ = _pair_coordinates(b, pilot)
     grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, grid_points))
-    curve = conditional_mean_curve(model, b, grid, samples=samples, seed=seed)
+    curve = _window_curve(pairs, grid)
 
     values = np.array([float(np.asarray(e.value)) for e in curve])
     errs = np.array([max(e.stderr, 1e-15) for e in curve])
@@ -1076,10 +1126,7 @@ def verify_linear_equilibrium(
     # spaced, and its windows wide
     q_lo, q_hi = np.quantile(x1_pilot, [0.005, 0.995])
     probe_grid = np.linspace(q_lo, q_hi, probe_points)
-    probe_curve = conditional_mean_curve(
-        model, b, probe_grid, samples=samples, seed=seed,
-        target_count=max(1000, samples // 8),
-    )
+    probe_curve = _window_curve(pairs, probe_grid, target_count=max(1000, samples // 8))
     probe_vals = np.array([float(np.asarray(e.value)) for e in probe_curve])
 
     probe = pilot[:report_points]

@@ -810,25 +810,49 @@ def conditional_mean_curve(
     the aim).  The window width is capped at a quarter of the observed
     range; capturing fewer than ``min_count`` samples there is an error.
     """
+    pairs = _sorted_pairs(model, b, samples, seed)
+    return _window_curve(pairs, grid, min_count=min_count, target_count=target_count)
+
+
+@dataclass(frozen=True, eq=False)
+class _SortedPairs:
+    """A sample in pair coordinates, sorted by ``X1``, with prefix sums of ``X2``."""
+
+    model: SourceModel
+    b: np.ndarray
+    pts: np.ndarray  # the sample as drawn, unsorted
+    x1s: np.ndarray
+    csum: np.ndarray
+    csq: np.ndarray
+
+
+def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPairs:
+    """Draw ``samples`` points once, sort them by ``X1`` and build the prefix sums."""
     if model.dim != 2:
         raise DimensionMismatchError("conditional mean curves require a 2-D source")
     b = as_point(b, dim=2)
     if not np.any(b):
         raise ValueError("bias vector must be nonzero")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    lo, hi = pair_coordinate_interval(model, b, 0)
-    if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
-        raise ValueError("grid points must lie within the truncated support of X1")
-
     pts = model.sample(samples, seed)
     x1, x2 = _pair_coordinates(b, pts)
     order = np.argsort(x1, kind="stable")
     x1s, x2s = x1[order], x2[order]
     csum = np.concatenate([[0.0], np.cumsum(x2s)])
     csq = np.concatenate([[0.0], np.cumsum(x2s**2)])
+    return _SortedPairs(model, b, pts, x1s, csum, csq)
+
+
+def _window_curve(pairs: _SortedPairs, grid, *, min_count: int = 100,
+                  target_count: int | None = None) -> list[EstimateWithError]:
+    """The windowed curve of ``conditional_mean_curve`` on one sorted sample."""
+    model, b, x1s = pairs.model, pairs.b, pairs.x1s
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    lo, hi = pair_coordinate_interval(model, b, 0)
+    if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
+        raise ValueError("grid points must lie within the truncated support of X1")
 
     n = x1s.shape[0]
-    k = target_count if target_count is not None else max(min_count, samples // 200)
+    k = target_count if target_count is not None else max(min_count, n // 200)
     k = min(max(k, min_count), n)
     window_sums = x1s[k - 1 :] + x1s[: n - k + 1]
     cap = 0.25 * (x1s[-1] - x1s[0])
@@ -846,8 +870,8 @@ def conditional_mean_curve(
             raise ValueError(
                 f"window at t={t:g} captured {count} samples (< {min_count})"
             )
-        total = csum[right] - csum[left]
-        total_sq = csq[right] - csq[left]
+        total = pairs.csum[right] - pairs.csum[left]
+        total_sq = pairs.csq[right] - pairs.csq[left]
         mean = total / count
         var = max(total_sq / count - mean**2, 0.0)
         out.append(

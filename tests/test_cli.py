@@ -102,6 +102,24 @@ class TestExitCodes:
         assert "source" in err or "family" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_verify_with_too_few_samples_is_two(self, tmp_path, samples):
+        # one sample has no standard error; zero would fail inside the sampler
+        out = tmp_path / "records.jsonl"
+        cfg = write_config(tmp_path, "few.json", {
+            "source": {"family": "iid-gaussian", "dim": 2, "sigma_sq": 1.0},
+            "bias": [1.0, 1.0],
+            "policy": {"kind": "reveal-quantize", "k_last": 2},
+            "solver": {"samples": samples},
+            "output": {"records": str(out)},
+        })
+        code, record, err = run_cli("verify", "--config", cfg)
+        assert code == 2
+        assert record is None
+        assert "solver.samples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_is_two(self):
         code, _, _ = run_cli("classify", "--config", "/nonexistent/x.json")
         assert code == 2

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cheaptalk import equilibrium, transforms
+from cheaptalk import equilibrium, sources, transforms
 from cheaptalk.equilibrium import (
     ActionSet,
     QuantizerPolicy,
+    RevealQuantizePolicy,
     SolverConfig,
     best_response_step,
     construct_reveal_plus_quantize,
@@ -18,6 +19,7 @@ from cheaptalk.equilibrium import (
 )
 from cheaptalk.errors import BinDeathError, InfeasibleBinCountError
 from cheaptalk.sources import (
+    conditional_mean_curve,
     correlated_gaussian_2d,
     iid_exponential,
     iid_gaussian,
@@ -315,6 +317,28 @@ class TestVerifyEquilibrium:
         verify_equilibrium(policy, model, b, samples=20_000, seed=3)
         assert directions == ["forward", "inverse"]
 
+    def test_reveal_verify_indexes_each_coordinate_once(self, monkeypatch):
+        model = iid_gaussian(3)
+        b = [0.5, -0.3, 0.2]
+        policy = construct_reveal_plus_quantize(model, b, 2, grid_levels=64)
+        calls = []
+        cell = RevealQuantizePolicy._cell
+
+        def counted(self, x, r):
+            calls.append(r)
+            return cell(self, x, r)
+
+        monkeypatch.setattr(RevealQuantizePolicy, "_cell", counted)
+        verify_equilibrium(policy, model, b, samples=20_000, seed=3)
+        assert calls == list(range(policy.n_revealed))
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        model = iid_gaussian(2)
+        policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            verify_equilibrium(policy, model, [1.0, 1.0], samples=samples)
+
     def test_solved_quantizer_passes(self):
         model = iid_uniform(1)
         result = solve_fixed_point(model, [0.05], 3, SolverConfig(samples=400_000))
@@ -404,6 +428,32 @@ class TestConstructRevealPlusQuantize:
         # codes sort the cell-index rows lexicographically
         assert np.array_equal(np.argsort(codes, kind="stable"), np.lexsort(cells.T[::-1]))
 
+    @pytest.mark.parametrize("edges", [
+        np.array([0.0, 1.0, 3.0]),                  # not uniform
+        np.array([0.0, 1.0, 1.0 + 1e-6, 2.0]),
+        np.array([1.0, 0.5, 0.0]),                  # decreasing
+        np.array([0.0, 1.0, math.inf]),             # not finite
+        np.array([0.0]),                            # no cell
+    ])
+    def test_nonuniform_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="cell_edges"):
+            RevealQuantizePolicy(
+                transform=transforms.permutation_transform([0, 1]),
+                cell_edges=[edges], cell_values=[0.5 * (edges[:-1] + edges[1:])],
+                last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
+                last_bias=0.0, grid_levels=edges.shape[0] - 1,
+            )
+
+    def test_values_off_the_midpoints_rejected(self):
+        edges = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="midpoints"):
+            RevealQuantizePolicy(
+                transform=transforms.permutation_transform([0, 1]),
+                cell_edges=[edges], cell_values=[edges[:-1]],
+                last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
+                last_bias=0.0, grid_levels=4,
+            )
+
     def test_zero_bias_team_policy(self):
         model = iid_gaussian(2)
         policy = construct_reveal_plus_quantize(model, [0.0, 0.0], 1)
@@ -412,6 +462,53 @@ class TestConstructRevealPlusQuantize:
         # per-dimension decoder distortion is half the variance
         assert jd.value == pytest.approx(0.5, abs=0.01)
         assert je.value == pytest.approx(jd.value, abs=1e-12)
+
+
+def single_grid_policy(lo: float, hi: float, levels: int) -> RevealQuantizePolicy:
+    """A 2-D policy whose one revealed coordinate has ``levels`` cells on [lo, hi]."""
+    return equilibrium._assemble_reveal_policy(
+        transforms.permutation_transform([0, 1]), [(lo, hi)],
+        np.array([-math.inf, math.inf]), np.array([0.0]), 0.0, levels,
+    )
+
+
+class TestCellIndex:
+    """The arithmetic cell index and nearest midpoint equal their searches exactly."""
+
+    GRIDS = [(-4.75, 4.75, 1024), (0.0, 13.8, 1024), (-1e-3, 5e3, 4096),
+             (-1.0, 2.0, 1), (-1.0, 2.0, 2)]
+
+    @staticmethod
+    def probe_values(policy: RevealQuantizePolicy) -> np.ndarray:
+        edges, vals = policy.cell_edges[0], policy.cell_values[0]
+        lo, hi = edges[0], edges[-1]
+        z = np.random.default_rng(11).standard_normal(1_000_000)
+        width = hi - lo
+        return np.concatenate([
+            z,
+            lo + width * (0.5 + 0.2 * z),                 # spread over the grid
+            edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+            vals, np.nextafter(vals, -math.inf), np.nextafter(vals, math.inf),
+            [lo - 1.0, lo - width, hi + 1.0, hi + width, -math.inf, math.inf],
+        ])
+
+    @pytest.mark.parametrize("lo,hi,levels", GRIDS)
+    def test_cell_matches_searchsorted(self, lo, hi, levels):
+        policy = single_grid_policy(lo, hi, levels)
+        edges = policy.cell_edges[0]
+        col = self.probe_values(policy)
+        expected = np.clip(np.searchsorted(edges, col, side="right") - 1, 0, levels - 1)
+        got = policy._cell(col[:, None], 0)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("lo,hi,levels", GRIDS)
+    def test_nearest_midpoint_matches_searchsorted(self, lo, hi, levels):
+        policy = single_grid_policy(lo, hi, levels)
+        vals = policy.cell_values[0]
+        col = self.probe_values(policy)
+        idx = policy._cell(col[:, None], 0)
+        assert np.array_equal(idx + (col > vals[idx]), np.searchsorted(vals, col))
 
 
 class TestExpectedDistortions:
@@ -465,6 +562,31 @@ class TestVerifyLinearEquilibrium:
     def test_zero_bias_rejected(self):
         with pytest.raises(ValueError):
             verify_linear_equilibrium(iid_gaussian(2), [0.0, 0.0], samples=10_000)
+
+    def test_one_sample_draw_serves_both_curves(self, monkeypatch):
+        model, b = iid_exponential(2), [1.0, 2.0]
+        draws = []
+        sample = sources.SourceModel.sample
+
+        def counted(self, count, seed):
+            draws.append((count, seed))
+            return sample(self, count, seed)
+
+        monkeypatch.setattr(sources.SourceModel, "sample", counted)
+        report = verify_linear_equilibrium(model, b, samples=50_000, seed=35)
+        assert draws == [(50_000, 35)]
+        monkeypatch.undo()
+        oracle = conditional_mean_curve(model, b, report.grid, samples=50_000, seed=35)
+        assert [(e.value, e.stderr, e.sample_count) for e in report.curve] == [
+            (e.value, e.stderr, e.sample_count) for e in oracle
+        ]
+
+    def test_pilot_is_the_sample_prefix(self):
+        # a pilot drawn on its own would give the same grid
+        model, b = iid_gaussian(2), np.array([1.0, 2.0])
+        report = verify_linear_equilibrium(model, b, samples=300_000, seed=36)
+        x1, _ = sources._pair_coordinates(b, model.sample(200_000, 36))
+        assert np.array_equal(report.grid, np.quantile(x1, np.linspace(0.02, 0.98, 11)))
 
 
 class TestActionSet:
