@@ -217,14 +217,18 @@ def _cmd_solve(cfg: dict):
     model = build_source(cfg.get("source"))
     bias = _get_bias(cfg, model.dim)
     s = cfg["solver"]
-    solver_cfg = SolverConfig(
+    k = int(s["k"])
+    fields = dict(
         tolerance=float(s["tolerance"]),
         max_iterations=int(s["max_iterations"]),
         damping=float(s["damping"]),
         samples=int(s["samples"]),
         seed=int(s["seed"]),
     )
-    result = solve_fixed_point(model, bias, int(s["k"]), solver_cfg)
+    try:
+        result = solve_fixed_point(model, bias, k, SolverConfig(**fields))
+    except ValueError as exc:  # the messages start with the offending field's name
+        raise ConfigError(f"invalid solver block: solver.{exc}") from exc
     payload = {
         "actions": result.actions.actions,
         "converged": result.converged,

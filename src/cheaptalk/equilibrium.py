@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
-from .geometry import as_point, assign_actions_batch
+from .geometry import _assign_targets, as_point, assign_actions_batch
 from .sources import (
     GAUSSIAN,
     EstimateWithError,
@@ -104,9 +104,22 @@ class ActionSet:
         return self.actions.shape[1]
 
 
+_INIT_SCHEMES = ("quantile", "random")
+
+
 @dataclass
 class SolverConfig:
-    """Knobs for the fixed-point iteration."""
+    """Knobs for the fixed-point iteration.
+
+    Every sweep moves each action by ``damping`` times the gap to its bin's
+    conditional mean; the damping is applied as configured, with no
+    adaptive switch.  The solve stops once the largest action movement is
+    below ``tolerance``.  At damping 1 a sweep that leaves the assignment
+    unchanged reproduces the actions bit for bit, so the movement drops to
+    exactly 0.0 and "converged" means an exact fixed point of the
+    evaluation measure.  Error messages start with the name of the
+    offending field.
+    """
 
     tolerance: float = 1e-8
     max_iterations: int = 500
@@ -116,12 +129,16 @@ class SolverConfig:
     init: str = "quantile"
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.init not in _INIT_SCHEMES:
+            raise ValueError(f"init must be one of {_INIT_SCHEMES}, got {self.init!r}")
 
 
 @dataclass(eq=False)
@@ -150,6 +167,31 @@ def _evaluation_measure(model: SourceModel, samples: int, seed: int):
     return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
 
 
+class _SweepMeasure:
+    """What a Lloyd solve keeps fixed from sweep to sweep on one measure and bias.
+
+    Holds the assignment targets ``-2 (pts - b)`` transposed to (dim, N),
+    the weighted coordinates ``w * pts.T`` for the centroid sums, the
+    weights, and the assignment buffers, reused by every sweep of the solve.
+    """
+
+    def __init__(self, pts: np.ndarray, w: np.ndarray, b: np.ndarray):
+        n = pts.shape[0]
+        self.t = np.ascontiguousarray((-2.0 * (pts - b)).T)
+        self.wpts = w * pts.T
+        self.w = w
+        self.scores = np.empty((0, n))
+        self.best = np.empty(n)
+        self.mask = np.empty(n, dtype=bool)
+        self.idx = np.empty(n, dtype=np.intp)
+
+    def assign(self, acts: np.ndarray) -> np.ndarray:
+        """Index of each point's cheapest action; valid until the next call."""
+        if self.scores.shape[0] != acts.shape[0]:
+            self.scores = np.empty((acts.shape[0], self.best.shape[0]))
+        return _assign_targets(self.t, acts, self.scores, self.best, self.mask, self.idx)
+
+
 def best_response_step(
     actions: ActionSet,
     model: SourceModel,
@@ -163,21 +205,26 @@ def best_response_step(
     """One simultaneous best-response sweep.
 
     Evaluation points are assigned to their cheapest action under the
-    encoder cost, then each action moves (with the given damping) toward its
-    bin's conditional mean.  Raises :class:`BinDeathError` with the dying
-    index when a bin receives no mass.
+    encoder cost (ties to the lowest index), then each action moves toward
+    its bin's conditional mean by ``damping`` times the gap, as given.  At
+    damping 1 a sweep from an exact fixed point returns bitwise the same
+    actions.  ``_measure`` is the ``(points, weights)`` pair or a prepared
+    ``_SweepMeasure`` for the same bias.  Raises :class:`BinDeathError` with
+    the dying index when a bin receives no mass.
     """
     b = as_point(b, dim=actions.dim)
-    pts, w = _measure if _measure is not None else _evaluation_measure(model, samples, seed)
-    idx = assign_actions_batch(pts, actions.actions, b)
+    if not isinstance(_measure, _SweepMeasure):
+        pts, w = _measure if _measure is not None else _evaluation_measure(model, samples, seed)
+        _measure = _SweepMeasure(pts, w, b)
+    idx = _measure.assign(actions.actions)
     k = actions.k
-    mass = np.bincount(idx, weights=w, minlength=k)
+    mass = np.bincount(idx, weights=_measure.w, minlength=k)
     dead = np.flatnonzero(mass <= 1e-15)
     if dead.size:
         raise BinDeathError(int(dead[0]))
     new = np.empty_like(actions.actions)
     for d in range(actions.dim):
-        new[:, d] = np.bincount(idx, weights=w * pts[:, d], minlength=k) / mass
+        new[:, d] = np.bincount(idx, weights=_measure.wpts[d], minlength=k) / mass
     stepped = actions.actions + damping * (new - actions.actions)
     return ActionSet(stepped)
 
@@ -200,8 +247,6 @@ def _initial_actions(model: SourceModel, b: np.ndarray, k: int, pts: np.ndarray,
         idx = rng.choice(pts.shape[0], size=k, replace=False,
                          p=weights / weights.sum())
         return ActionSet(pts[idx])
-    if scheme != "quantile":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     norm = float(np.linalg.norm(b))
     direction = b / norm if norm > 0 else np.eye(model.dim)[0]
     proj = (pts - model.mean_vector) @ direction
@@ -221,6 +266,11 @@ def _initial_actions(model: SourceModel, b: np.ndarray, k: int, pts: np.ndarray,
 def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None = None) -> FixedPointResult:
     """Iterate best-response sweeps until the actions stop moving.
 
+    The evaluation measure is drawn and prepared once per solve; every
+    sweep applies ``config.damping`` as configured and the solve stops when
+    the largest movement is below ``config.tolerance``.  At damping 1 a
+    converged solve ends on a movement of 0.0 once the assignment stops
+    changing, so "converged" means an exact fixed point of the measure.
     Returns a candidate equilibrium with its convergence status; bin death
     triggers up to three jittered re-initializations before the error
     propagates.  Non-convergence is reported in the result, not raised.
@@ -228,8 +278,9 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
     config = config or SolverConfig()
     b = as_point(b, dim=model.dim)
     if k < 1:
-        raise ValueError("need at least one action")
+        raise ValueError(f"k must be at least 1, got {k}")
     pts, w = _evaluation_measure(model, config.samples, config.seed)
+    measure = _SweepMeasure(pts, w, b)
 
     restarts = 0
     while True:
@@ -238,13 +289,12 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
             jitter_seed=None if restarts == 0 else config.seed + restarts,
         )
         movements: list[float] = []
-        damping = config.damping
         try:
             converged = False
             it = 0
             for it in range(1, config.max_iterations + 1):
                 new = best_response_step(
-                    actions, model, b, damping=damping, _measure=(pts, w)
+                    actions, model, b, damping=config.damping, _measure=measure
                 )
                 if new.k < actions.k:
                     raise BinDeathError(actions.k - 1, "actions merged during the sweep")
@@ -254,8 +304,6 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
                 if movement < config.tolerance:
                     converged = True
                     break
-                if it >= 8 and movements[-1] >= 0.999 * movements[-8]:
-                    damping = min(damping, 0.5)
             return FixedPointResult(
                 actions=actions, converged=converged, iterations=it,
                 movements=movements, restarts=restarts,

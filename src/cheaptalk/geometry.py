@@ -199,8 +199,30 @@ def assign_actions_batch(points, actions, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, actions {acts.shape[1]}"
         )
-    target = pts - b
-    # ||t - u||^2 = ||t||^2 - 2 t.u + ||u||^2; the ||t||^2 term is common to
-    # all actions and drops out of the argmin.
-    scores = -2.0 * target @ acts.T + np.sum(acts * acts, axis=1)
-    return np.argmin(scores, axis=1)
+    t = np.ascontiguousarray((-2.0 * (pts - b)).T)
+    n = pts.shape[0]
+    return _assign_targets(
+        t, acts, np.empty((acts.shape[0], n)), np.empty(n), np.empty(n, dtype=bool),
+        np.empty(n, dtype=np.intp),
+    )
+
+
+def _assign_targets(t, acts, scores, best, mask, idx) -> np.ndarray:
+    """Lowest-index cheapest action for targets ``t = -2 (points - b).T``, shape (dim, N).
+
+    ``||p - b - u||^2 = ||p - b||^2 - 2 (p - b).u + ||u||^2``; the first term
+    is common to all actions and drops out, so the score of action ``j`` is
+    ``(acts @ t)[j] + ||u_j||^2``.  In the running minimum over the K score
+    rows a later action takes a point only when strictly cheaper, so ties
+    keep the lowest index, as ``argmin`` would.  ``scores`` (K, N), ``best``,
+    ``mask`` and ``idx`` (N,) are caller-owned buffers; ``idx`` is returned.
+    """
+    np.matmul(acts, t, out=scores)
+    scores += np.sum(acts * acts, axis=1)[:, None]
+    np.copyto(best, scores[0])
+    idx.fill(0)
+    for j in range(1, acts.shape[0]):
+        np.less(scores[j], best, out=mask)
+        np.putmask(idx, mask, j)
+        np.minimum(best, scores[j], out=best)
+    return idx

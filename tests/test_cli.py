@@ -120,6 +120,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, field", [
+        ("--solver.damping=1.5", "damping"),
+        ("--solver.tolerance=0", "tolerance"),
+        ("--solver.tolerance=nan", "tolerance"),
+        ("--solver.max_iterations=0", "max_iterations"),
+        ("--solver.k=0", "k"),
+        ("--solver.samples=0", "samples"),
+        ("--solver.samples=-1", "samples"),
+    ])
+    def test_solve_with_bad_solver_value_is_two(self, override, field):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        code, record, err = run_cli("solve", "--config", config, override)
+        assert code == 2
+        assert record is None
+        assert f"solver.{field} " in err
+        assert "Traceback" not in err
+
     def test_missing_config_is_two(self):
         code, _, _ = run_cli("classify", "--config", "/nonexistent/x.json")
         assert code == 2

@@ -217,6 +217,33 @@ class TestBestResponse:
         half = best_response_step(start, model, [0.0], damping=0.5)
         assert half.actions[0, 0] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("model, b, k", [
+        (iid_uniform(1), [0.05], 3),
+        (iid_gaussian(2), [1.0, 0.5], 3),
+        (iid_laplace(3), [1.0, 0.0, 0.0], 4),
+    ])
+    def test_prepared_measure_matches_the_plain_sweep(self, model, b, k):
+        b = np.asarray(b, dtype=float)
+        pts, w = equilibrium._evaluation_measure(model, 20_000, 7)
+        measure = equilibrium._SweepMeasure(pts, w, b)
+        rng = np.random.default_rng(k)
+        for kk in (k, 2, k):  # the score buffer is resized and reused
+            acts = ActionSet(pts[rng.choice(pts.shape[0], size=kk, replace=False)])
+            prepared = best_response_step(acts, model, b, _measure=measure)
+            plain = best_response_step(acts, model, b, _measure=(pts, w))
+            assert np.array_equal(prepared.actions, plain.actions)
+            # the same sweep written with argmin and products formed per sweep
+            idx = np.argmin(
+                (-2.0 * (pts - b)) @ acts.actions.T + np.sum(acts.actions ** 2, 1), axis=1
+            )
+            mass = np.bincount(idx, weights=w, minlength=kk)
+            oracle = np.stack(
+                [np.bincount(idx, weights=w * pts[:, d], minlength=kk) / mass
+                 for d in range(pts.shape[1])], axis=1,
+            )
+            a = acts.actions
+            assert np.array_equal(prepared.actions, a + 1.0 * (oracle - a))
+
 
 class TestFixedPoint:
     def test_single_action_converges_immediately(self):
@@ -256,6 +283,36 @@ class TestFixedPoint:
             result.actions, iid_uniform(1), [0.05], samples=400_000
         )
         assert np.max(np.abs(stepped.actions - result.actions.actions)) < 1e-6
+
+    def test_uniform_solve_is_pinned(self):
+        # the `solve` CLI payload: the 1-D path must not move by a bit
+        result = solve_fixed_point(iid_uniform(1), [0.05], 3, SolverConfig(samples=400_000, seed=42))
+        assert result.converged and result.iterations == 38
+        assert result.actions.actions.ravel().tolist() == [
+            0.2666645050048828, 0.6999950408935547, 0.9333305358886719,
+        ]
+
+    def test_drifting_3d_solve_reaches_an_exact_fixed_point(self):
+        # halving the step once the movement shrinks slowly left this case
+        # unconverged at 500 sweeps; at damping 1 it settles exactly
+        model, b = iid_gaussian(3), [0.3, 0.2, 0.1]
+        result = solve_fixed_point(model, b, 4, SolverConfig(samples=50_000, seed=5))
+        assert result.converged and result.iterations < 400
+        assert result.movements[-1] == 0.0
+        again = best_response_step(result.actions, model, b, samples=50_000, seed=5)
+        assert np.array_equal(again.actions, result.actions.actions)
+
+    @pytest.mark.parametrize("damping", [1.0, 0.75])
+    def test_damping_is_applied_as_configured(self, damping):
+        # no sweep of the solve may switch to a smaller step than configured
+        model, b = iid_gaussian(2), [1.0, 0.5]
+        cfg = SolverConfig(samples=10_000, damping=damping, max_iterations=30, tolerance=1e-12)
+        result = solve_fixed_point(model, b, 3, cfg)
+        pts, w = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
+        actions = equilibrium._initial_actions(model, np.asarray(b), 3, pts, w)
+        for _ in range(result.iterations):
+            actions = best_response_step(actions, model, b, damping=damping, _measure=(pts, w))
+        assert np.array_equal(actions.actions, result.actions.actions)
 
     def test_fixed_point_scale_covariance(self):
         c = 3.0
@@ -611,3 +668,20 @@ class TestSolverConfig:
             SolverConfig(damping=1.5)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance", float("nan")),
+        ("tolerance", float("inf")),
+        ("tolerance", -1e-8),
+        ("damping", float("nan")),
+        ("samples", 0),
+        ("samples", -5),
+        ("init", "kmeans++"),
+    ])
+    def test_rejected_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SolverConfig(**{field: value})
+
+    def test_zero_actions_rejected(self):
+        with pytest.raises(ValueError, match="^k "):
+            solve_fixed_point(iid_uniform(1), [0.05], 0, SolverConfig(samples=1000))

@@ -193,6 +193,45 @@ class TestAssignment:
         )
 
 
+def argmin_oracle(pts, acts, b):
+    """The assignment as one argmin over an (N, K) score matrix."""
+    pts = np.asarray(pts, dtype=float).reshape(len(pts), -1)
+    acts = np.asarray(acts, dtype=float).reshape(len(acts), -1)
+    return np.argmin((-2.0 * (pts - b)) @ acts.T + np.sum(acts * acts, 1), axis=1)
+
+
+class TestAssignmentExactness:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_action_sets(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        for k in range(1, 9):
+            acts = rng.normal(size=(k, dim))
+            b = rng.normal(scale=0.5, size=dim)
+            pts = rng.normal(scale=1.5, size=(20_000, dim))
+            assert np.array_equal(assign_actions_batch(pts, acts, b), argmin_oracle(pts, acts, b))
+
+    def test_single_action(self):
+        pts = np.random.default_rng(3).normal(size=(1000, 2))
+        idx = assign_actions_batch(pts, [[0.3, -0.2]], [1.0, 0.5])
+        assert idx.shape == (1000,) and not np.any(idx)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+    def test_ties_on_indifference_planes_go_to_the_lowest_index(self, order):
+        # dyadic actions, bias and grid keep every score exact, so points on
+        # the planes x = 1.5 and y = 1.25 tie two actions and (1.5, 1.25) all four
+        acts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])[order]
+        b = np.array([0.5, 0.25])
+        g = np.arange(-2.0, 4.0, 0.25)
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        scores = (-2.0 * (pts - b)) @ acts.T + np.sum(acts * acts, 1)
+        tied = np.sum(scores == scores.min(axis=1, keepdims=True), axis=1)
+        assert np.count_nonzero(tied == 2) > 0 and np.count_nonzero(tied == 4) == 1
+        idx = assign_actions_batch(pts, acts, b)
+        assert np.array_equal(idx, argmin_oracle(pts, acts, b))
+        corner = np.flatnonzero((pts[:, 0] == 1.5) & (pts[:, 1] == 1.25))
+        assert idx[corner[0]] == 0
+
+
 class TestHyperplane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
