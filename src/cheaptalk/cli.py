@@ -295,19 +295,33 @@ def _cmd_classify(cfg: dict):
     return verdict.to_dict(), (1 if verdict.exists == "no" else 0), None
 
 
+def _finite(block: dict, key: str, default=None) -> float:
+    value = float(block[key] if default is None else block.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid rd block: rd.{key} must be finite, got {value}")
+    return value
+
+
 def _cmd_rd(cfg: dict):
     block = cfg.get("rd")
     if not isinstance(block, dict):
         raise ConfigError("rd needs an 'rd' block")
     try:
-        sigma_sq = float(block["sigma_sq"])
-        b = float(block.get("b", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        payload, csv_rows = _rd_payload(block, int(cfg["solver"]["seed"]))
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ratedist rejects bad values with ValueError
         raise ConfigError(f"invalid rd block: {exc}") from exc
+    return payload, 0, csv_rows
+
+
+def _rd_payload(block: dict, seed: int):
+    sigma_sq = _finite(block, "sigma_sq")
+    b = _finite(block, "b", 0.0)
     payload: dict = {"sigma_sq": sigma_sq, "b": b}
     csv_rows = None
     if "d_team" in block:
-        d_team = float(block["d_team"])
+        d_team = _finite(block, "d_team")
         rate = ratedist.team_rate_distortion(sigma_sq, d_team)
         tup = ratedist.achievable_tuple(rate, d_team, b)
         payload["team_rate"] = rate
@@ -315,20 +329,22 @@ def _cmd_rd(cfg: dict):
     if "de" in block and "dd" in block:
         try:
             payload["rate_bound"] = ratedist.game_rate_bound(
-                sigma_sq, b, float(block["de"]), float(block["dd"])
+                sigma_sq, b, _finite(block, "de"), _finite(block, "dd")
             )
             payload["feasible"] = True
         except InfeasibleDistortionError:
             payload["rate_bound"] = None
             payload["feasible"] = False
     if "n_list" in block:
+        if not isinstance(block["n_list"], list):
+            raise ConfigError("invalid rd block: rd.n_list must be a list of dimensions")
         rows = ratedist.asymptotic_experiment(
             sigma_sq,
             b,
             int(block.get("rate_bits", 1)),
             block["n_list"],
             samples=int(block.get("samples", 400_000)),
-            seed=int(cfg["solver"]["seed"]),
+            seed=seed,
         )
         payload["asymptotic"] = [
             dict(zip(ratedist.AsymptoticRow.CSV_COLUMNS, r.csv_values())) for r in rows
@@ -336,7 +352,7 @@ def _cmd_rd(cfg: dict):
         csv_rows = [ratedist.AsymptoticRow.CSV_COLUMNS] + [r.csv_values() for r in rows]
     if len(payload) == 2:
         raise ConfigError("rd block specifies nothing to compute (d_team, de/dd, or n_list)")
-    return payload, 0, csv_rows
+    return payload, csv_rows
 
 
 def _cmd_transform(cfg: dict):

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import _assign_targets, as_point, assign_actions_batch
@@ -40,6 +39,7 @@ from .sources import (
     SourceModel,
     _pair_coordinates,
     _sorted_pairs,
+    _special,
     _window_curve,
     conditional_support,
     iid_gaussian,
@@ -350,10 +350,64 @@ class ScalarQuantizer:
 
 
 def _brentq(f, a: float, b: float, scale: float) -> float:
-    """Root of f in [a, b] at the scalar solver's tolerances."""
-    from scipy.optimize import brentq  # imported on demand: only scalar solves need it
+    """Root of f in [a, b] at the scalar solver's tolerances.
 
-    return float(brentq(f, a, b, xtol=1e-13 * scale, rtol=8.9e-16))
+    Brent's method step for step as ``scipy.optimize.brentq`` runs it
+    (``xtol = 1e-13*scale``, ``rtol = 8.9e-16``, at most 100 iterations),
+    so the root and the number of evaluations of f are the same.  Raises
+    ValueError when f returns NaN or f(a) and f(b) have the same sign, and
+    RuntimeError when the iterations run out.
+    """
+    xtol, rtol = 1e-13 * scale, 8.9e-16
+
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives C an inf or nan step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
 
 
 def _bin_moments(model: SourceModel, a: float, b: float):
@@ -734,7 +788,7 @@ def construct_reveal_plus_quantize(
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
-        half = math.sqrt(sigma_sq) * float(-special.ndtri(model.truncation_eps))
+        half = math.sqrt(sigma_sq) * float(-_special.ndtri(model.truncation_eps))
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         beta = float(transform.transformed_bias[-1])
         scalar = solve_scalar_biased(

@@ -151,10 +151,15 @@ def asymptotic_experiment(
         raise ValueError("each n must be at least 2")
     if samples < 2:
         raise ValueError("sample budget too small")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     levels = 2 ** int(rate_bits)
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)
     inner = quant.boundaries[1:-1]
+    # the first comparison writes the cell index, the rest add to it; with
+    # one level there is no interior boundary and no draw lies above +inf
+    first, rest = (inner[0], inner[1:]) if inner.size else (math.inf, inner)
     actions = quant.actions
     sd = math.sqrt(sigma_sq)
 
@@ -163,15 +168,30 @@ def asymptotic_experiment(
         shift = math.sqrt(n) * b  # the aligned bias sits wholly on coordinate n
         sum_jd = sum_jd2 = sum_gap = sum_gap2 = 0.0
         chunk = max(1, min(samples, (1 << 22) // n))
+        # one set of buffers per n, reused by every chunk
+        draws = np.empty((chunk, n))
+        cells = np.empty((chunk, n - 1), dtype=np.intp)
+        above = np.empty((chunk, n - 1), dtype=bool)
+        err = np.empty((chunk, n - 1))
         done = 0
         part = 0
         while done < samples:
             m = min(chunk, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, part]))
-            x = rng.normal(0.0, sd, size=(m, n))
-            q = actions[np.searchsorted(inner, x[:, : n - 1].ravel(), side="left")]
-            err = x[:, : n - 1].ravel() - q
-            err_sq = (err * err).reshape(m, n - 1).sum(axis=1)
+            x = draws[:m]
+            rng.standard_normal(out=x)
+            x *= sd
+            x += 0.0  # the bits of rng.normal(0.0, sd): loc + scale * z
+            quantized = x[:, : n - 1]
+            # the quantizer cell: how many interior boundaries lie below the draw
+            cell = np.greater(quantized, first, out=cells[:m])
+            for t in rest:
+                cell += np.greater(quantized, t, out=above[:m])
+            e = err[:m]
+            np.take(actions, cell, out=e, mode="clip")  # every cell is in range
+            np.subtract(quantized, e, out=e)
+            e *= e
+            err_sq = e.sum(axis=1)
             last = x[:, n - 1]
             jd_i = (err_sq + last**2) / n
             gap_i = (shift**2 - 2.0 * shift * last) / n  # je_i - jd_i, exactly

@@ -137,6 +137,29 @@ class TestExitCodes:
         assert f"solver.{field} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("override", [
+        "--rd.sigma_sq=0",
+        "--rd.sigma_sq=-1",
+        "--rd.sigma_sq=Infinity",
+        "--rd.sigma_sq=NaN",
+        "--rd.b=NaN",
+        "--rd.d_team=0",
+        "--rd.de=0",
+        "--rd.dd=NaN",
+        "--rd.n_list=[1,4]",
+        "--rd.n_list=4",
+        "--rd.samples=1",
+        "--rd.rate_bits=-1",
+        "--solver.seed=-1",
+    ])
+    def test_rd_with_bad_value_is_two(self, override):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "rd_asymptotic.json")
+        code, record, err = run_cli("rd", "--config", config, override)
+        assert code == 2
+        assert record is None
+        assert "invalid rd block" in err
+        assert "Traceback" not in err
+
     def test_missing_config_is_two(self):
         code, _, _ = run_cli("classify", "--config", "/nonexistent/x.json")
         assert code == 2

@@ -179,6 +179,90 @@ class TestScalarSolver:
             assert grid.shape == (257 + 7,)
 
 
+def _brent_outcome(solver, f, a, b, scale):
+    """(root as hex or exception type, evaluations of f) of one root solve."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    try:
+        return float.hex(float(solver(counted, a, b, scale))), calls
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, calls
+
+
+def _scipy_brentq(f, a, b, scale):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=1e-13 * scale, rtol=8.9e-16)
+
+
+class TestBrentOracle:
+    """The in-house Brent method against scipy.optimize.brentq: the same root
+    bits and the same number of function evaluations."""
+
+    def assert_same(self, f, a, b, scale=1.0):
+        want = _brent_outcome(_scipy_brentq, f, a, b, scale)
+        got = _brent_outcome(equilibrium._brentq, f, a, b, scale)
+        assert got == want, (a, b, scale)
+        return got
+
+    def random_functions(self, rng):
+        c = rng.normal()
+        p = np.abs(rng.normal(size=2))
+        k = rng.uniform(0.5, 20.0)
+        steps = c + np.sort(rng.uniform(-0.09, 0.09, size=5))
+        # each increases through c, and every bracket below reaches past c +- 0.1
+        return [
+            lambda x: math.tanh(3.0 * (x - c)) + p[0] * (x - c) ** 3 + p[1] * (x - c),
+            lambda x: math.expm1(k * (x - c)),
+            lambda x: (x - c) ** 3,
+            # piecewise constant with a gentle slope: jumps over the root
+            lambda x: float(np.searchsorted(steps, x)) - 2.5 + 0.01 * (x - c),
+            # the scalar solver's out-of-range stand-ins around a short finite stretch
+            lambda x: 1e30 if x > c else (-1e30 if x < c - 0.3 else x - c + 0.1),
+        ], c
+
+    def test_random_functions_in_both_bracket_orders(self):
+        rng = np.random.default_rng(2024)
+        outcomes = {"root": 0, "RuntimeError": 0}
+        for _ in range(200):
+            functions, c = self.random_functions(rng)
+            lo = c - rng.uniform(0.1, 5.0)
+            hi = c + rng.uniform(0.1, 5.0)
+            scale = 10.0 ** rng.uniform(-3.0, 2.0)
+            # at 1e-160 the inverse-quadratic denominator underflows to zero
+            for size in (1.0, 1e-160):
+                for f in functions:
+                    for a, b in ((lo, hi), (hi, lo)):
+                        root, _ = self.assert_same(lambda x: size * f(x), a, b, scale)
+                        outcomes["RuntimeError" if root == "RuntimeError" else "root"] += 1
+        # Brent's steps crawl into the triple root of (x - c)**3: at size 1 both
+        # solvers hit the 100-iteration cap there, after the same 102 calls
+        assert outcomes == {"root": 3600, "RuntimeError": 400}
+
+    def test_exact_zero_endpoints(self):
+        assert self.assert_same(lambda x: x, 0.0, 1.0) == (float.hex(0.0), 2)
+        assert self.assert_same(lambda x: x - 1.0, 0.0, 1.0) == (float.hex(1.0), 2)
+        assert self.assert_same(lambda x: -0.0 if x < 0.5 else 1.0, 0.0, 1.0)[1] == 2
+
+    def test_nan_raises_value_error(self):
+        assert self.assert_same(lambda x: math.nan, 0.0, 1.0) == ("ValueError", 1)
+        inner_nan = self.assert_same(lambda x: math.nan if 0.3 < x < 0.7 else x - 0.6, 0.0, 1.0)
+        assert inner_nan[0] == "ValueError" and inner_nan[1] > 2
+
+    def test_same_signs_raise_value_error(self):
+        assert self.assert_same(lambda x: x * x + 1.0, -1.0, 1.0) == ("ValueError", 2)
+        assert self.assert_same(lambda x: -1e-300, 0.0, 1.0) == ("ValueError", 2)
+
+    def test_iteration_cap_raises_runtime_error(self):
+        # Brent's steps crawl into a triple root: 100 iterations after the two end points
+        assert self.assert_same(lambda x: (x - 0.3) ** 3, 0.0, 1.0) == ("RuntimeError", 102)
+
+
 class TestBestResponse:
     def test_single_action_moves_to_mean_and_stays(self):
         model = iid_gaussian(2, mean=0.5)

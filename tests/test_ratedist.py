@@ -5,6 +5,7 @@ import pytest
 
 from cheaptalk.errors import InfeasibleDistortionError
 from cheaptalk.ratedist import (
+    AsymptoticRow,
     RDTuple,
     achievable_tuple,
     asymptotic_experiment,
@@ -14,6 +15,49 @@ from cheaptalk.ratedist import (
 )
 
 TWO_LEVEL_GAUSSIAN_DISTORTION = 1.0 - 2.0 / math.pi
+
+
+def reference_asymptotic(sigma_sq, b, rate_bits, n_list, samples, seed):
+    """The experiment as first written: a fresh array per chunk, the cell by
+    ``searchsorted`` over the raveled draws."""
+    quant, d_q = lloyd_max_quantizer(sigma_sq, 2 ** rate_bits)
+    inner = quant.boundaries[1:-1]
+    actions = quant.actions
+    sd = math.sqrt(sigma_sq)
+    rows = []
+    for idx, n in enumerate(n_list):
+        shift = math.sqrt(n) * b
+        sum_jd = sum_jd2 = sum_gap = sum_gap2 = 0.0
+        chunk = max(1, min(samples, (1 << 22) // n))
+        done = 0
+        part = 0
+        while done < samples:
+            m = min(chunk, samples - done)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, idx, part]))
+            x = rng.normal(0.0, sd, size=(m, n))
+            q = actions[np.searchsorted(inner, x[:, : n - 1].ravel(), side="left")]
+            err = x[:, : n - 1].ravel() - q
+            err_sq = (err * err).reshape(m, n - 1).sum(axis=1)
+            last = x[:, n - 1]
+            jd_i = (err_sq + last**2) / n
+            gap_i = (shift**2 - 2.0 * shift * last) / n
+            sum_jd += float(jd_i.sum())
+            sum_jd2 += float((jd_i**2).sum())
+            sum_gap += float(gap_i.sum())
+            sum_gap2 += float((gap_i**2).sum())
+            done += m
+            part += 1
+        jd_mean = sum_jd / samples
+        jd_var = max(sum_jd2 / samples - jd_mean**2, 0.0)
+        gap_mean = sum_gap / samples
+        gap_var = max(sum_gap2 / samples - gap_mean**2, 0.0)
+        rows.append(AsymptoticRow(
+            n=n, rate_bits=float(rate_bits), jd_emp=jd_mean, jd_stderr=math.sqrt(jd_var / samples),
+            je_emp=jd_mean + gap_mean, je_stderr=math.sqrt((jd_var + gap_var) / samples),
+            jd_exact=((n - 1) * d_q + sigma_sq) / n, gap_emp=gap_mean,
+            gap_stderr=math.sqrt(gap_var / samples),
+        ))
+    return rows
 
 
 class TestTeamRateDistortion:
@@ -116,7 +160,23 @@ class TestAsymptoticExperiment:
         b = asymptotic_experiment(1.0, 1.0, 1, [4], samples=50_000, seed=8)
         assert a[0].jd_emp == b[0].jd_emp and a[0].je_emp == b[0].je_emp
 
+    @pytest.mark.parametrize("sigma_sq, b, rate_bits, n_list, samples, seed", [
+        (2.5, -0.7, 0, [2, 5], 20_000, 3),
+        (2.5, -0.7, 1, [2, 5], 20_000, 3),
+        (0.3, 1.2, 2, [2, 7], 20_000, 4),
+        (0.3, 1.2, 3, [3], 20_000, 5),
+        (1.0, 1.0, 1, [64], 150_001, 42),  # two full chunks and a partial one
+    ])
+    def test_equals_the_reference_bit_for_bit(self, sigma_sq, b, rate_bits, n_list, samples, seed):
+        got = asymptotic_experiment(sigma_sq, b, rate_bits, n_list, samples=samples, seed=seed)
+        want = reference_asymptotic(sigma_sq, b, rate_bits, n_list, samples, seed)
+        for row, ref in zip(got, want, strict=True):
+            for field in AsymptoticRow.__dataclass_fields__:
+                assert getattr(row, field) == getattr(ref, field), field
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            asymptotic_experiment(1.0, 1.0, 1, [4], samples=1000, seed=-1)
         with pytest.raises(ValueError):
             asymptotic_experiment(1.0, 1.0, 1, [1], samples=1000, seed=0)
         with pytest.raises(ValueError):

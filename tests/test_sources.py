@@ -220,19 +220,28 @@ class TestGaussianClosedForms:
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
-    """scipy.stats loads only for the correlated-gaussian joint pdf."""
+    """scipy.special loads on the first gaussian evaluation, scipy.stats only
+    for the correlated-gaussian joint pdf, and scipy.optimize never."""
     code = (
         "import sys, cheaptalk\n"
-        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'optimize']))\n"
-        "print(heavy())\n"
+        "loaded = lambda: [name for name in ('special', 'optimize', 'stats')\n"
+        "                  if any(m.split('.')[:2] == ['scipy', name] for m in sys.modules)]\n"
+        "print(loaded())\n"
+        "cheaptalk.solve_fixed_point(cheaptalk.iid_uniform(1), [0.1], 2,\n"
+        "                            cheaptalk.SolverConfig(samples=10_000))\n"
+        "cheaptalk.classify_linear_existence(cheaptalk.iid_uniform(2), [1.0, -1.0],\n"
+        "                                    samples=20_000, seed=1)\n"
+        "cheaptalk.helmert_transform(3, bias=1.0)\n"
+        "print(loaded())\n"
+        "cheaptalk.solve_scalar_biased(cheaptalk.iid_gaussian(1), 0.2, 3)\n"
+        "print(loaded())\n"
         "cheaptalk.correlated_gaussian_2d(1.0, 1.0, 0.5).joint_pdf([0.0, 0.0])\n"
-        "print('scipy.stats' in heavy())\n"
+        "print('stats' in loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cheaptalk.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "['special']", "True"]
 
 
 class TestRegionMean:
