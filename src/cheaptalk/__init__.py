@@ -60,7 +60,6 @@ from .ratedist import (
 )
 from .sources import (
     EstimateWithError,
-    Region,
     SourceModel,
     conditional_mean_curve,
     conditional_support,
@@ -69,7 +68,6 @@ from .sources import (
     iid_gaussian,
     iid_laplace,
     iid_uniform,
-    region_mean,
     symmetry_deviation,
     tabulated_density,
     tabulated_from_csv,

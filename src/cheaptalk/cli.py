@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv as csv_module
+import dataclasses
 import hashlib
 import json
 import math
@@ -53,16 +54,16 @@ __all__ = ["main", "run_command", "build_source", "ConfigError"]
 
 COMMANDS = ("solve", "verify", "classify", "rd", "transform", "sweep")
 
+# the library's defaults, so that the CLI cannot drift from them; k and k_last
+# have no library default
 SOLVER_DEFAULTS = {
     "k": 1,
     "k_last": 1,
-    "tolerance": 1e-8,
-    "max_iterations": 500,
-    "damping": 1.0,
-    "samples": 1_000_000,
-    "seed": 42,
-    "grid_levels": 1024,
+    **{f.name: f.default for f in dataclasses.fields(SolverConfig)},
+    "grid_levels": construct_reveal_plus_quantize.__kwdefaults__["grid_levels"],
 }
+# the solver leaves that are counts or seeds
+_SOLVER_INTEGERS = ("k", "k_last", "max_iterations", "samples", "seed", "grid_levels")
 
 
 class ConfigError(ValueError):
@@ -155,14 +156,37 @@ def effective_config(config: dict, overrides: dict, env_seed: str | None, seed_f
     return cfg
 
 
+def _integer(value, path: str) -> int:
+    """The integer config leaf at dotted ``path``: booleans, non-integral
+    numbers and non-numbers are config errors naming the leaf."""
+    if not ratedist._is_whole(value):
+        raise ConfigError(
+            f"invalid {path.split('.')[0]} block: {path} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
+def _solver_block(cfg: dict) -> dict:
+    """The solver block, over the defaults, with its integer leaves checked
+    and converted (an override may have replaced the whole block)."""
+    block = cfg["solver"]
+    if not isinstance(block, dict):
+        raise ConfigError(f"invalid solver block: solver must be an object, got {block!r}")
+    s = {**SOLVER_DEFAULTS, **block}
+    for key in _SOLVER_INTEGERS:
+        s[key] = _integer(s[key], f"solver.{key}")
+    return s
+
+
 def build_source(block) -> SourceModel:
     if not isinstance(block, dict):
         raise ConfigError("source block must be an object")
     family = block.get("family")
+    dim = _integer(block.get("dim", 2), "source.dim")
     try:
         if family == "iid-gaussian":
             return iid_gaussian(
-                int(block.get("dim", 2)),
+                dim,
                 mean=float(block.get("mean", 0.0)),
                 sigma_sq=float(block.get("sigma_sq", 1.0)),
             )
@@ -175,15 +199,15 @@ def build_source(block) -> SourceModel:
             )
         if family == "iid-uniform":
             return iid_uniform(
-                int(block.get("dim", 2)),
+                dim,
                 lo=float(block.get("lo", 0.0)),
                 hi=float(block.get("hi", 1.0)),
             )
         if family == "iid-exponential":
-            return iid_exponential(int(block.get("dim", 2)), rate=float(block.get("rate", 1.0)))
+            return iid_exponential(dim, rate=float(block.get("rate", 1.0)))
         if family == "iid-laplace":
             return iid_laplace(
-                int(block.get("dim", 2)),
+                dim,
                 mean=float(block.get("mean", 0.0)),
                 scale=float(block.get("scale", 1.0)),
             )
@@ -216,17 +240,16 @@ def _get_bias(cfg: dict, dim: int) -> np.ndarray:
 def _cmd_solve(cfg: dict):
     model = build_source(cfg.get("source"))
     bias = _get_bias(cfg, model.dim)
-    s = cfg["solver"]
-    k = int(s["k"])
+    s = _solver_block(cfg)
     fields = dict(
         tolerance=float(s["tolerance"]),
-        max_iterations=int(s["max_iterations"]),
+        max_iterations=s["max_iterations"],
         damping=float(s["damping"]),
-        samples=int(s["samples"]),
-        seed=int(s["seed"]),
+        samples=s["samples"],
+        seed=s["seed"],
     )
     try:
-        result = solve_fixed_point(model, bias, k, SolverConfig(**fields))
+        result = solve_fixed_point(model, bias, s["k"], SolverConfig(**fields))
     except ValueError as exc:  # the messages start with the offending field's name
         raise ConfigError(f"invalid solver block: solver.{exc}") from exc
     payload = {
@@ -240,24 +263,21 @@ def _cmd_solve(cfg: dict):
     return payload, (0 if result.converged else 3), None
 
 
-def _build_policy(cfg: dict, model: SourceModel, bias: np.ndarray):
+def _build_policy(cfg: dict, s: dict, model: SourceModel, bias: np.ndarray):
     block = cfg.get("policy")
     if not isinstance(block, dict):
         raise ConfigError("verify needs a 'policy' block")
     kind = block.get("kind")
-    s = cfg["solver"]
     if kind == "quantizer":
         actions = block.get("actions")
         if actions is None:
             raise ConfigError("quantizer policies need explicit 'actions'")
         return QuantizerPolicy(ActionSet(np.asarray(actions, dtype=float)), bias)
     if kind == "reveal-quantize":
+        k_last = _integer(block.get("k_last", s["k_last"]), "policy.k_last")
         try:
             return construct_reveal_plus_quantize(
-                model,
-                bias,
-                int(block.get("k_last", s["k_last"])),
-                grid_levels=int(s["grid_levels"]),
+                model, bias, k_last, grid_levels=s["grid_levels"]
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -267,9 +287,9 @@ def _build_policy(cfg: dict, model: SourceModel, bias: np.ndarray):
 def _cmd_verify(cfg: dict):
     model = build_source(cfg.get("source"))
     bias = _get_bias(cfg, model.dim)
-    policy = _build_policy(cfg, model, bias)
-    s = cfg["solver"]
-    samples, seed = int(s["samples"]), int(s["seed"])
+    s = _solver_block(cfg)
+    policy = _build_policy(cfg, s, model, bias)
+    samples, seed = s["samples"], s["seed"]
     try:
         cert = verify_equilibrium(policy, model, bias, samples=samples, seed=seed)
     except ValueError as exc:  # too few samples or a negative seed
@@ -283,14 +303,14 @@ def _cmd_verify(cfg: dict):
 def _cmd_classify(cfg: dict):
     model = build_source(cfg.get("source"))
     bias = _get_bias(cfg, model.dim)
-    s = cfg["solver"]
+    s = _solver_block(cfg)
     if model.family == "correlated-gaussian-2d":
         verdict = classify_mod.classify_correlated_gaussian(
             float(model.cov[0, 0]), float(model.cov[1, 1]), float(model.cov[0, 1]), bias
         )
     else:
         verdict = classify_mod.classify_linear_existence(
-            model, bias, samples=min(int(s["samples"]), 400_000), seed=int(s["seed"])
+            model, bias, samples=min(s["samples"], 400_000), seed=s["seed"]
         )
     return verdict.to_dict(), (1 if verdict.exists == "no" else 0), None
 
@@ -306,8 +326,9 @@ def _cmd_rd(cfg: dict):
     block = cfg.get("rd")
     if not isinstance(block, dict):
         raise ConfigError("rd needs an 'rd' block")
+    seed = _solver_block(cfg)["seed"]
     try:
-        payload, csv_rows = _rd_payload(block, int(cfg["solver"]["seed"]))
+        payload, csv_rows = _rd_payload(block, seed)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # ratedist rejects bad values with ValueError
@@ -341,9 +362,9 @@ def _rd_payload(block: dict, seed: int):
         rows = ratedist.asymptotic_experiment(
             sigma_sq,
             b,
-            int(block.get("rate_bits", 1)),
-            block["n_list"],
-            samples=int(block.get("samples", 400_000)),
+            _integer(block.get("rate_bits", 1), "rd.rate_bits"),
+            [_integer(n, f"rd.n_list[{i}]") for i, n in enumerate(block["n_list"])],
+            samples=_integer(block.get("samples", 400_000), "rd.samples"),
             seed=seed,
         )
         payload["asymptotic"] = [
@@ -364,7 +385,8 @@ def _cmd_transform(cfg: dict):
         if kind == "pair2d":
             t = pair_transform_2d(np.asarray(block["bias"], dtype=float))
         elif kind == "helmert":
-            t = helmert_transform(int(block["n"]), bias=float(block.get("bias", 0.0)))
+            n = _integer(block["n"], "transform.n")
+            t = helmert_transform(n, bias=float(block.get("bias", 0.0)))
         elif kind == "bias-aligning":
             t = bias_aligning_transform(np.asarray(block["bias"], dtype=float))
         else:

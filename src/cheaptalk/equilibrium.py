@@ -27,19 +27,21 @@ costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import _assign_targets, as_point, assign_actions_batch
 from .sources import (
+    _TRUNCATION_EPS,
     GAUSSIAN,
     EstimateWithError,
     SourceModel,
     _pair_coordinates,
     _sorted_pairs,
     _special,
+    _support_box_range,
     _window_curve,
     conditional_support,
     iid_gaussian,
@@ -104,9 +106,6 @@ class ActionSet:
         return self.actions.shape[1]
 
 
-_INIT_SCHEMES = ("quantile", "random")
-
-
 @dataclass
 class SolverConfig:
     """Knobs for the fixed-point iteration.
@@ -126,7 +125,6 @@ class SolverConfig:
     damping: float = 1.0
     samples: int = 1_000_000
     seed: int = 42
-    init: str = "quantile"
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -137,8 +135,6 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.init not in _INIT_SCHEMES:
-            raise ValueError(f"init must be one of {_INIT_SCHEMES}, got {self.init!r}")
 
 
 @dataclass(eq=False)
@@ -208,14 +204,13 @@ def best_response_step(
     encoder cost (ties to the lowest index), then each action moves toward
     its bin's conditional mean by ``damping`` times the gap, as given.  At
     damping 1 a sweep from an exact fixed point returns bitwise the same
-    actions.  ``_measure`` is the ``(points, weights)`` pair or a prepared
-    ``_SweepMeasure`` for the same bias.  Raises :class:`BinDeathError` with
-    the dying index when a bin receives no mass.
+    actions.  ``_measure`` is a ``_SweepMeasure`` prepared for the same bias,
+    or None to draw one from ``samples`` and ``seed``.  Raises
+    :class:`BinDeathError` with the dying index when a bin receives no mass.
     """
     b = as_point(b, dim=actions.dim)
-    if not isinstance(_measure, _SweepMeasure):
-        pts, w = _measure if _measure is not None else _evaluation_measure(model, samples, seed)
-        _measure = _SweepMeasure(pts, w, b)
+    if _measure is None:
+        _measure = _SweepMeasure(*_evaluation_measure(model, samples, seed), b)
     idx = _measure.assign(actions.actions)
     k = actions.k
     mass = np.bincount(idx, weights=_measure.w, minlength=k)
@@ -238,15 +233,9 @@ def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray)
 
 
 def _initial_actions(model: SourceModel, b: np.ndarray, k: int, pts: np.ndarray,
-                     weights: np.ndarray, scheme: str = "quantile",
-                     jitter_seed: int | None = None) -> ActionSet:
+                     weights: np.ndarray, jitter_seed: int | None = None) -> ActionSet:
     """K starting actions: evenly spaced quantiles along the bias direction,
-    or a seeded random draw of evaluation points."""
-    if scheme == "random":
-        rng = np.random.default_rng(0 if jitter_seed is None else jitter_seed)
-        idx = rng.choice(pts.shape[0], size=k, replace=False,
-                         p=weights / weights.sum())
-        return ActionSet(pts[idx])
+    jittered by a seeded draw on a restart."""
     norm = float(np.linalg.norm(b))
     direction = b / norm if norm > 0 else np.eye(model.dim)[0]
     proj = (pts - model.mean_vector) @ direction
@@ -285,8 +274,7 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
     restarts = 0
     while True:
         actions = _initial_actions(
-            model, b, k, pts, w, scheme=config.init,
-            jitter_seed=None if restarts == 0 else config.seed + restarts,
+            model, b, k, pts, w, jitter_seed=None if restarts == 0 else config.seed + restarts,
         )
         movements: list[float] = []
         try:
@@ -486,9 +474,11 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
 
 
 _TAIL_SDS = np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
+# quantile points scanned for a sign change of the shooting residual
+_SCAN_POINTS = 257
 
 
-def _scan_grid(model: SourceModel, beta: float, scan_points: int) -> np.ndarray:
+def _scan_grid(model: SourceModel, beta: float) -> np.ndarray:
     """Strictly increasing scan points for the shooting variable.
 
     The 1e-9 .. 1 - 1e-9 quantiles, extended into an unbounded tail on the
@@ -497,7 +487,7 @@ def _scan_grid(model: SourceModel, beta: float, scan_points: int) -> np.ndarray:
     tail's extreme quantiles lie beyond 7 sd.
     """
     eps = 1e-9
-    grid = np.asarray(model.marginal_ppf(0, np.linspace(eps, 1.0 - eps, scan_points)), dtype=float)
+    grid = np.asarray(model.marginal_ppf(0, np.linspace(eps, 1.0 - eps, _SCAN_POINTS)), dtype=float)
     marginal = model.marginals[0]
     sd = math.sqrt(model.marginal_variance(0))
     s = -1.0 if beta >= 0.0 else 1.0  # the shooting direction; the tail lies at -s
@@ -507,9 +497,7 @@ def _scan_grid(model: SourceModel, beta: float, scan_points: int) -> np.ndarray:
     return grid
 
 
-def solve_scalar_biased(
-    model: SourceModel, beta: float, k: int, *, scan_points: int = 257
-) -> ScalarQuantizer:
+def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuantizer:
     """Solve the K-bin scalar equilibrium by monotone shooting on one boundary.
 
     One recursion, ``_shoot``, runs in either direction.  A nonnegative bias
@@ -540,7 +528,7 @@ def solve_scalar_biased(
     def residual(x):
         return _shoot(model, beta, k, x, lo, hi, scale, s)[0]
 
-    grid = _scan_grid(model, beta, scan_points)
+    grid = _scan_grid(model, beta)
     # python floats: numpy scalars would slow every step of the recursion
     vals = np.array([residual(x) for x in grid.tolist()])
 
@@ -559,7 +547,7 @@ def solve_scalar_biased(
         max_feasible = 1
         if k > 2:
             try:
-                solve_scalar_biased(model, beta, k - 1, scan_points=scan_points)
+                solve_scalar_biased(model, beta, k - 1)
                 max_feasible = k - 1
             except InfeasibleBinCountError as exc:
                 max_feasible = exc.max_feasible
@@ -610,33 +598,33 @@ class QuantizerPolicy:
 class RevealQuantizePolicy:
     """Reveal the first n-1 transformed coordinates, quantize the last.
 
-    The revealed coordinates are approximated by ``grid_levels`` uniform
-    cells each (the continuum claim is therefore explicitly approximate, at
-    the reported resolution); the value attached to a cell is its midpoint.
-    The last transformed coordinate, which carries the whole bias, follows a
-    scalar biased quantizer.  Every ``cell_edges[r]`` must be finite,
-    strictly increasing and uniform (as ``linspace`` makes them): cell
-    indices are computed by arithmetic, not by search.
+    The revealed coordinates are approximated by uniform cells (the
+    continuum claim is therefore explicitly approximate, at the reported
+    resolution); the value attached to a cell, ``cell_values[r]``, is its
+    midpoint.  The last transformed coordinate, which carries the whole
+    bias, follows a scalar biased quantizer.  Every ``cell_edges[r]`` must
+    be finite, strictly increasing and uniform (as ``linspace`` makes them):
+    cell indices are computed by arithmetic, not by search.
     """
 
     transform: LinearTransform
     cell_edges: list[np.ndarray]
-    cell_values: list[np.ndarray]
     last_boundaries: np.ndarray
     last_actions: np.ndarray
     last_bias: float
-    grid_levels: int
+    cell_values: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for r, (e, v) in enumerate(zip(self.cell_edges, self.cell_values, strict=True)):
+        if not self.cell_edges:
+            raise ValueError("a reveal policy needs at least one revealed coordinate")
+        for r, e in enumerate(self.cell_edges):
             gaps = np.diff(e)
             if not (gaps.size and np.all(np.isfinite(e)) and np.all(gaps > 0)
                     and np.allclose(gaps, (e[-1] - e[0]) / gaps.size, rtol=1e-9, atol=0)):
                 raise ValueError(
                     f"cell_edges[{r}] must be finite, strictly increasing and uniform"
                 )
-            if not np.array_equal(v, 0.5 * (e[:-1] + e[1:])):
-                raise ValueError(f"cell_values[{r}] must be the midpoints of cell_edges[{r}]")
+        self.cell_values = [0.5 * (e[:-1] + e[1:]) for e in self.cell_edges]
 
     @property
     def kind(self) -> str:
@@ -649,6 +637,11 @@ class RevealQuantizePolicy:
     @property
     def n_revealed(self) -> int:
         return len(self.cell_edges)
+
+    @property
+    def grid_levels(self) -> int:
+        """Cells per revealed coordinate (the coarsest, should they differ)."""
+        return min(e.shape[0] - 1 for e in self.cell_edges)
 
     @property
     def k_last(self) -> int:
@@ -727,17 +720,6 @@ def _push_digit(codes: np.ndarray, bound: int, digit: np.ndarray, radix: int):
     return codes, bound * radix
 
 
-def _transformed_interval(model: SourceModel, row: np.ndarray) -> tuple[float, float]:
-    """Interval-arithmetic range of ``row . M`` over the truncated support box."""
-    lo_total, hi_total = 0.0, 0.0
-    for j, coef in enumerate(row):
-        lo_j, hi_j = model.support_interval(j)
-        a, bnd = sorted((coef * lo_j, coef * hi_j))
-        lo_total += a
-        hi_total += bnd
-    return lo_total, hi_total
-
-
 def construct_reveal_plus_quantize(
     model: SourceModel,
     b,
@@ -788,7 +770,7 @@ def construct_reveal_plus_quantize(
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
-        half = math.sqrt(sigma_sq) * float(-_special.ndtri(model.truncation_eps))
+        half = math.sqrt(sigma_sq) * float(-_special.ndtri(_TRUNCATION_EPS))
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         beta = float(transform.transformed_bias[-1])
         scalar = solve_scalar_biased(
@@ -815,7 +797,7 @@ def construct_reveal_plus_quantize(
             "quantizing the last coordinate with more than one bin requires the "
             "gaussian family (the revealed coordinates must be independent of it)"
         )
-    intervals = [_transformed_interval(model, transform.forward[r]) for r in range(n - 1)]
+    intervals = [_support_box_range(model, transform.forward[r]) for r in range(n - 1)]
     mu_last = float(transform.apply(model.mean_vector, "forward")[-1])
     return _assemble_reveal_policy(
         transform, intervals, np.array([-math.inf, math.inf]), np.array([mu_last]),
@@ -825,19 +807,12 @@ def construct_reveal_plus_quantize(
 
 def _assemble_reveal_policy(transform, intervals, last_boundaries, last_actions,
                             last_bias, grid_levels) -> RevealQuantizePolicy:
-    cell_edges, cell_values = [], []
-    for lo, hi in intervals:
-        edges = np.linspace(lo, hi, grid_levels + 1)
-        cell_edges.append(edges)
-        cell_values.append(0.5 * (edges[:-1] + edges[1:]))
     return RevealQuantizePolicy(
         transform=transform,
-        cell_edges=cell_edges,
-        cell_values=cell_values,
+        cell_edges=[np.linspace(lo, hi, grid_levels + 1) for lo, hi in intervals],
         last_boundaries=np.asarray(last_boundaries, dtype=float),
         last_actions=np.asarray(last_actions, dtype=float),
         last_bias=float(last_bias),
-        grid_levels=grid_levels,
     )
 
 
@@ -865,7 +840,6 @@ class EquilibriumCertificate:
     pass_geometry: bool
     pass_centroid: bool
     pass_deviation: bool
-    geo_tolerance: float
     samples: int
     seed: int
     realized_actions: int
@@ -900,12 +874,21 @@ class EquilibriumCertificate:
         }
 
 
+# verify_equilibrium: the pairwise slack may dip this far below zero, at most
+# this many action pairs are checked, the centroid check looks at about this
+# many bins, and it skips bins with fewer samples than the last
+_GEO_TOLERANCE = 1e-6
+_MAX_PAIRS = 2000
+_CENTROID_BINS = 8
+_MIN_BIN_COUNT = 30
+
+
 def _pairwise_min_slack(realized_u: np.ndarray, counts: np.ndarray, b: np.ndarray,
-                        max_pairs: int, seed: int) -> float:
+                        seed: int) -> float:
     kr = realized_u.shape[0]
     if kr < 2:
         return math.inf
-    if kr * (kr - 1) // 2 <= max_pairs:
+    if kr * (kr - 1) // 2 <= _MAX_PAIRS:
         ia, ib = np.triu_indices(kr, k=1)
     else:
         # all pairs among the heaviest actions, then a seeded random fill
@@ -914,7 +897,7 @@ def _pairwise_min_slack(realized_u: np.ndarray, counts: np.ndarray, b: np.ndarra
         ia_t, ib_t = np.triu_indices(top.shape[0], k=1)
         ia, ib = top[ia_t], top[ib_t]
         rng = np.random.default_rng(seed)
-        extra = max_pairs - ia.shape[0]
+        extra = _MAX_PAIRS - ia.shape[0]
         if extra > 0:
             ra = rng.integers(0, kr, size=2 * extra)
             rb = rng.integers(0, kr, size=2 * extra)
@@ -933,9 +916,6 @@ def verify_equilibrium(
     *,
     samples: int = 1_000_000,
     seed: int = 99,
-    geo_tolerance: float = 1e-6,
-    max_pairs: int = 2000,
-    centroid_bins: int = 8,
 ) -> EquilibriumCertificate:
     """Monte Carlo certificate for the equilibrium conditions of a policy.
 
@@ -976,11 +956,11 @@ def verify_equilibrium(
     realized_u = u[first_idx]
     del u  # nothing reads it below; frees room for the cell index columns
 
-    min_slack = _pairwise_min_slack(realized_u, counts, b, max_pairs, seed + 1)
-    pass_geometry = min_slack >= -geo_tolerance
+    min_slack = _pairwise_min_slack(realized_u, counts, b, seed + 1)
+    pass_geometry = min_slack >= -_GEO_TOLERANCE
 
     max_resid, max_resid_se, max_z, evaluated = _centroid_check(
-        policy, m, x, cells, codes, uniq, counts, realized_u, centroid_bins
+        policy, m, x, cells, codes, uniq, counts, realized_u
     )
     pass_centroid = max_z <= 3.0
 
@@ -1002,7 +982,6 @@ def verify_equilibrium(
         pass_geometry=pass_geometry,
         pass_centroid=pass_centroid,
         pass_deviation=pass_deviation,
-        geo_tolerance=geo_tolerance,
         samples=samples,
         seed=seed,
         realized_actions=int(uniq.size),
@@ -1023,8 +1002,7 @@ def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
     return counts, means, se
 
 
-def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u, centroid_bins,
-                    min_bin_count: int = 30):
+def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
     """Largest centroid residual (value, stderr, z) over well-populated bins.
 
     Finite quantizers are checked on their heaviest joint bins.  Continuum
@@ -1046,9 +1024,9 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u, centro
 
     if isinstance(policy, QuantizerPolicy):
         order = np.lexsort((uniq, -counts))
-        for row in order[: min(centroid_bins, order.shape[0])]:
+        for row in order[: min(_CENTROID_BINS, order.shape[0])]:
             cnt = int(counts[row])
-            if cnt < min_bin_count:
+            if cnt < _MIN_BIN_COUNT:
                 continue
             sel = m[codes == uniq[row]]
             resid = float(np.linalg.norm(realized_u[row] - sel.mean(axis=0)))
@@ -1058,18 +1036,18 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u, centro
 
     idx, j = cells
     n_coords = policy.n_revealed + 1
-    per_coord = max(2, centroid_bins // n_coords)
+    per_coord = max(2, _CENTROID_BINS // n_coords)
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
         cnts, means, ses = _bin_stats(x[:, r], idx[r], levels)
         top = np.argsort(-cnts, kind="stable")[:per_coord]
         for c in top:
-            if cnts[c] < min_bin_count:
+            if cnts[c] < _MIN_BIN_COUNT:
                 continue
             consider(abs(float(policy.cell_values[r][c] - means[c])), float(ses[c]))
     cnts, means, ses = _bin_stats(x[:, -1], j, policy.k_last)
     for jj in range(policy.k_last):
-        if cnts[jj] < min_bin_count:
+        if cnts[jj] < _MIN_BIN_COUNT:
             continue
         consider(abs(float(policy.last_actions[jj] - means[jj])), float(ses[jj]))
     return max_resid, max_resid_se, max_z, evaluated
@@ -1172,15 +1150,19 @@ class LinearEquilibriumReport:
         }
 
 
+# verify_linear_equilibrium: points of the constancy curve, points of the
+# reporting probe's grid, and pilot observations the probe tries
+_LINEAR_GRID_POINTS = 11
+_PROBE_POINTS = 15
+_REPORT_POINTS = 2000
+
+
 def verify_linear_equilibrium(
     model: SourceModel,
     b,
     *,
     samples: int = 1_000_000,
     seed: int = 77,
-    grid_points: int = 11,
-    probe_points: int = 15,
-    report_points: int = 2000,
 ) -> LinearEquilibriumReport:
     """Check whether full revelation of the bias-orthogonal coordinate holds up.
 
@@ -1202,7 +1184,7 @@ def verify_linear_equilibrium(
     pairs = _sorted_pairs(model, b, samples, seed)
     pilot = pairs.pts[: min(samples, 200_000)]
     x1_pilot, _ = _pair_coordinates(b, pilot)
-    grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, grid_points))
+    grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))
     curve = _window_curve(pairs, grid)
 
     values = np.array([float(np.asarray(e.value)) for e in curve])
@@ -1227,11 +1209,11 @@ def verify_linear_equilibrium(
     # dominate the curve-estimate noise, so the probe grid is coarse, evenly
     # spaced, and its windows wide
     q_lo, q_hi = np.quantile(x1_pilot, [0.005, 0.995])
-    probe_grid = np.linspace(q_lo, q_hi, probe_points)
+    probe_grid = np.linspace(q_lo, q_hi, _PROBE_POINTS)
     probe_curve = _window_curve(pairs, probe_grid, target_count=max(1000, samples // 8))
     probe_vals = np.array([float(np.asarray(e.value)) for e in probe_curve])
 
-    probe = pilot[:report_points]
+    probe = pilot[:_REPORT_POINTS]
     x1p, x2p = _pair_coordinates(b, probe)
     inside = (x1p >= probe_grid[1]) & (x1p <= probe_grid[-2])
     x1p, x2p = x1p[inside], x2p[inside]

@@ -19,6 +19,7 @@ scalar quantizer distortion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,15 @@ class AsymptoticRow:
                 self.je_emp, self.je_stderr, self.jd_exact)
 
 
+def _is_whole(x) -> bool:
+    """An integer or an integral float; booleans, fractions, nan and inf are not."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
 def asymptotic_experiment(
     sigma_sq: float,
     b: float,
@@ -144,8 +154,10 @@ def asymptotic_experiment(
     """
     if sigma_sq <= 0.0:
         raise ValueError("variance must be positive")
-    if rate_bits < 0 or int(rate_bits) != rate_bits:
+    if not _is_whole(rate_bits) or rate_bits < 0:
         raise ValueError("rate must be a nonnegative integer bit count")
+    if not all(_is_whole(n) for n in n_list):
+        raise ValueError(f"each n must be an integer, got {list(n_list)}")
     n_list = [int(n) for n in n_list]
     if any(n < 2 for n in n_list):
         raise ValueError("each n must be at least 2")

@@ -8,12 +8,11 @@ covariance of the correlated 2-D gaussian, or the table of a tabulated
 density (1-D or 2-D, loaded from CSV).  Adding an i.i.d. family takes one
 marginal class, one factory and its family name.
 
-Estimation helpers return :class:`EstimateWithError`; quadrature results
-carry ``stderr = 0`` and Monte Carlo results carry the usual standard error
-of the mean.  Sampling is deterministic given ``(model, count, seed)``:
-draws are produced in fixed-size chunks, each from a substream keyed by
-``(seed, chunk_index)``, so results do not depend on how work is split
-across workers.
+Monte Carlo estimates return :class:`EstimateWithError`, which carries the
+usual standard error of the mean.  Sampling is deterministic given
+``(model, count, seed)``: draws are produced in fixed-size chunks, each
+from a substream keyed by ``(seed, chunk_index)``, so results do not depend
+on how work is split across workers.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import BinDeathError, DimensionMismatchError
-from .geometry import Hyperplane, as_point
+from .errors import DimensionMismatchError
+from .geometry import as_point
 
 __all__ = [
     "GAUSSIAN",
@@ -36,7 +33,6 @@ __all__ = [
     "LAPLACE",
     "TABULATED",
     "EstimateWithError",
-    "Region",
     "GaussianMarginal",
     "UniformMarginal",
     "ExponentialMarginal",
@@ -51,12 +47,10 @@ __all__ = [
     "iid_laplace",
     "tabulated_density",
     "tabulated_from_csv",
-    "region_mean",
     "conditional_mean_curve",
     "symmetry_deviation",
     "conditional_support",
     "truncated_moments_1d",
-    "truncated_mean_1d",
 ]
 
 GAUSSIAN = "iid-gaussian"
@@ -69,6 +63,15 @@ TABULATED = "tabulated-density"
 _FAMILIES = (GAUSSIAN, CORRELATED_GAUSSIAN_2D, UNIFORM, EXPONENTIAL, LAPLACE, TABULATED)
 
 _SAMPLE_CHUNK = 1 << 16
+
+# unbounded supports are cut at the eps and 1 - eps quantiles
+_TRUNCATION_EPS = 1e-6
+# a tabulated density must integrate to 1 within this before renormalizing
+_NORMALIZE_TOL = 1e-6
+# conditional-mean windows need at least this many samples
+_MIN_WINDOW_COUNT = 100
+# quantile grid of the symmetry test
+_SYMMETRY_GRID_POINTS = 801
 
 
 class _LazySpecial:
@@ -113,48 +116,6 @@ class EstimateWithError:
     value: float | np.ndarray
     stderr: float
     sample_count: int
-
-
-@dataclass(eq=False)
-class Region:
-    """A subset of source space: half-space intersection, indicator, or mask.
-
-    Half-space lists describe convex regions (membership: every hyperplane
-    value nonnegative).  ``from_samples`` wraps an explicit mask over a
-    fixed sample batch.
-    """
-
-    halfspaces: tuple[Hyperplane, ...] | None = None
-    indicator: Callable[[np.ndarray], np.ndarray] | None = None
-    points: np.ndarray | None = None
-    mask: np.ndarray | None = None
-
-    @classmethod
-    def from_halfspaces(cls, planes) -> "Region":
-        return cls(halfspaces=tuple(planes))
-
-    @classmethod
-    def from_indicator(cls, fn) -> "Region":
-        return cls(indicator=fn)
-
-    @classmethod
-    def from_samples(cls, points, mask) -> "Region":
-        points = np.asarray(points, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        if points.shape[0] != mask.shape[0]:
-            raise DimensionMismatchError("mask length must match the number of points")
-        return cls(points=points, mask=mask)
-
-    def member(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.halfspaces is not None:
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for plane in self.halfspaces:
-                inside &= plane.value(pts) >= 0.0
-            return inside
-        if self.indicator is not None:
-            return np.asarray(self.indicator(pts), dtype=bool)
-        raise ValueError("region has no membership predicate (sample-mask regions are fixed)")
 
 
 @dataclass(frozen=True)
@@ -432,7 +393,6 @@ class SourceModel:
     marginals: tuple
     cov: np.ndarray | None = None
     table: np.ndarray | None = None
-    truncation_eps: float = 1e-6
     symmetric: bool | None = None
 
     def __post_init__(self):
@@ -460,10 +420,10 @@ class SourceModel:
     def marginal_ppf(self, i: int, q) -> np.ndarray:
         return self.marginals[i].ppf(np.asarray(q, dtype=float))
 
-    def support_interval(self, i: int, eps: float | None = None) -> tuple[float, float]:
-        """Support of coordinate ``i``, cut at the eps quantiles where unbounded."""
-        eps = self.truncation_eps if eps is None else eps
+    def support_interval(self, i: int) -> tuple[float, float]:
+        """Support of coordinate ``i``, cut at the 1e-6 quantiles where unbounded."""
         marginal = self.marginals[i]
+        eps = _TRUNCATION_EPS
         lo = marginal.lo if math.isfinite(marginal.lo) else self.marginal_ppf(i, eps)
         hi = marginal.hi if math.isfinite(marginal.hi) else self.marginal_ppf(i, 1.0 - eps)
         return float(lo), float(hi)
@@ -539,9 +499,9 @@ class SourceModel:
         """
         if self.table is not None:
             return self._tabulated_cells()
-        if self.dim > 3:
-            raise ValueError("tensor-grid quadrature is limited to dimension <= 3")
-        per_dim = {1: 1 << 18, 2: 1024, 3: 101}[self.dim]
+        if self.dim > 2:
+            raise ValueError("tensor-grid quadrature is limited to dimension <= 2")
+        per_dim = {1: 1 << 18, 2: 1024}[self.dim]
         per_dim = min(per_dim, max(8, int(round(budget ** (1.0 / self.dim)))))
         edges = []
         for i in range(self.dim):
@@ -628,12 +588,12 @@ def iid_laplace(n: int, mean: float = 0.0, scale: float = 1.0) -> SourceModel:
     return iid_model(LAPLACE, LaplaceMarginal(float(mean), float(scale)), n)
 
 
-def tabulated_density(lo, step, density, normalize_tol: float = 1e-6) -> SourceModel:
+def tabulated_density(lo, step, density) -> SourceModel:
     """Piecewise-constant density on a uniform grid (1-D or 2-D cells).
 
     ``density[i]`` (or ``density[i, j]``) is the density on the cell with
     lower corner ``lo + i * step``.  The table must be nonnegative and
-    integrate to 1 within ``normalize_tol``; it is renormalized exactly on
+    integrate to 1 within 1e-6; it is renormalized exactly on
     construction.
     """
     density = np.asarray(density, dtype=float)
@@ -647,8 +607,8 @@ def tabulated_density(lo, step, density, normalize_tol: float = 1e-6) -> SourceM
     if np.any(density < 0.0):
         raise ValueError("density values must be nonnegative")
     total = float(density.sum() * np.prod(step))
-    if abs(total - 1.0) > normalize_tol:
-        raise ValueError(f"density integrates to {total:.8f}, expected 1 within {normalize_tol}")
+    if abs(total - 1.0) > _NORMALIZE_TOL:
+        raise ValueError(f"density integrates to {total:.8f}, expected 1 within {_NORMALIZE_TOL}")
     density = density / total
     # the marginal along axis i integrates the other axis out
     marginals = tuple(
@@ -719,65 +679,6 @@ def truncated_moments_1d(model: SourceModel, a: float, b: float):
     return model.marginals[0].truncated_moments(a, b)
 
 
-def truncated_mean_1d(model: SourceModel, a: float, b: float) -> float:
-    """Conditional mean of a 1-D model on ``[a, b]``; raises on zero mass."""
-    mass, mean, _ = truncated_moments_1d(model, a, b)
-    if mass <= 0.0:
-        raise BinDeathError(0, f"interval [{a}, {b}] carries no probability mass")
-    return mean
-
-
-# -- region means --------------------------------------------------------------
-
-
-def region_mean(
-    model: SourceModel,
-    region: Region,
-    *,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    method: str = "auto",
-    min_mass: float = 1e-4,
-) -> EstimateWithError:
-    """Estimate of ``E[M | M in region]`` with a standard error.
-
-    Uses tensor-grid quadrature for smooth families in dimension <= 3 and
-    Monte Carlo otherwise.  Raises :class:`BinDeathError` when the region's
-    estimated probability falls below ``min_mass``.
-    """
-    if region.points is not None:
-        pts, mask = region.points, region.mask
-        count = int(mask.sum())
-        if count < max(2, min_mass * pts.shape[0]):
-            raise BinDeathError(0, "region mask selects (almost) no samples")
-        sel = pts[mask]
-        value = sel.mean(axis=0)
-        stderr = float(np.sqrt(np.sum(sel.var(axis=0, ddof=1)) / count))
-        return EstimateWithError(value=value, stderr=stderr, sample_count=count)
-
-    if method == "auto":
-        method = "quadrature" if model.dim <= 3 else "mc"
-
-    if method == "quadrature":
-        centers, masses = model.quadrature_cells(samples)
-        inside = region.member(centers)
-        mass = float(masses[inside].sum())
-        if mass < min_mass:
-            raise BinDeathError(0, f"region mass {mass:.2e} below {min_mass:.0e}")
-        value = (centers[inside] * masses[inside, None]).sum(axis=0) / mass
-        return EstimateWithError(value=value, stderr=0.0, sample_count=int(inside.sum()))
-
-    pts = model.sample(samples, seed)
-    mask = region.member(pts)
-    count = int(mask.sum())
-    if count < min_mass * samples:
-        raise BinDeathError(0, f"region captured {count} of {samples} samples")
-    sel = pts[mask]
-    value = sel.mean(axis=0)
-    stderr = float(np.sqrt(np.sum(sel.var(axis=0, ddof=1)) / count))
-    return EstimateWithError(value=value, stderr=stderr, sample_count=count)
-
-
 # -- conditional structure for the 2-D transformed problem ---------------------
 
 
@@ -787,9 +688,15 @@ def _pair_coordinates(b: np.ndarray, pts: np.ndarray):
     return x1, x2
 
 
-def _interval_product(coef: float, lo: float, hi: float) -> tuple[float, float]:
-    vals = sorted((coef * lo, coef * hi))
-    return vals[0], vals[1]
+def _support_box_range(model: SourceModel, row) -> tuple[float, float]:
+    """Interval-arithmetic range of ``row . M`` over the truncated support box."""
+    lo_total, hi_total = 0.0, 0.0
+    for j, coef in enumerate(row):
+        lo_j, hi_j = model.support_interval(j)
+        a, bnd = sorted((coef * lo_j, coef * hi_j))
+        lo_total += a
+        hi_total += bnd
+    return lo_total, hi_total
 
 
 def pair_coordinate_interval(model: SourceModel, b, which: int) -> tuple[float, float]:
@@ -799,15 +706,7 @@ def pair_coordinate_interval(model: SourceModel, b, which: int) -> tuple[float, 
     marginal support box.
     """
     b = as_point(b, dim=2)
-    lo0, hi0 = model.support_interval(0)
-    lo1, hi1 = model.support_interval(1)
-    if which == 0:
-        a = _interval_product(b[0], lo1, hi1)
-        c = _interval_product(-b[1], lo0, hi0)
-    else:
-        a = _interval_product(b[0], lo0, hi0)
-        c = _interval_product(b[1], lo1, hi1)
-    return a[0] + c[0], a[1] + c[1]
+    return _support_box_range(model, (-b[1], b[0]) if which == 0 else (b[0], b[1]))
 
 
 def conditional_mean_curve(
@@ -817,19 +716,16 @@ def conditional_mean_curve(
     *,
     samples: int = 1_000_000,
     seed: int = 0,
-    min_count: int = 100,
-    target_count: int | None = None,
 ) -> list[EstimateWithError]:
     """Centered conditional-mean curve ``E[X2 | X1 = t] - E[X2]`` on a grid.
 
     ``X1 = b1 M2 - b2 M1`` and ``X2 = b1 M1 + b2 M2``.  Each grid point is
     estimated by an adaptive-width window around ``t`` aiming for
-    ``max(min_count, samples / 200)`` samples (``target_count`` overrides
-    the aim).  The window width is capped at a quarter of the observed
-    range; capturing fewer than ``min_count`` samples there is an error.
+    ``max(100, samples / 200)`` samples.  The window width is capped at a
+    quarter of the observed range; capturing fewer than 100 samples there
+    is an error.
     """
-    pairs = _sorted_pairs(model, b, samples, seed)
-    return _window_curve(pairs, grid, min_count=min_count, target_count=target_count)
+    return _window_curve(_sorted_pairs(model, b, samples, seed), grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -860,9 +756,10 @@ def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPair
     return _SortedPairs(model, b, pts, x1s, csum, csq)
 
 
-def _window_curve(pairs: _SortedPairs, grid, *, min_count: int = 100,
+def _window_curve(pairs: _SortedPairs, grid, *,
                   target_count: int | None = None) -> list[EstimateWithError]:
-    """The windowed curve of ``conditional_mean_curve`` on one sorted sample."""
+    """The windowed curve of ``conditional_mean_curve`` on one sorted sample;
+    ``target_count`` replaces its aim of ``max(100, samples / 200)`` samples."""
     model, b, x1s = pairs.model, pairs.b, pairs.x1s
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     lo, hi = pair_coordinate_interval(model, b, 0)
@@ -870,8 +767,8 @@ def _window_curve(pairs: _SortedPairs, grid, *, min_count: int = 100,
         raise ValueError("grid points must lie within the truncated support of X1")
 
     n = x1s.shape[0]
-    k = target_count if target_count is not None else max(min_count, n // 200)
-    k = min(max(k, min_count), n)
+    k = target_count if target_count is not None else max(_MIN_WINDOW_COUNT, n // 200)
+    k = min(max(k, _MIN_WINDOW_COUNT), n)
     window_sums = x1s[k - 1 :] + x1s[: n - k + 1]
     cap = 0.25 * (x1s[-1] - x1s[0])
     x2_mean_exact = float(b[0] * model.mean[0] + b[1] * model.mean[1])
@@ -884,9 +781,9 @@ def _window_curve(pairs: _SortedPairs, grid, *, min_count: int = 100,
             left = int(np.searchsorted(x1s, t - cap, side="left"))
             right = int(np.searchsorted(x1s, t + cap, side="right"))
         count = right - left
-        if count < min_count:
+        if count < _MIN_WINDOW_COUNT:
             raise ValueError(
-                f"window at t={t:g} captured {count} samples (< {min_count})"
+                f"window at t={t:g} captured {count} samples (< {_MIN_WINDOW_COUNT})"
             )
         total = pairs.csum[right] - pairs.csum[left]
         total_sq = pairs.csq[right] - pairs.csq[left]
@@ -902,7 +799,7 @@ def _window_curve(pairs: _SortedPairs, grid, *, min_count: int = 100,
     return out
 
 
-def symmetry_deviation(model: SourceModel, dim: int = 0, grid_points: int = 801) -> float:
+def symmetry_deviation(model: SourceModel, dim: int = 0) -> float:
     """Peak-normalized asymmetry of a marginal density about its mean.
 
     Returns ``sup |f(mu + x) - f(mu - x)| / max f`` over a quantile grid of
@@ -910,8 +807,7 @@ def symmetry_deviation(model: SourceModel, dim: int = 0, grid_points: int = 801)
     function of ``x - mu``.
     """
     mu = float(model.mean[dim])
-    eps = max(model.truncation_eps, 1e-9)
-    qs = np.linspace(eps, 1.0 - eps, grid_points)
+    qs = np.linspace(_TRUNCATION_EPS, 1.0 - _TRUNCATION_EPS, _SYMMETRY_GRID_POINTS)
     xs = model.marginal_ppf(dim, qs)
     offsets = np.abs(np.asarray(xs, dtype=float) - mu)
     # re-derive the offsets after rounding so mu +/- offset are exact mirrors
@@ -952,7 +848,7 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
         if cond_var == 0.0:
             return float(cond_mean), float(cond_mean)
         cond = GaussianMarginal(cond_mean, cond_var)
-        return float(cond.ppf(model.truncation_eps)), float(cond.ppf(1.0 - model.truncation_eps))
+        return float(cond.ppf(_TRUNCATION_EPS)), float(cond.ppf(1.0 - _TRUNCATION_EPS))
 
     lo0, hi0 = model.support_interval(0)
     lo1, hi1 = model.support_interval(1)

@@ -128,6 +128,11 @@ class TestExitCodes:
         ("--solver.k=0", "k"),
         ("--solver.samples=0", "samples"),
         ("--solver.samples=-1", "samples"),
+        ("--solver.k=2.7", "k"),
+        ("--solver.k=true", "k"),
+        ("--solver.samples=1000.9", "samples"),
+        ("--solver.grid_levels=16.5", "grid_levels"),
+        ("--solver.seed=3.9", "seed"),
     ])
     def test_solve_with_bad_solver_value_is_two(self, override, field):
         config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
@@ -136,6 +141,17 @@ class TestExitCodes:
         assert record is None
         assert f"solver.{field} " in err
         assert "Traceback" not in err
+
+    def test_solve_with_replaced_solver_block(self):
+        # an override may replace the whole block: one that is not an object
+        # is a config error, a partial one takes the defaults it leaves out
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        code, record, err = run_cli("solve", "--config", config, "--solver=5")
+        assert code == 2 and record is None and "solver must be an object" in err
+        assert "Traceback" not in err
+        code, record, err = run_cli("solve", "--config", config, '--solver={"k":2}',
+                                    "--solver.samples=1000")
+        assert code == 0 and record["payload"]["k"] == 2, err
 
     @pytest.mark.parametrize("override", [
         "--rd.sigma_sq=0",
@@ -151,6 +167,9 @@ class TestExitCodes:
         "--rd.samples=1",
         "--rd.rate_bits=-1",
         "--solver.seed=-1",
+        "--rd.n_list=[4.7]",
+        "--rd.rate_bits=1.5",
+        "--rd.samples=1000.9",
     ])
     def test_rd_with_bad_value_is_two(self, override):
         config = str(Path(__file__).resolve().parent.parent / "configs" / "rd_asymptotic.json")

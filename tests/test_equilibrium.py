@@ -173,7 +173,7 @@ class TestScalarSolver:
                              ids=["gaussian", "uniform", "exponential", "laplace"])
     @pytest.mark.parametrize("beta", [0.1, -0.1])
     def test_scan_grid_strictly_increases(self, model, beta):
-        grid = equilibrium._scan_grid(model, beta, 257)
+        grid = equilibrium._scan_grid(model, beta)
         assert np.all(np.diff(grid) > 0.0)
         if model.family == "iid-gaussian":  # all seven tail points lie past the 1e-9 quantile
             assert grid.shape == (257 + 7,)
@@ -314,7 +314,7 @@ class TestBestResponse:
         for kk in (k, 2, k):  # the score buffer is resized and reused
             acts = ActionSet(pts[rng.choice(pts.shape[0], size=kk, replace=False)])
             prepared = best_response_step(acts, model, b, _measure=measure)
-            plain = best_response_step(acts, model, b, _measure=(pts, w))
+            plain = best_response_step(acts, model, b, samples=20_000, seed=7)
             assert np.array_equal(prepared.actions, plain.actions)
             # the same sweep written with argmin and products formed per sweep
             idx = np.argmin(
@@ -350,16 +350,6 @@ class TestFixedPoint:
                 iid_uniform(1), [0.05], 4, SolverConfig(samples=200_000, max_iterations=400)
             )
 
-    def test_random_init_reaches_the_same_fixed_point(self):
-        cfg = SolverConfig(samples=300_000, init="random")
-        result = solve_fixed_point(iid_uniform(1), [0.05], 3, cfg)
-        assert result.converged
-        oracle = uniform_recursion_boundaries(0.05, 3)
-        centroids = 0.5 * (
-            np.concatenate([[0.0], oracle]) + np.concatenate([oracle, [1.0]])
-        )
-        assert np.allclose(np.sort(result.actions.actions.ravel()), centroids, atol=5e-4)
-
     def test_fixed_point_property_of_verified_set(self):
         # re-stepping a converged set moves it by at most discretization noise
         result = solve_fixed_point(iid_uniform(1), [0.05], 3, SolverConfig(samples=400_000))
@@ -394,8 +384,9 @@ class TestFixedPoint:
         result = solve_fixed_point(model, b, 3, cfg)
         pts, w = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
         actions = equilibrium._initial_actions(model, np.asarray(b), 3, pts, w)
+        measure = equilibrium._SweepMeasure(pts, w, np.asarray(b))
         for _ in range(result.iterations):
-            actions = best_response_step(actions, model, b, damping=damping, _measure=(pts, w))
+            actions = best_response_step(actions, model, b, damping=damping, _measure=measure)
         assert np.array_equal(actions.actions, result.actions.actions)
 
     def test_fixed_point_scale_covariance(self):
@@ -580,19 +571,30 @@ class TestConstructRevealPlusQuantize:
         with pytest.raises(ValueError, match="cell_edges"):
             RevealQuantizePolicy(
                 transform=transforms.permutation_transform([0, 1]),
-                cell_edges=[edges], cell_values=[0.5 * (edges[:-1] + edges[1:])],
+                cell_edges=[edges],
                 last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
-                last_bias=0.0, grid_levels=edges.shape[0] - 1,
+                last_bias=0.0,
             )
 
-    def test_values_off_the_midpoints_rejected(self):
-        edges = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="midpoints"):
+    def test_values_and_levels_follow_the_edges(self):
+        # the cell values and the reported resolution are read off the edges,
+        # so a policy cannot claim a resolution its grid does not have
+        edges = np.linspace(-1.0, 3.0, 65)
+        policy = RevealQuantizePolicy(
+            transform=transforms.permutation_transform([0, 1]), cell_edges=[edges],
+            last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
+            last_bias=0.0,
+        )
+        assert policy.grid_levels == 64
+        assert np.array_equal(policy.cell_values[0], 0.5 * (edges[:-1] + edges[1:]))
+        model = iid_gaussian(2)
+        cert = verify_equilibrium(policy, model, [0.0, 0.0], samples=10_000, seed=3)
+        assert cert.to_dict()["grid_levels"] == 64
+        with pytest.raises(ValueError, match="revealed coordinate"):
             RevealQuantizePolicy(
-                transform=transforms.permutation_transform([0, 1]),
-                cell_edges=[edges], cell_values=[edges[:-1]],
+                transform=transforms.permutation_transform([0, 1]), cell_edges=[],
                 last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
-                last_bias=0.0, grid_levels=4,
+                last_bias=0.0,
             )
 
     def test_zero_bias_team_policy(self):
@@ -760,7 +762,6 @@ class TestSolverConfig:
         ("damping", float("nan")),
         ("samples", 0),
         ("samples", -5),
-        ("init", "kmeans++"),
     ])
     def test_rejected_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):

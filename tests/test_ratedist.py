@@ -183,3 +183,8 @@ class TestAsymptoticExperiment:
             asymptotic_experiment(1.0, 1.0, -1, [4], samples=1000, seed=0)
         with pytest.raises(ValueError):
             asymptotic_experiment(0.0, 1.0, 1, [4], samples=1000, seed=0)
+        # a fractional n or bit count must not be truncated into a row for its floor
+        for rate_bits, n_list in [(1, [4.7]), (1, [4, True]), (1, ["4"]), (1, [math.nan]),
+                                  (1.5, [4]), (True, [4])]:
+            with pytest.raises(ValueError):
+                asymptotic_experiment(1.0, 1.0, rate_bits, n_list, samples=1000, seed=0)

@@ -8,12 +8,10 @@ import pytest
 from scipy import integrate, stats
 
 import cheaptalk
-from cheaptalk.errors import BinDeathError
 from cheaptalk.geometry import Hyperplane
 from cheaptalk.sources import (
     EstimateWithError,
     GaussianMarginal,
-    Region,
     conditional_mean_curve,
     conditional_support,
     correlated_gaussian_2d,
@@ -22,11 +20,9 @@ from cheaptalk.sources import (
     iid_laplace,
     iid_uniform,
     pair_coordinate_interval,
-    region_mean,
     symmetry_deviation,
     tabulated_density,
     tabulated_from_csv,
-    truncated_mean_1d,
     truncated_moments_1d,
 )
 
@@ -57,7 +53,7 @@ _TABLE_2D = tabulated_density(
 def test_marginal_contract(model, ends):
     """Every family: cdf inverts ppf, the support rule, and full-support moments."""
     qs = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
-    eps = model.truncation_eps
+    eps = 1e-6  # unbounded supports are cut at the 1e-6 quantiles
     for i, (lo, hi) in enumerate(ends):
         x = model.marginal_ppf(i, qs)
         assert np.allclose(model.marginal_cdf(i, x), qs, rtol=1e-9, atol=1e-12)
@@ -129,9 +125,9 @@ class TestTruncatedMoments:
             assert second == pytest.approx(ref.moment(2), rel=1e-8)
 
     def test_half_normal(self):
-        assert truncated_mean_1d(iid_gaussian(1), 0.0, math.inf) == pytest.approx(
-            HALF_NORMAL_MEAN, rel=1e-12
-        )
+        mass, mean, _ = truncated_moments_1d(iid_gaussian(1), 0.0, math.inf)
+        assert mass == pytest.approx(0.5, rel=1e-12)
+        assert mean == pytest.approx(HALF_NORMAL_MEAN, rel=1e-12)
 
     @pytest.mark.parametrize(
         "model",
@@ -156,8 +152,8 @@ class TestTruncatedMoments:
                 assert second == pytest.approx(sec_q / mass_q, rel=1e-7)
 
     def test_empty_interval(self):
-        with pytest.raises(BinDeathError):
-            truncated_mean_1d(iid_uniform(1), 2.0, 3.0)
+        mass, _, _ = truncated_moments_1d(iid_uniform(1), 2.0, 3.0)
+        assert mass == 0.0
 
 
 def _norm_truncated_moments(mu, sd, a, b):
@@ -244,24 +240,47 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert proc.stdout.splitlines() == ["[]", "[]", "['special']", "True"]
 
 
+def halfspace_cells(model, planes):
+    """(mass, mean) of the quadrature cells whose centers lie in every half-space."""
+    centers, masses = model.quadrature_cells(1_000_000)
+    inside = np.ones(centers.shape[0], dtype=bool)
+    for plane in planes:
+        inside &= plane.value(centers) >= 0.0
+    mass = float(masses[inside].sum())
+    return mass, (centers[inside] * masses[inside, None]).sum(axis=0) / mass
+
+
+def halfspace_monte_carlo(model, planes, samples, seed):
+    """(mean, stderr) of the sample points that lie in every half-space."""
+    pts = model.sample(samples, seed)
+    inside = np.ones(samples, dtype=bool)
+    for plane in planes:
+        inside &= plane.value(pts) >= 0.0
+    sel = pts[inside]
+    return sel.mean(axis=0), math.sqrt(np.sum(sel.var(axis=0, ddof=1)) / sel.shape[0])
+
+
 class TestRegionMean:
+    """Conditional means of half-space regions read off ``quadrature_cells``: the
+    checks of the cell masses that the Lloyd solver sweeps on in 1-D and 2-D."""
+
     def test_uniform_half_box(self):
-        region = Region.from_halfspaces([Hyperplane(normal=[-1.0, 0.0], anchor=[0.5, 0.0])])
-        est = region_mean(iid_uniform(2), region)
-        assert est.stderr == 0.0  # quadrature path
-        assert np.allclose(est.value, [0.25, 0.5], atol=1e-6)
+        mass, mean = halfspace_cells(iid_uniform(2), [Hyperplane(normal=[-1.0, 0.0], anchor=[0.5, 0.0])])
+        assert mass == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(mean, [0.25, 0.5], atol=1e-6)
 
     def test_gaussian_half_line(self):
-        region = Region.from_halfspaces([Hyperplane(normal=[1.0], anchor=[0.0])])
-        quad = region_mean(iid_gaussian(1), region)
-        assert np.asarray(quad.value)[0] == pytest.approx(HALF_NORMAL_MEAN, abs=5e-4)
-        mc = region_mean(iid_gaussian(1), region, method="mc", samples=400_000, seed=4)
-        assert abs(np.asarray(mc.value)[0] - HALF_NORMAL_MEAN) < 3.0 * mc.stderr
+        planes = [Hyperplane(normal=[1.0], anchor=[0.0])]
+        _, quad = halfspace_cells(iid_gaussian(1), planes)
+        assert quad[0] == pytest.approx(HALF_NORMAL_MEAN, abs=5e-4)
+        mc, stderr = halfspace_monte_carlo(iid_gaussian(1), planes, 400_000, 4)
+        assert abs(mc[0] - HALF_NORMAL_MEAN) < 3.0 * stderr
+        assert abs(quad[0] - mc[0]) < 3.0 * stderr
 
     def test_full_support_gives_mean(self):
-        region = Region.from_indicator(lambda pts: np.ones(pts.shape[0], dtype=bool))
-        est = region_mean(iid_exponential(2, rate=2.0), region)
-        assert np.allclose(est.value, [0.5, 0.5], atol=2e-4)
+        mass, mean = halfspace_cells(iid_exponential(2, rate=2.0), [])
+        assert mass == pytest.approx(1.0, abs=1e-5)  # less the cut 1e-6 tails
+        assert np.allclose(mean, [0.5, 0.5], atol=2e-4)
 
     def test_quadrature_and_mc_agree(self):
         rng = np.random.default_rng(6)
@@ -269,11 +288,10 @@ class TestRegionMean:
             for _ in range(3):
                 normal = rng.normal(size=2)
                 anchor = model.mean_vector + rng.normal(size=2, scale=0.3)
-                region = Region.from_halfspaces([Hyperplane(normal=normal, anchor=anchor)])
-                quad = region_mean(model, region)
-                mc = region_mean(model, region, method="mc", samples=200_000, seed=7)
-                err = np.linalg.norm(np.asarray(quad.value) - np.asarray(mc.value))
-                assert err < 3.0 * mc.stderr + 1e-3
+                planes = [Hyperplane(normal=normal, anchor=anchor)]
+                _, quad = halfspace_cells(model, planes)
+                mc, stderr = halfspace_monte_carlo(model, planes, 200_000, 7)
+                assert np.linalg.norm(quad - mc) < 3.0 * stderr + 1e-3
 
     def test_centroid_interior_to_convex_region(self):
         rng = np.random.default_rng(8)
@@ -283,25 +301,16 @@ class TestRegionMean:
                 Hyperplane(normal=rng.normal(size=2), anchor=rng.normal(size=2, scale=0.4))
                 for _ in range(2)
             ]
-            region = Region.from_halfspaces(planes)
-            try:
-                est = region_mean(model, region)
-            except BinDeathError:
+            mass, mean = halfspace_cells(model, planes)
+            if mass < 1e-4:
                 continue
             for plane in planes:
-                assert plane.value(np.asarray(est.value)) > 0.0
+                assert plane.value(mean) > 0.0
 
-    def test_negligible_region_is_bin_death(self):
-        region = Region.from_halfspaces([Hyperplane(normal=[1.0], anchor=[20.0])])
-        with pytest.raises(BinDeathError):
-            region_mean(iid_gaussian(1), region)
-
-    def test_sample_mask_region(self):
-        pts = iid_uniform(2).sample(50_000, seed=9)
-        mask = pts[:, 0] <= 0.5
-        est = region_mean(iid_uniform(2), Region.from_samples(pts, mask))
-        assert np.allclose(est.value, [0.25, 0.5], atol=4 * est.stderr + 1e-3)
-        assert est.sample_count == int(mask.sum())
+    def test_three_dimensions_rejected(self):
+        # quadrature serves the 1-D and 2-D sweeps; higher dimensions sample
+        with pytest.raises(ValueError, match="dimension <= 2"):
+            iid_gaussian(3).quadrature_cells(1_000_000)
 
 
 class TestConditionalMeanCurve:
@@ -364,10 +373,9 @@ class TestConditionalMeanCurve:
             conditional_mean_curve(iid_uniform(2), [1.0, 1.0], [5.0], samples=10_000, seed=0)
 
     def test_starved_window_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_mean_curve(
-                iid_gaussian(2), [1.0, 1.0], [0.0], samples=1_000, seed=0, min_count=5_000
-            )
+        # a window needs 100 samples, more than the whole sample here
+        with pytest.raises(ValueError, match=r"samples \(< 100\)"):
+            conditional_mean_curve(iid_gaussian(2), [1.0, 1.0], [0.0], samples=99, seed=0)
 
 
 class TestSymmetryDeviation:
@@ -446,9 +454,9 @@ class TestTabulated:
         model = tabulated_from_csv(path)
         assert model.dim == 2
         assert np.allclose(model.mean, [0.5, 0.5], atol=1e-9)
-        region = Region.from_halfspaces([Hyperplane(normal=[-1.0, 0.0], anchor=[0.5, 0.0])])
-        est = region_mean(model, region)
-        assert np.allclose(est.value, [0.25, 0.5], atol=1e-6)
+        mass, mean = halfspace_cells(model, [Hyperplane(normal=[-1.0, 0.0], anchor=[0.5, 0.0])])
+        assert mass == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(mean, [0.25, 0.5], atol=1e-6)
 
     def test_csv_rejects_nonuniform_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
