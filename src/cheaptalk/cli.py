@@ -168,10 +168,15 @@ def _integer(value, path: str) -> int:
 
 def _solver_block(cfg: dict) -> dict:
     """The solver block, over the defaults, with its integer leaves checked
-    and converted (an override may have replaced the whole block)."""
+    and converted (an override may have replaced the whole block).  A key
+    the defaults do not name is an error: it would change nothing."""
     block = cfg["solver"]
     if not isinstance(block, dict):
         raise ConfigError(f"invalid solver block: solver must be an object, got {block!r}")
+    unknown = [key for key in block if key not in SOLVER_DEFAULTS]
+    if unknown:
+        names = ", ".join(f"solver.{key}" for key in sorted(unknown))
+        raise ConfigError(f"invalid solver block: no setting named {names}")
     s = {**SOLVER_DEFAULTS, **block}
     for key in _SOLVER_INTEGERS:
         s[key] = _integer(s[key], f"solver.{key}")

@@ -41,6 +41,7 @@ from .sources import (
     _pair_coordinates,
     _sorted_pairs,
     _special,
+    _stable_order,
     _support_box_range,
     _window_curve,
     conditional_support,
@@ -225,8 +226,8 @@ def best_response_step(
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
+    order, v = _stable_order(values)
+    w = weights[order]
     cum = np.cumsum(w)
     cum /= cum[-1]
     return v[np.clip(np.searchsorted(cum, qs, side="left"), 0, v.shape[0] - 1)]
@@ -909,6 +910,31 @@ def _pairwise_min_slack(realized_u: np.ndarray, counts: np.ndarray, b: np.ndarra
     return float(slack.min())
 
 
+def _code_groups(codes: np.ndarray):
+    """``np.unique(codes, return_index=True, return_counts=True)`` for integer
+    codes, without its stable sort: the distinct codes, the index of each
+    one's first occurrence and its count.
+
+    Codes in ``[0, codes.size)`` (every quantizer, the 2-D reveal policies)
+    are counted; wider ones (the re-ranked 8-D codes) are grouped after one
+    default-kind sort, whose group minima are the first occurrences.
+    """
+    n = codes.size
+    if n == 0:
+        return codes.copy(), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    if codes.min() >= 0 and codes.max() < n:
+        counts = np.bincount(codes)
+        first = np.full(counts.size, n, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(n))
+        uniq = np.flatnonzero(counts)
+        return uniq.astype(codes.dtype, copy=False), first[uniq], counts[uniq]
+    order = np.argsort(codes)
+    ordered = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, n))
+    return ordered[starts], np.minimum.reduceat(order, starts), counts
+
+
 def verify_equilibrium(
     policy: EncoderPolicy,
     model: SourceModel,
@@ -950,7 +976,7 @@ def verify_equilibrium(
     je = EstimateWithError(float(ce.mean()), float(ce.std(ddof=1) / math.sqrt(samples)), samples)
     jd = EstimateWithError(float(cd.mean()), float(cd.std(ddof=1) / math.sqrt(samples)), samples)
 
-    uniq, first_idx, counts = np.unique(codes, return_index=True, return_counts=True)
+    uniq, first_idx, counts = _code_groups(codes)
     if uniq.size == 0:
         raise BinDeathError(0, "policy induced no realized actions")
     realized_u = u[first_idx]
@@ -1040,7 +1066,7 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
         cnts, means, ses = _bin_stats(x[:, r], idx[r], levels)
-        top = np.argsort(-cnts, kind="stable")[:per_coord]
+        top = _stable_order(-cnts)[0][:per_coord]
         for c in top:
             if cnts[c] < _MIN_BIN_COUNT:
                 continue

@@ -740,6 +740,23 @@ class _SortedPairs:
     csq: np.ndarray
 
 
+def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values[order])`` with ``order == np.argsort(values, kind="stable")``.
+
+    One default-kind (unstable) sort first: when no two sorted neighbours
+    compare equal and the last is not NaN, the keys are distinct and have a
+    single sorting permutation, which every sort finds.  Otherwise (ties,
+    ``-0.0`` next to ``0.0``, NaNs, which sort last and never compare equal)
+    the sort is redone stably.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    if ordered.size > 1 and (np.isnan(ordered[-1]) or np.any(ordered[1:] == ordered[:-1])):
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+    return order, ordered
+
+
 def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPairs:
     """Draw ``samples`` points once, sort them by ``X1`` and build the prefix sums."""
     if model.dim != 2:
@@ -749,8 +766,8 @@ def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPair
         raise ValueError("bias vector must be nonzero")
     pts = model.sample(samples, seed)
     x1, x2 = _pair_coordinates(b, pts)
-    order = np.argsort(x1, kind="stable")
-    x1s, x2s = x1[order], x2[order]
+    order, x1s = _stable_order(x1)
+    x2s = x2[order]
     csum = np.concatenate([[0.0], np.cumsum(x2s)])
     csq = np.concatenate([[0.0], np.cumsum(x2s**2)])
     return _SortedPairs(model, b, pts, x1s, csum, csq)

@@ -153,6 +153,28 @@ class TestExitCodes:
                                     "--solver.samples=1000")
         assert code == 0 and record["payload"]["k"] == 2, err
 
+    @pytest.mark.parametrize("args, leaf", [
+        (["--solver.scan_points=3"], "solver.scan_points"),
+        (["--solver.init=random", "--solver.samples=2000"], "solver.init"),
+        (['--solver={"k":2,"scan_points":3}'], "solver.scan_points"),
+    ])
+    def test_solve_with_unknown_solver_key_is_two(self, args, leaf):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        code, record, err = run_cli("solve", "--config", config, *args)
+        assert code == 2 and record is None
+        assert leaf in err
+        assert "Traceback" not in err
+
+    def test_unknown_solver_key_in_config_file_is_two(self, tmp_path):
+        cfg = write_config(tmp_path, "typo.json", {
+            "source": {"family": "iid-uniform", "dim": 1, "lo": 0.0, "hi": 1.0},
+            "bias": [0.05],
+            "solver": {"k": 2, "sample": 1000},
+        })
+        code, record, err = run_cli("solve", "--config", cfg)
+        assert code == 2 and record is None
+        assert "solver.sample" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("override", [
         "--rd.sigma_sq=0",
         "--rd.sigma_sq=-1",

@@ -770,3 +770,46 @@ class TestSolverConfig:
     def test_zero_actions_rejected(self):
         with pytest.raises(ValueError, match="^k "):
             solve_fixed_point(iid_uniform(1), [0.05], 0, SolverConfig(samples=1000))
+
+
+class TestCodeGroups:
+    """``_code_groups`` returns what ``np.unique(return_index, return_counts)`` does."""
+
+    @staticmethod
+    def assert_like_unique(codes):
+        want = np.unique(codes, return_index=True, return_counts=True)
+        got = equilibrium._code_groups(codes)
+        for w, g in zip(want, got, strict=True):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("codes", [
+        np.array([7]),                                     # one code, past its size
+        np.array([0]),
+        np.full(50, 3),                                    # all equal
+        np.full(50, 2**40),
+        np.random.default_rng(0).integers(0, 40, 100),     # below the size: counted
+        np.random.default_rng(1).integers(0, 2**62, 100, endpoint=True),
+        np.random.default_rng(2).permutation(np.repeat(
+            np.random.default_rng(3).integers(0, 2**62, 30, endpoint=True), 4)),
+        np.array([], dtype=np.int64),
+    ])
+    def test_matches_unique(self, codes):
+        self.assert_like_unique(np.asarray(codes, dtype=np.int64))
+
+    def test_matches_unique_on_policy_codes(self):
+        model2, model8 = iid_gaussian(2), iid_gaussian(8)
+        b8 = [0.9, -0.8, 0.7, -0.6, 0.5, -0.4, 0.3, -0.2]
+        acts = ActionSet(np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]]))
+        policies = [
+            (QuantizerPolicy(acts, [0.2, 0.1]), model2),
+            (construct_reveal_plus_quantize(model2, [1.0, 1.0], 3, grid_levels=1024), model2),
+            (construct_reveal_plus_quantize(model8, b8, 3, grid_levels=1024), model8),
+        ]
+        wide = []
+        for policy, model in policies:
+            _, codes = policy.decode(model.sample(20_000, seed=4))
+            wide.append(codes.max() >= codes.size)
+            self.assert_like_unique(codes)
+        # the quantizer and the 2-D codes are counted, the 8-D ones sorted
+        assert wide == [False, False, True]

@@ -7,6 +7,8 @@ from cheaptalk.errors import InfeasibleDistortionError
 from cheaptalk.ratedist import (
     AsymptoticRow,
     RDTuple,
+    _descend,
+    _descent_probes,
     achievable_tuple,
     asymptotic_experiment,
     game_rate_bound,
@@ -165,6 +167,7 @@ class TestAsymptoticExperiment:
         (2.5, -0.7, 1, [2, 5], 20_000, 3),
         (0.3, 1.2, 2, [2, 7], 20_000, 4),
         (0.3, 1.2, 3, [3], 20_000, 5),
+        (1.7, 0.4, 4, [2, 6], 20_000, 6),
         (1.0, 1.0, 1, [64], 150_001, 42),  # two full chunks and a partial one
     ])
     def test_equals_the_reference_bit_for_bit(self, sigma_sq, b, rate_bits, n_list, samples, seed):
@@ -173,6 +176,21 @@ class TestAsymptoticExperiment:
         for row, ref in zip(got, want, strict=True):
             for field in AsymptoticRow.__dataclass_fields__:
                 assert getattr(row, field) == getattr(ref, field), field
+
+    @pytest.mark.parametrize("rate_bits", [0, 1, 2, 3, 4])
+    def test_descent_cells_equal_searchsorted(self, rate_bits):
+        inner = lloyd_max_quantizer(1.3, 2**rate_bits)[0].boundaries[1:-1]
+        rng = np.random.default_rng(rate_bits)
+        # draws, every boundary and its neighbouring floats, and both infinities
+        x = np.concatenate([
+            3.0 * rng.standard_normal(20_000), inner,
+            np.nextafter(inner, math.inf), np.nextafter(inner, -math.inf), [math.inf, -math.inf],
+        ]).reshape(-1, 1)
+        probes = _descent_probes(inner, rate_bits)
+        assert len(probes) == rate_bits
+        cells = _descend(probes, x, np.empty(x.shape, dtype=np.intp), np.empty(x.shape),
+                         np.empty(x.shape, dtype=bool))
+        assert np.array_equal(cells, np.searchsorted(inner, x, side="left"))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from cheaptalk.geometry import Hyperplane
 from cheaptalk.sources import (
     EstimateWithError,
     GaussianMarginal,
+    _stable_order,
     conditional_mean_curve,
     conditional_support,
     correlated_gaussian_2d,
@@ -469,3 +470,27 @@ class TestTabulated:
 def test_estimate_with_error_fields():
     est = EstimateWithError(value=1.0, stderr=0.1, sample_count=100)
     assert est.value == 1.0 and est.stderr == 0.1 and est.sample_count == 100
+
+
+class TestStableOrder:
+    """``_stable_order`` gives ``np.argsort(kind="stable")`` from an unstable sort."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(0).standard_normal(5_000),              # distinct
+        np.round(np.random.default_rng(1).standard_normal(5_000), 1),  # heavy ties
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+        np.array([np.nan, 1.0, np.nan, -2.0, np.nan, 0.5]),
+        np.array([0.5, np.nan]),
+        np.where(np.random.default_rng(3).random(5_000) < 0.2, np.nan,
+                 np.random.default_rng(4).standard_normal(5_000)),     # distinct but NaNs
+        np.array([math.inf, -math.inf, 0.0, math.inf, -math.inf, 1.0]),
+        np.array([]),
+        np.array([3.0]),
+        -np.random.default_rng(2).integers(0, 5, 200),                # tied counts
+    ])
+    def test_matches_stable_argsort(self, values):
+        order, ordered = _stable_order(values)
+        want = np.argsort(values, kind="stable")
+        assert order.dtype == want.dtype
+        assert np.array_equal(order, want)
+        assert np.array_equal(ordered, values[want], equal_nan=True)
