@@ -920,8 +920,6 @@ def _code_groups(codes: np.ndarray):
     default-kind sort, whose group minima are the first occurrences.
     """
     n = codes.size
-    if n == 0:
-        return codes.copy(), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     if codes.min() >= 0 and codes.max() < n:
         counts = np.bincount(codes)
         first = np.full(counts.size, n, dtype=np.intp)
@@ -1066,7 +1064,7 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
         cnts, means, ses = _bin_stats(x[:, r], idx[r], levels)
-        top = _stable_order(-cnts)[0][:per_coord]
+        top = np.argsort(-cnts, kind="stable")[:per_coord]
         for c in top:
             if cnts[c] < _MIN_BIN_COUNT:
                 continue

@@ -133,35 +133,6 @@ def _is_whole(x) -> bool:
     return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
-def _descent_probes(inner: np.ndarray, bits: int) -> list[np.ndarray]:
-    """The boundaries a binary descent over ``2**bits`` cells compares with.
-
-    A range of 2h cells starting at cell c splits at ``inner[c + h - 1]``;
-    after s bits the ranges have ``2h = 2**(bits - s)`` cells and the bits
-    found so far are ``c / (2h)``, so ``probes[s]`` lists the split of every
-    range by those bits.
-    """
-    levels = 1 << bits
-    return [inner[np.arange(1 << s) * (levels >> s) + (levels >> (s + 1)) - 1]
-            for s in range(bits)]
-
-
-def _descend(probes: list[np.ndarray], x: np.ndarray, cell: np.ndarray,
-             scratch: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Cell of every draw in ``x`` (how many interior boundaries lie below
-    it, as ``np.searchsorted(inner, x, side="left")``), written to ``cell``;
-    ``scratch`` (float) and ``above`` (bool) are buffers of ``x``'s shape."""
-    if not probes:
-        cell.fill(0)
-        return cell
-    np.greater(x, probes[0][0], out=cell)
-    for probe in probes[1:]:
-        np.take(probe, cell, out=scratch, mode="clip")  # every range is in the table
-        cell += cell
-        cell += np.greater(x, scratch, out=above)
-    return cell
-
-
 def asymptotic_experiment(
     sigma_sq: float,
     b: float,
@@ -197,7 +168,10 @@ def asymptotic_experiment(
 
     levels = 2 ** int(rate_bits)
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)
-    probes = _descent_probes(quant.boundaries[1:-1], int(rate_bits))
+    inner = quant.boundaries[1:-1]
+    # the first comparison writes the cell index, the rest add to it; with
+    # one level there is no interior boundary and no draw lies above +inf
+    first, rest = (inner[0], inner[1:]) if inner.size else (math.inf, inner)
     actions = quant.actions
     sd = math.sqrt(sigma_sq)
 
@@ -221,7 +195,10 @@ def asymptotic_experiment(
             x *= sd
             x += 0.0  # the bits of rng.normal(0.0, sd): loc + scale * z
             quantized = x[:, : n - 1]
-            cell = _descend(probes, quantized, cells[:m], err[:m], above[:m])
+            # the quantizer cell: how many interior boundaries lie below the draw
+            cell = np.greater(quantized, first, out=cells[:m])
+            for t in rest:
+                cell += np.greater(quantized, t, out=above[:m])
             e = err[:m]
             np.take(actions, cell, out=e, mode="clip")  # every cell is in range
             np.subtract(quantized, e, out=e)

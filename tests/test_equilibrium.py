@@ -792,7 +792,6 @@ class TestCodeGroups:
         np.random.default_rng(1).integers(0, 2**62, 100, endpoint=True),
         np.random.default_rng(2).permutation(np.repeat(
             np.random.default_rng(3).integers(0, 2**62, 30, endpoint=True), 4)),
-        np.array([], dtype=np.int64),
     ])
     def test_matches_unique(self, codes):
         self.assert_like_unique(np.asarray(codes, dtype=np.int64))

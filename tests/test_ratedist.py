@@ -7,8 +7,6 @@ from cheaptalk.errors import InfeasibleDistortionError
 from cheaptalk.ratedist import (
     AsymptoticRow,
     RDTuple,
-    _descend,
-    _descent_probes,
     achievable_tuple,
     asymptotic_experiment,
     game_rate_bound,
@@ -176,21 +174,6 @@ class TestAsymptoticExperiment:
         for row, ref in zip(got, want, strict=True):
             for field in AsymptoticRow.__dataclass_fields__:
                 assert getattr(row, field) == getattr(ref, field), field
-
-    @pytest.mark.parametrize("rate_bits", [0, 1, 2, 3, 4])
-    def test_descent_cells_equal_searchsorted(self, rate_bits):
-        inner = lloyd_max_quantizer(1.3, 2**rate_bits)[0].boundaries[1:-1]
-        rng = np.random.default_rng(rate_bits)
-        # draws, every boundary and its neighbouring floats, and both infinities
-        x = np.concatenate([
-            3.0 * rng.standard_normal(20_000), inner,
-            np.nextafter(inner, math.inf), np.nextafter(inner, -math.inf), [math.inf, -math.inf],
-        ]).reshape(-1, 1)
-        probes = _descent_probes(inner, rate_bits)
-        assert len(probes) == rate_bits
-        cells = _descend(probes, x, np.empty(x.shape, dtype=np.intp), np.empty(x.shape),
-                         np.empty(x.shape, dtype=bool))
-        assert np.array_equal(cells, np.searchsorted(inner, x, side="left"))
 
     def test_validation(self):
         with pytest.raises(ValueError):
