@@ -64,6 +64,18 @@ SOLVER_DEFAULTS = {
 }
 # the solver leaves that are counts or seeds
 _SOLVER_INTEGERS = ("k", "k_last", "max_iterations", "samples", "seed", "grid_levels")
+# the keys each source family and transform kind reads, and the rd keys; a
+# key outside these would change nothing but the config hash
+_SOURCE_KEYS = {
+    "iid-gaussian": ("mean", "sigma_sq"),
+    "correlated-gaussian-2d": ("sigma1_sq", "sigma2_sq", "rho", "mean"),
+    "iid-uniform": ("lo", "hi"),
+    "iid-exponential": ("rate",),
+    "iid-laplace": ("mean", "scale"),
+    "tabulated-density": ("csv",),
+}
+_TRANSFORM_KEYS = {"pair2d": ("bias",), "helmert": ("n", "bias"), "bias-aligning": ("bias",)}
+_RD_KEYS = ("sigma_sq", "b", "d_team", "de", "dd", "n_list", "rate_bits", "samples")
 
 
 class ConfigError(ValueError):
@@ -166,17 +178,23 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def _known_keys(block: dict, name: str, known) -> None:
+    """Reject the keys of config block ``name`` that are not in ``known``:
+    they would change nothing.  The message names each dotted leaf."""
+    unknown = [key for key in block if key not in known]
+    if unknown:
+        names = ", ".join(f"{name}.{key}" for key in sorted(unknown))
+        raise ConfigError(f"invalid {name} block: no setting named {names}")
+
+
 def _solver_block(cfg: dict) -> dict:
     """The solver block, over the defaults, with its integer leaves checked
     and converted (an override may have replaced the whole block).  A key
-    the defaults do not name is an error: it would change nothing."""
+    the defaults do not name is an error."""
     block = cfg["solver"]
     if not isinstance(block, dict):
         raise ConfigError(f"invalid solver block: solver must be an object, got {block!r}")
-    unknown = [key for key in block if key not in SOLVER_DEFAULTS]
-    if unknown:
-        names = ", ".join(f"solver.{key}" for key in sorted(unknown))
-        raise ConfigError(f"invalid solver block: no setting named {names}")
+    _known_keys(block, "solver", SOLVER_DEFAULTS)
     s = {**SOLVER_DEFAULTS, **block}
     for key in _SOLVER_INTEGERS:
         s[key] = _integer(s[key], f"solver.{key}")
@@ -187,6 +205,9 @@ def build_source(block) -> SourceModel:
     if not isinstance(block, dict):
         raise ConfigError("source block must be an object")
     family = block.get("family")
+    if not isinstance(family, str) or family not in _SOURCE_KEYS:
+        raise ConfigError(f"unknown source family {family!r}")
+    _known_keys(block, "source", ("family", "dim", *_SOURCE_KEYS[family]))
     dim = _integer(block.get("dim", 2), "source.dim")
     try:
         if family == "iid-gaussian":
@@ -216,13 +237,11 @@ def build_source(block) -> SourceModel:
                 mean=float(block.get("mean", 0.0)),
                 scale=float(block.get("scale", 1.0)),
             )
-        if family == "tabulated-density":
-            return tabulated_from_csv(block["csv"])
+        return tabulated_from_csv(block["csv"])
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid source block: {exc}") from exc
-    raise ConfigError(f"unknown source family {family!r}")
 
 
 def _get_bias(cfg: dict, dim: int) -> np.ndarray:
@@ -331,6 +350,7 @@ def _cmd_rd(cfg: dict):
     block = cfg.get("rd")
     if not isinstance(block, dict):
         raise ConfigError("rd needs an 'rd' block")
+    _known_keys(block, "rd", _RD_KEYS)
     seed = _solver_block(cfg)["seed"]
     try:
         payload, csv_rows = _rd_payload(block, seed)
@@ -386,16 +406,17 @@ def _cmd_transform(cfg: dict):
     if not isinstance(block, dict):
         raise ConfigError("transform needs a 'transform' block")
     kind = block.get("kind")
+    if not isinstance(kind, str) or kind not in _TRANSFORM_KEYS:
+        raise ConfigError(f"unknown transform kind {kind!r}")
+    _known_keys(block, "transform", ("kind", *_TRANSFORM_KEYS[kind]))
     try:
         if kind == "pair2d":
             t = pair_transform_2d(np.asarray(block["bias"], dtype=float))
         elif kind == "helmert":
             n = _integer(block["n"], "transform.n")
             t = helmert_transform(n, bias=float(block.get("bias", 0.0)))
-        elif kind == "bias-aligning":
-            t = bias_aligning_transform(np.asarray(block["bias"], dtype=float))
         else:
-            raise ConfigError(f"unknown transform kind {kind!r}")
+            t = bias_aligning_transform(np.asarray(block["bias"], dtype=float))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

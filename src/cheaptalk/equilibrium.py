@@ -140,11 +140,20 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class FixedPointResult:
+    """A Lloyd solve's last actions and what its sweeps did.
+
+    ``movements``, ``rescored`` and ``changed`` hold one entry per sweep of
+    the last (re)start: the largest action movement, the points whose
+    action was scored, and the points whose action changed.
+    """
+
     actions: ActionSet
     converged: bool
     iterations: int
     movements: list[float]
     restarts: int = 0
+    rescored: list[int] = field(default_factory=list)
+    changed: list[int] = field(default_factory=list)
 
 
 # -- evaluation measures --------------------------------------------------------
@@ -164,29 +173,141 @@ def _evaluation_measure(model: SourceModel, samples: int, seed: int):
     return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
 
 
-class _SweepMeasure:
-    """What a Lloyd solve keeps fixed from sweep to sweep on one measure and bias.
+# Bounded sweeps.  Between sweeps a ``_SweepMeasure`` keeps each point's
+# action index and a lower bound on its gap D_2 - D_i, where D_i is the
+# distance from the point's target q = p - b to its assigned action and D_2
+# the distance to the nearest other action.  An action that moves by
+# delta_j changes every distance to it by at most delta_j, so after a sweep
+# the gap of a point assigned to i has fallen by at most
+# delta_i + max_{j != i} delta_j; only the points whose lowered bound is
+# within the margin below are scored again.
+#
+# Why the kept indices are those a full rescore gives, bit for bit.  Let
+# s >= ||u_j|| + ||q|| for every action and target since the last full
+# sweep, d the dimension and u = 2**-53 the unit roundoff (eps = 2u).  A
+# computed score (the gemm dot product, the squared action norm and their
+# sum) is off from the exact ||q - u_j||^2 - ||q||^2 by at most
+# E = (d + 2) u s^2, whatever the summation order and whether or not it is
+# fused.
+#  * Keep: if the exact gap G > sqrt(2E), then for every j != i
+#    s_j - s_i = (D_j - D_i)(D_j + D_i) >= G^2 > 2E, so every other
+#    computed score exceeds the computed score of i and the full pass's
+#    strict running minimum returns i.
+#  * Refresh: a rescored gap is sqrt(s_2 + ||q||^2) - sqrt(s_i + ||q||^2)
+#    from computed values; the squared distances under the roots are off by
+#    at most E' = (2d + 4) u s^2 and |sqrt(x) - sqrt(y)| <= sqrt(|x - y|),
+#    so the stored gap exceeds G by at most 2 sqrt(E') + 3 u s (two roots
+#    and one subtraction, each rounding by at most u s).
+#  * Drift: each movement is a computed norm, off by a relative (d + 4) u
+#    and at most 2s, and each sweep's subtraction from a gap rounds by at
+#    most u s; adding 4 (d + 6) eps s to every drop covers both.
+# So a point whose stored gap exceeds
+# sqrt(2E) + 2 sqrt(E') + 3 u s <= 4 sqrt((d + 2) eps) s keeps its index;
+# the last term of the bound leaves room for the rounding of s itself.
+_EPS = float(np.finfo(float).eps)
+# A sweep scores every point when more than this share of them is due for a
+# rescore: gathering the columns makes a bounded rescore dearer per point.
+_FULL_SWEEP_SHARE = 0.3
 
-    Holds the assignment targets ``-2 (pts - b)`` transposed to (dim, N),
-    the weighted coordinates ``w * pts.T`` for the centroid sums, the
-    weights, and the assignment buffers, reused by every sweep of the solve.
+
+def _distance_gaps(second: np.ndarray, best: np.ndarray, sq: np.ndarray) -> None:
+    """Overwrite ``second`` with ``sqrt(second + sq) - sqrt(best + sq)``
+    (``best`` is overwritten too); a sum that rounds below zero counts as 0."""
+    for a in (second, best):
+        a += sq
+        np.maximum(a, 0.0, out=a)
+        np.sqrt(a, out=a)
+    second -= best
+
+
+class _SweepMeasure:
+    """What a Lloyd solve keeps from sweep to sweep on one measure and bias.
+
+    Fixed: the assignment targets ``-2 (pts - b)`` transposed to (dim, N),
+    the squared norms ``||pts - b||^2``, the weighted coordinates
+    ``w * pts.T`` for the centroid sums, and the weights.  Carried: each
+    point's action index, the lower bound on its gap (see the note above),
+    the actions they refer to, and the buffers every sweep reuses.
+    ``rescored`` and ``changed`` count the points the last sweep scored and
+    the points whose action it changed (all N on the first sweep and after
+    a change of K).
     """
 
     def __init__(self, pts: np.ndarray, w: np.ndarray, b: np.ndarray):
         n = pts.shape[0]
         self.t = np.ascontiguousarray((-2.0 * (pts - b)).T)
-        self.wpts = w * pts.T
+        self.sq = np.einsum("ij,ij->j", self.t, self.t) * 0.25
+        self.radius = math.sqrt(float(np.max(self.sq)))
+        self.wpts = np.multiply(w, pts.T, order="C")  # row-contiguous for bincount
         self.w = w
         self.scores = np.empty((0, n))
         self.best = np.empty(n)
+        self.gap = np.empty(n)
         self.mask = np.empty(n, dtype=bool)
         self.idx = np.empty(n, dtype=np.intp)
+        self.acts = None
+        self.scale = 0.0
+        self.rescored = self.changed = 0
 
     def assign(self, acts: np.ndarray) -> np.ndarray:
-        """Index of each point's cheapest action; valid until the next call."""
+        """Index of each point's cheapest action; valid until the next call.
+
+        Equal, bit for bit, to ``_assign_targets`` over all points: only the
+        points whose gap bound no longer clears the margin are scored again.
+        """
+        prev, self.acts = self.acts, None  # no carried state if this sweep stops midway
+        k, dim = acts.shape
+        n = self.idx.shape[0]
+        reach = self.radius + math.sqrt(float(np.max(np.sum(acts * acts, axis=1))))
+        if prev is None or prev.shape[0] != k:
+            self._score_all(acts, reach, compare=False)
+        else:
+            self.scale = max(self.scale, reach)
+            step = np.sqrt(np.sum((acts - prev) ** 2, axis=1))
+            top = int(np.argmax(step))
+            other = np.full(k, step[top])
+            other[top] = np.max(np.delete(step, top), initial=0.0)
+            drop = step + other + 4.0 * (dim + 6) * _EPS * self.scale
+            np.take(drop, self.idx, out=self.best, mode="clip")
+            self.gap -= self.best
+            margin = 4.0 * math.sqrt((dim + 2) * _EPS) * self.scale
+            # written as "not above" so that a NaN gap (a squared norm past
+            # the float range) is always due
+            np.greater(self.gap, margin, out=self.mask)
+            cand = np.flatnonzero(np.logical_not(self.mask, out=self.mask))
+            if cand.size > _FULL_SWEEP_SHARE * n:
+                self._score_all(acts, reach, compare=True)
+            else:
+                self._rescore(acts, cand)
+        self.acts = acts.copy()
+        return self.idx
+
+    def _score_all(self, acts: np.ndarray, reach: float, compare: bool) -> None:
+        n = self.idx.shape[0]
         if self.scores.shape[0] != acts.shape[0]:
-            self.scores = np.empty((acts.shape[0], self.best.shape[0]))
-        return _assign_targets(self.t, acts, self.scores, self.best, self.mask, self.idx)
+            self.scores = np.empty((acts.shape[0], n))
+        old = self.idx.copy() if compare else None
+        _assign_targets(self.t, acts, self.scores, self.best, self.mask, self.idx, self.gap)
+        _distance_gaps(self.gap, self.best, self.sq)
+        self.scale = reach
+        self.rescored = n
+        self.changed = n if old is None else int(np.count_nonzero(old != self.idx))
+
+    def _rescore(self, acts: np.ndarray, cand: np.ndarray) -> None:
+        self.rescored, self.changed = cand.size, 0
+        if cand.size == 0:
+            return
+        cols = cand if cand.size > 1 else np.repeat(cand, 2)  # one column would go to gemv
+        m = cols.size
+        best, second = np.empty(m), np.empty(m)
+        idx = _assign_targets(
+            np.take(self.t, cols, axis=1), acts, np.empty((acts.shape[0], m)), best,
+            np.empty(m, dtype=bool), np.empty(m, dtype=np.intp), second,
+        )[:cand.size]
+        _distance_gaps(second, best, self.sq[cols])
+        self.changed = int(np.count_nonzero(idx != self.idx[cand]))
+        self.idx[cand] = idx
+        self.gap[cand] = second[:cand.size]
 
 
 def best_response_step(
@@ -278,6 +399,8 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
             model, b, k, pts, w, jitter_seed=None if restarts == 0 else config.seed + restarts,
         )
         movements: list[float] = []
+        rescored: list[int] = []
+        changed: list[int] = []
         try:
             converged = False
             it = 0
@@ -289,13 +412,15 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
                     raise BinDeathError(actions.k - 1, "actions merged during the sweep")
                 movement = float(np.max(np.abs(new.actions - actions.actions)))
                 movements.append(movement)
+                rescored.append(measure.rescored)
+                changed.append(measure.changed)
                 actions = new
                 if movement < config.tolerance:
                     converged = True
                     break
             return FixedPointResult(
                 actions=actions, converged=converged, iterations=it,
-                movements=movements, restarts=restarts,
+                movements=movements, restarts=restarts, rescored=rescored, changed=changed,
             )
         except BinDeathError:
             restarts += 1

@@ -207,7 +207,7 @@ def assign_actions_batch(points, actions, b) -> np.ndarray:
     )
 
 
-def _assign_targets(t, acts, scores, best, mask, idx) -> np.ndarray:
+def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray:
     """Lowest-index cheapest action for targets ``t = -2 (points - b).T``, shape (dim, N).
 
     ``||p - b - u||^2 = ||p - b||^2 - 2 (p - b).u + ||u||^2``; the first term
@@ -215,14 +215,27 @@ def _assign_targets(t, acts, scores, best, mask, idx) -> np.ndarray:
     ``(acts @ t)[j] + ||u_j||^2``.  In the running minimum over the K score
     rows a later action takes a point only when strictly cheaper, so ties
     keep the lowest index, as ``argmin`` would.  ``scores`` (K, N), ``best``,
-    ``mask`` and ``idx`` (N,) are caller-owned buffers; ``idx`` is returned.
+    ``mask`` and ``idx`` (N,) are caller-owned buffers; ``idx`` is returned
+    and ``best`` ends as each point's lowest score.  Given a ``second`` (N,)
+    buffer, it ends as the lowest score among the other actions (+inf for
+    K = 1).  Each score depends only on its own point, so scoring a subset
+    of the columns of ``t`` gives those columns' full-set scores bit for bit,
+    as long as the subset has two or more columns: numpy hands a single
+    column to gemv, which rounds differently from gemm.
     """
     np.matmul(acts, t, out=scores)
     scores += np.sum(acts * acts, axis=1)[:, None]
     np.copyto(best, scores[0])
     idx.fill(0)
+    if second is not None:
+        second.fill(np.inf)
     for j in range(1, acts.shape[0]):
         np.less(scores[j], best, out=mask)
         np.putmask(idx, mask, j)
+        if second is not None:
+            # the runner-up is the lower of the old runner-up and the larger
+            # of (best, score j); row 0 is spent and serves as scratch
+            np.maximum(best, scores[j], out=scores[0])
+            np.minimum(second, scores[0], out=second)
         np.minimum(best, scores[j], out=best)
     return idx

@@ -546,8 +546,16 @@ def iid_model(family: str, marginal, n: int) -> SourceModel:
     )
 
 
+def _finite_parameters(**values) -> None:
+    """Raise ValueError naming the first parameter that is not a finite number."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def iid_gaussian(n: int, mean: float = 0.0, sigma_sq: float = 1.0) -> SourceModel:
     """n i.i.d. gaussian coordinates with common mean and variance."""
+    _finite_parameters(mean=mean, sigma_sq=sigma_sq)
     if sigma_sq <= 0.0:
         raise ValueError("variance must be positive")
     return iid_model(GAUSSIAN, GaussianMarginal(float(mean), float(sigma_sq)), n)
@@ -557,12 +565,14 @@ def correlated_gaussian_2d(
     sigma1_sq: float, sigma2_sq: float, rho: float, mean=(0.0, 0.0)
 ) -> SourceModel:
     """2-D gaussian with per-coordinate variances and covariance ``rho``."""
+    _finite_parameters(sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, rho=rho)
     cov = np.array([[sigma1_sq, rho], [rho, sigma2_sq]], dtype=float)
     if sigma1_sq <= 0.0 or sigma2_sq <= 0.0 or rho**2 > sigma1_sq * sigma2_sq:
         raise ValueError("covariance matrix must be positive semidefinite with positive variances")
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (2,):
         raise ValueError("the mean of a 2-D gaussian needs two entries")
+    _finite_parameters(mean=mean)
     return SourceModel(
         family=CORRELATED_GAUSSIAN_2D, dim=2, mean=mean,
         marginals=tuple(GaussianMarginal(float(mean[i]), float(cov[i, i])) for i in range(2)),
@@ -571,18 +581,21 @@ def correlated_gaussian_2d(
 
 
 def iid_uniform(n: int, lo: float = 0.0, hi: float = 1.0) -> SourceModel:
+    _finite_parameters(lo=lo, hi=hi)
     if hi <= lo:
         raise ValueError("upper support bound must exceed the lower bound")
     return iid_model(UNIFORM, UniformMarginal(float(lo), float(hi)), n)
 
 
 def iid_exponential(n: int, rate: float = 1.0) -> SourceModel:
+    _finite_parameters(rate=rate)
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     return iid_model(EXPONENTIAL, ExponentialMarginal(float(rate)), n)
 
 
 def iid_laplace(n: int, mean: float = 0.0, scale: float = 1.0) -> SourceModel:
+    _finite_parameters(mean=mean, scale=scale)
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     return iid_model(LAPLACE, LaplaceMarginal(float(mean), float(scale)), n)

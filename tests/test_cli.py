@@ -165,6 +165,30 @@ class TestExitCodes:
         assert leaf in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config, override, leaf", [
+        ("verify", "verify_reveal_quantize.json", "--source.sigma=3", "source.sigma"),
+        ("solve", "solve_uniform_k3.json", "--source.rate=2", "source.rate"),
+        ("rd", "rd_asymptotic.json", "--rd.sampels=5", "rd.sampels"),
+        ("transform", "transform_helmert.json", "--transform.nn=4", "transform.nn"),
+    ])
+    def test_unknown_key_in_any_block_is_two(self, command, config, override, leaf):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        code, record, err = run_cli(command, "--config", config, override)
+        assert code == 2 and record is None
+        assert f"no setting named {leaf}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override, name", [
+        ("--source.sigma_sq=nan", "sigma_sq"),
+        ("--source.mean=Infinity", "mean"),
+    ])
+    def test_non_finite_source_parameter_is_two(self, override, name):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "verify_reveal_quantize.json")
+        code, record, err = run_cli("verify", "--config", config, override)
+        assert code == 2 and record is None
+        assert f"{name} must be finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_solver_key_in_config_file_is_two(self, tmp_path):
         cfg = write_config(tmp_path, "typo.json", {
             "source": {"family": "iid-uniform", "dim": 1, "lo": 0.0, "hi": 1.0},

@@ -18,6 +18,7 @@ from cheaptalk.equilibrium import (
     verify_linear_equilibrium,
 )
 from cheaptalk.errors import BinDeathError, InfeasibleBinCountError
+from cheaptalk.geometry import assign_actions_batch
 from cheaptalk.sources import (
     conditional_mean_curve,
     correlated_gaussian_2d,
@@ -399,6 +400,104 @@ class TestFixedPoint:
             c * np.sort(base.actions.actions.ravel()),
             atol=5e-4 * c,
         )
+
+
+# the three lloyd-certify benchmark solves and the `solve` example config
+LLOYD_CASES = [
+    pytest.param(iid_gaussian(2), [1.0, 0.5], 3, SolverConfig(samples=62_500, seed=42),
+                 id="gauss2d-quad"),
+    pytest.param(iid_gaussian(3), [0.3, 0.2, 0.1], 4, SolverConfig(samples=200_000, seed=42),
+                 id="gauss3d-mc"),
+    pytest.param(iid_laplace(3), [1.0, 0.0, 0.0], 3, SolverConfig(samples=100_000, seed=42),
+                 id="laplace3d-mc"),
+    pytest.param(iid_uniform(1), [0.05], 3, SolverConfig(samples=400_000, seed=42),
+                 id="uniform1d"),
+]
+
+
+class TestBoundedSweeps:
+    @pytest.mark.parametrize("model, b, k, cfg", LLOYD_CASES)
+    def test_every_sweep_matches_a_full_assignment(self, model, b, k, cfg):
+        b = np.asarray(b, dtype=float)
+        result = solve_fixed_point(model, b, k, cfg)
+        pts, w = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
+        n = pts.shape[0]
+        measure = equilibrium._SweepMeasure(pts, w, b)
+        bounded_assign = measure.assign
+        counts = []
+
+        def checked_assign(acts):
+            idx = bounded_assign(acts)
+            assert np.array_equal(idx, assign_actions_batch(pts, acts, b))
+            counts.append((measure.rescored, measure.changed))
+            return idx
+
+        measure.assign = checked_assign
+        actions = equilibrium._initial_actions(model, b, k, pts, w)
+        for _ in range(result.iterations):
+            actions = best_response_step(actions, model, b, _measure=measure)
+        assert np.array_equal(actions.actions, result.actions.actions)
+        assert counts == list(zip(result.rescored, result.changed))
+        assert len(result.rescored) == len(result.movements) == result.iterations
+        assert result.rescored[0] == result.changed[0] == n
+        assert sum(r < n for r in result.rescored) > result.iterations // 2
+        assert result.movements[-1] == 0.0 and result.changed[-1] == 0
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_planted_ties_keep_the_lowest_index(self, first):
+        # a grid symmetric about x = 0 and actions mirrored about it: the
+        # points on that line tie exactly in every sweep, and stay due for
+        # a rescore, which must give them the lower index as argmin does
+        g = np.arange(-20, 21) / 10.0
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        b = np.array([0.0, 0.25])
+        measure = equilibrium._SweepMeasure(pts, np.full(pts.shape[0], 1.0), b)
+        on_line = pts[:, 0] == 0.0
+        side = 1.0 if first == 0 else -1.0
+        for x, y in [(1.0, 0.0), (1.01, 0.02), (0.99, -0.01), (1.0, 0.03), (1.02, 0.03)]:
+            acts = np.array([[-side * x, y], [side * x, y]])
+            idx = measure.assign(acts)
+            assert np.array_equal(idx, assign_actions_batch(pts, acts, b))
+            assert np.all(idx[on_line] == 0)
+            assert measure.rescored >= on_line.sum()
+        assert measure.rescored < pts.shape[0]
+
+    def test_single_due_point_is_rescored_alone(self):
+        # one exact tie and far points: the tie is the only point due
+        pts = np.array([[0.0, 0.0], [-5.0, 0.0], [5.0, 0.0], [-6.0, 1.0], [6.0, 1.0]])
+        b = np.zeros(2)
+        measure = equilibrium._SweepMeasure(pts, np.full(5, 0.2), b)
+        for x in (1.0, 1.01):
+            acts = np.array([[-x, 0.0], [x, 0.0]])
+            idx = measure.assign(acts)
+            assert np.array_equal(idx, assign_actions_batch(pts, acts, b))
+        assert measure.rescored == 1 and measure.changed == 0
+
+    @pytest.mark.parametrize("model, b, k", [
+        (iid_uniform(1), [0.05], 3),
+        (iid_gaussian(2), [1.0, 0.5], 3),
+        (iid_laplace(3), [1.0, 0.0, 0.0], 4),
+    ])
+    def test_reused_measure_matches_the_plain_sweep(self, model, b, k):
+        # one measure across a jittered restart, an unrelated action set and
+        # changes of K, each followed by sweeps that carry the bounds
+        b = np.asarray(b, dtype=float)
+        pts, w = equilibrium._evaluation_measure(model, 20_000, 7)
+        measure = equilibrium._SweepMeasure(pts, w, b)
+        rng = np.random.default_rng(k)
+        starts = [
+            equilibrium._initial_actions(model, b, k, pts, w),
+            equilibrium._initial_actions(model, b, k, pts, w, jitter_seed=3),
+            ActionSet(pts[rng.choice(pts.shape[0], size=k, replace=False)]),
+            equilibrium._initial_actions(model, b, 2, pts, w),
+            equilibrium._initial_actions(model, b, k, pts, w),
+        ]
+        for acts in starts:
+            for _ in range(5):
+                prepared = best_response_step(acts, model, b, _measure=measure)
+                plain = best_response_step(acts, model, b, samples=20_000, seed=7)
+                assert np.array_equal(prepared.actions, plain.actions)
+                acts = prepared
 
 
 def noninformative_policy(model, b):

@@ -115,6 +115,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             correlated_gaussian_2d(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("factory, name", [
+        (lambda v: iid_gaussian(2, mean=v), "mean"),
+        (lambda v: iid_gaussian(2, sigma_sq=v), "sigma_sq"),
+        (lambda v: iid_uniform(2, lo=v), "lo"),
+        (lambda v: iid_uniform(2, hi=v), "hi"),
+        (lambda v: iid_exponential(2, rate=v), "rate"),
+        (lambda v: iid_laplace(2, mean=v), "mean"),
+        (lambda v: iid_laplace(2, scale=v), "scale"),
+        (lambda v: correlated_gaussian_2d(v, 1.0, 0.0), "sigma1_sq"),
+        (lambda v: correlated_gaussian_2d(1.0, v, 0.0), "sigma2_sq"),
+        (lambda v: correlated_gaussian_2d(1.0, 1.0, v), "rho"),
+        (lambda v: correlated_gaussian_2d(1.0, 1.0, 0.0, mean=(0.0, v)), "mean"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected_by_name(self, factory, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            factory(value)
+
 
 class TestTruncatedMoments:
     def test_gaussian_against_scipy(self):
