@@ -16,6 +16,7 @@ answered "no" (the computation itself succeeded); 2 invalid config;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv as csv_module
 import dataclasses
@@ -38,7 +39,7 @@ from .equilibrium import (
     solve_fixed_point,
     verify_equilibrium,
 )
-from .errors import BinDeathError, CheapTalkError, InfeasibleDistortionError
+from .errors import CheapTalkError, InfeasibleDistortionError
 from .sources import (
     SourceModel,
     correlated_gaussian_2d,
@@ -62,20 +63,6 @@ SOLVER_DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(SolverConfig)},
     "grid_levels": construct_reveal_plus_quantize.__kwdefaults__["grid_levels"],
 }
-# the solver leaves that are counts or seeds
-_SOLVER_INTEGERS = ("k", "k_last", "max_iterations", "samples", "seed", "grid_levels")
-# the keys each source family and transform kind reads, and the rd keys; a
-# key outside these would change nothing but the config hash
-_SOURCE_KEYS = {
-    "iid-gaussian": ("mean", "sigma_sq"),
-    "correlated-gaussian-2d": ("sigma1_sq", "sigma2_sq", "rho", "mean"),
-    "iid-uniform": ("lo", "hi"),
-    "iid-exponential": ("rate",),
-    "iid-laplace": ("mean", "scale"),
-    "tabulated-density": ("csv",),
-}
-_TRANSFORM_KEYS = {"pair2d": ("bias",), "helmert": ("n", "bias"), "bias-aligning": ("bias",)}
-_RD_KEYS = ("sigma_sq", "b", "d_team", "de", "dd", "n_list", "rate_bits", "samples")
 
 
 class ConfigError(ValueError):
@@ -153,9 +140,10 @@ def set_leaf(config: dict, dotted: str, value) -> None:
 
 def effective_config(config: dict, overrides: dict, env_seed: str | None, seed_flag: int | None) -> dict:
     cfg = copy.deepcopy(config)
-    solver = dict(SOLVER_DEFAULTS)
-    solver.update(cfg.get("solver", {}) or {})
-    cfg["solver"] = solver
+    solver = cfg.get("solver") or {}
+    if not isinstance(solver, dict):
+        raise ConfigError(f"invalid solver block: solver must be an object, got {solver!r}")
+    cfg["solver"] = {**SOLVER_DEFAULTS, **solver}
     if env_seed is not None:
         try:
             cfg["solver"]["seed"] = int(env_seed)
@@ -168,114 +156,215 @@ def effective_config(config: dict, overrides: dict, env_seed: str | None, seed_f
     return cfg
 
 
-def _integer(value, path: str) -> int:
-    """The integer config leaf at dotted ``path``: booleans, non-integral
-    numbers and non-numbers are config errors naming the leaf."""
+# -- leaf kinds: each converts one leaf or raises a ConfigError naming it -----------
+
+
+def _bad(leaf: str, what: str, value) -> ConfigError:
+    where = f"{leaf.split('.')[0]} block" if "." in leaf else "config"
+    return ConfigError(f"invalid {where}: {leaf} must be {what}, got {value!r}")
+
+
+def _int(value, leaf: str) -> int:
+    """An integer: booleans, fractions and non-numbers are errors, not truncations."""
     if not ratedist._is_whole(value):
-        raise ConfigError(
-            f"invalid {path.split('.')[0]} block: {path} must be an integer, got {value!r}"
-        )
+        raise _bad(leaf, "an integer", value)
     return int(value)
 
 
-def _known_keys(block: dict, name: str, known) -> None:
-    """Reject the keys of config block ``name`` that are not in ``known``:
-    they would change nothing.  The message names each dotted leaf."""
-    unknown = [key for key in block if key not in known]
-    if unknown:
-        names = ", ".join(f"{name}.{key}" for key in sorted(unknown))
-        raise ConfigError(f"invalid {name} block: no setting named {names}")
+def _real(value, leaf: str) -> float:
+    """A finite number; a boolean or a string is not one."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise _bad(leaf, "finite and real", value)
+    return float(value)
 
 
-def _solver_block(cfg: dict) -> dict:
-    """The solver block, over the defaults, with its integer leaves checked
-    and converted (an override may have replaced the whole block).  A key
-    the defaults do not name is an error."""
-    block = cfg["solver"]
+def _list(value, leaf: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise _bad(leaf, "a nonempty list", value)
+    return value
+
+
+def _vector(value, leaf: str) -> np.ndarray:
+    return np.array([_real(v, f"{leaf}[{i}]") for i, v in enumerate(_list(value, leaf))])
+
+
+def _matrix(value, leaf: str) -> np.ndarray:
+    """A nonempty list of rows of one length; a bare number is a row of one."""
+    rows = [
+        _vector(row if isinstance(row, list) else [row], f"{leaf}[{i}]")
+        for i, row in enumerate(_list(value, leaf))
+    ]
+    if len({row.size for row in rows}) != 1:
+        raise _bad(leaf, "rows of one length", value)
+    return np.array(rows)
+
+
+def _ints(value, leaf: str) -> list[int]:
+    return [_int(v, f"{leaf}[{i}]") for i, v in enumerate(_list(value, leaf))]
+
+
+def _text(value, leaf: str) -> str:
+    if not isinstance(value, str):
+        raise _bad(leaf, "a string", value)
+    return value
+
+
+# -- the block table -----------------------------------------------------------------
+
+
+def _iid(factory):
+    """The maker of an i.i.d. family, whose ``dim`` is 2 unless the config gives it."""
+    return lambda dim=2, **params: factory(dim, **params)
+
+
+def _quantizer(model: SourceModel, bias: np.ndarray, solver: dict, actions: np.ndarray):
+    return QuantizerPolicy(ActionSet(actions), bias)
+
+
+def _reveal_quantize(model: SourceModel, bias: np.ndarray, solver: dict, k_last=None):
+    k_last = solver["k_last"] if k_last is None else k_last
+    return construct_reveal_plus_quantize(model, bias, k_last, grid_levels=solver["grid_levels"])
+
+
+def _rd(seed: int, sigma_sq, b=0.0, d_team=None, de=None, dd=None, n_list=None, rate_bits=1,
+        **experiment):
+    """The rd payload and CSV rows; ``experiment`` holds ``samples`` when the
+    config gives it, and the experiment's own default applies otherwise."""
+    payload: dict = {"sigma_sq": sigma_sq, "b": b}
+    csv_rows = None
+    if d_team is not None:
+        rate = ratedist.team_rate_distortion(sigma_sq, d_team)
+        tup = ratedist.achievable_tuple(rate, d_team, b)
+        payload["team_rate"] = rate
+        payload["achievable"] = {"rate": tup.rate, "de": tup.de, "dd": tup.dd}
+    if de is not None and dd is not None:
+        try:
+            payload["rate_bound"] = ratedist.game_rate_bound(sigma_sq, b, de, dd)
+            payload["feasible"] = True
+        except InfeasibleDistortionError:
+            payload["rate_bound"] = None
+            payload["feasible"] = False
+    if n_list is not None:
+        rows = ratedist.asymptotic_experiment(sigma_sq, b, rate_bits, n_list, seed=seed, **experiment)
+        payload["asymptotic"] = [
+            dict(zip(ratedist.AsymptoticRow.CSV_COLUMNS, r.csv_values())) for r in rows
+        ]
+        csv_rows = [ratedist.AsymptoticRow.CSV_COLUMNS] + [r.csv_values() for r in rows]
+    if len(payload) == 2:
+        raise ConfigError("rd block specifies nothing to compute (d_team, de/dd, or n_list)")
+    return payload, csv_rows
+
+
+# block -> (maker or None, the kind of each key); README lists every leaf
+_BLOCKS = {
+    "solver": (None, {
+        "k": _int, "k_last": _int, "tolerance": _real, "max_iterations": _int,
+        "damping": _real, "samples": _int, "seed": _int, "grid_levels": _int,
+    }),
+    "rd": (_rd, {
+        "sigma_sq": _real, "b": _real, "d_team": _real, "de": _real, "dd": _real,
+        "n_list": _ints, "rate_bits": _int, "samples": _int,
+    }),
+    "sweep": (None, {"command": _text, "path": _text, "values": _list}),
+    "output": (None, {"records": _text}),
+}
+# block -> (the key that chooses, {choice: (maker, the kind of each other key)})
+_CHOSEN = {
+    "source": ("family", {
+        "iid-gaussian": (_iid(iid_gaussian), {"dim": _int, "mean": _real, "sigma_sq": _real}),
+        "correlated-gaussian-2d": (correlated_gaussian_2d, {
+            "sigma1_sq": _real, "sigma2_sq": _real, "rho": _real, "mean": _vector,
+        }),
+        "iid-uniform": (_iid(iid_uniform), {"dim": _int, "lo": _real, "hi": _real}),
+        "iid-exponential": (_iid(iid_exponential), {"dim": _int, "rate": _real}),
+        "iid-laplace": (_iid(iid_laplace), {"dim": _int, "mean": _real, "scale": _real}),
+        "tabulated-density": (lambda csv: tabulated_from_csv(csv), {"csv": _text}),
+    }),
+    "policy": ("kind", {
+        "quantizer": (_quantizer, {"actions": _matrix}),
+        "reveal-quantize": (_reveal_quantize, {"k_last": _int}),
+    }),
+    "transform": ("kind", {
+        "pair2d": (lambda bias: pair_transform_2d(bias), {"bias": _vector}),
+        "helmert": (helmert_transform, {"n": _int, "bias": _real}),
+        "bias-aligning": (lambda bias: bias_aligning_transform(bias), {"bias": _vector}),
+    }),
+}
+
+
+@contextlib.contextmanager
+def _invalid(block: str, lead: str = ""):
+    """Turn the ValueError, TypeError or OSError (a tabulated source's CSV) that
+    a library call raises into a config error (exit 2) on ``block``; ``lead``
+    goes before the library's message."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"invalid {block} block: {lead}{exc}") from exc
+
+
+def _block(cfg: dict, name: str, *args):
+    """Config block ``name`` (absent reads as empty), read by its table row.
+
+    A non-object block, an unknown ``family``/``kind`` and a key the block
+    does not take are config errors naming the dotted leaf.  The keys present
+    are converted by their kinds and, where the block has a maker, passed to
+    ``maker(*args, ...)``, so the library's defaults fill in the rest.
+    """
+    block = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(block, dict):
-        raise ConfigError(f"invalid solver block: solver must be an object, got {block!r}")
-    _known_keys(block, "solver", SOLVER_DEFAULTS)
-    s = {**SOLVER_DEFAULTS, **block}
-    for key in _SOLVER_INTEGERS:
-        s[key] = _integer(s[key], f"solver.{key}")
-    return s
+        raise ConfigError(f"invalid {name} block: {name} must be an object, got {block!r}")
+    if name in _CHOSEN:
+        key, choices = _CHOSEN[name]
+        choice = block.get(key)
+        if not isinstance(choice, str) or choice not in choices:
+            raise _bad(f"{name}.{key}", f"one of {', '.join(choices)}", choice)
+        maker, kinds = choices[choice]
+        block = {k: v for k, v in block.items() if k != key}
+    else:
+        maker, kinds = _BLOCKS[name]
+    unknown = ", ".join(f"{name}.{k}" for k in sorted(block) if k not in kinds)
+    if unknown:
+        raise ConfigError(f"invalid {name} block: no setting named {unknown}")
+    leaves = {k: kinds[k](v, f"{name}.{k}") for k, v in block.items()}
+    if maker is None:
+        return leaves
+    with _invalid(name):
+        return maker(*args, **leaves)
 
 
 def build_source(block) -> SourceModel:
-    if not isinstance(block, dict):
-        raise ConfigError("source block must be an object")
-    family = block.get("family")
-    if not isinstance(family, str) or family not in _SOURCE_KEYS:
-        raise ConfigError(f"unknown source family {family!r}")
-    _known_keys(block, "source", ("family", "dim", *_SOURCE_KEYS[family]))
-    dim = _integer(block.get("dim", 2), "source.dim")
-    try:
-        if family == "iid-gaussian":
-            return iid_gaussian(
-                dim,
-                mean=float(block.get("mean", 0.0)),
-                sigma_sq=float(block.get("sigma_sq", 1.0)),
-            )
-        if family == "correlated-gaussian-2d":
-            return correlated_gaussian_2d(
-                float(block["sigma1_sq"]),
-                float(block["sigma2_sq"]),
-                float(block["rho"]),
-                mean=block.get("mean", (0.0, 0.0)),
-            )
-        if family == "iid-uniform":
-            return iid_uniform(
-                dim,
-                lo=float(block.get("lo", 0.0)),
-                hi=float(block.get("hi", 1.0)),
-            )
-        if family == "iid-exponential":
-            return iid_exponential(dim, rate=float(block.get("rate", 1.0)))
-        if family == "iid-laplace":
-            return iid_laplace(
-                dim,
-                mean=float(block.get("mean", 0.0)),
-                scale=float(block.get("scale", 1.0)),
-            )
-        return tabulated_from_csv(block["csv"])
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid source block: {exc}") from exc
+    return _block({"source": block}, "source")
 
 
-def _get_bias(cfg: dict, dim: int) -> np.ndarray:
+def _solver(cfg: dict) -> dict:
+    """The solver leaves over the defaults (an override may replace the block)."""
+    return {**SOLVER_DEFAULTS, **_block(cfg, "solver")}
+
+
+def _problem(cfg: dict):
+    """The source model, the bias vector and the solver leaves."""
+    model = build_source(cfg.get("source"))
     bias = cfg.get("bias")
-    if bias is None:
-        raise ConfigError("config needs a 'bias' vector")
-    arr = np.asarray(bias, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigError(f"bias must have length {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("bias entries must be finite")
-    return arr
+    if isinstance(bias, (int, float)) and not isinstance(bias, bool):
+        bias = [bias] * model.dim  # one number biases every coordinate alike
+    bias = _vector(bias, "bias")
+    if bias.shape != (model.dim,):
+        raise ConfigError(f"invalid config: bias must have length {model.dim}, got {bias.size}")
+    return model, bias, _solver(cfg)
 
 
 # -- command payloads ---------------------------------------------------------------
 
 
 def _cmd_solve(cfg: dict):
-    model = build_source(cfg.get("source"))
-    bias = _get_bias(cfg, model.dim)
-    s = _solver_block(cfg)
-    fields = dict(
-        tolerance=float(s["tolerance"]),
-        max_iterations=s["max_iterations"],
-        damping=float(s["damping"]),
-        samples=s["samples"],
-        seed=s["seed"],
-    )
-    try:
+    model, bias, s = _problem(cfg)
+    fields = {f.name: s[f.name] for f in dataclasses.fields(SolverConfig)}
+    with _invalid("solver", "solver."):  # the messages start with the offending field's name
         result = solve_fixed_point(model, bias, s["k"], SolverConfig(**fields))
-    except ValueError as exc:  # the messages start with the offending field's name
-        raise ConfigError(f"invalid solver block: solver.{exc}") from exc
     payload = {
         "actions": result.actions.actions,
         "converged": result.converged,
@@ -287,47 +376,18 @@ def _cmd_solve(cfg: dict):
     return payload, (0 if result.converged else 3), None
 
 
-def _build_policy(cfg: dict, s: dict, model: SourceModel, bias: np.ndarray):
-    block = cfg.get("policy")
-    if not isinstance(block, dict):
-        raise ConfigError("verify needs a 'policy' block")
-    kind = block.get("kind")
-    if kind == "quantizer":
-        actions = block.get("actions")
-        if actions is None:
-            raise ConfigError("quantizer policies need explicit 'actions'")
-        return QuantizerPolicy(ActionSet(np.asarray(actions, dtype=float)), bias)
-    if kind == "reveal-quantize":
-        k_last = _integer(block.get("k_last", s["k_last"]), "policy.k_last")
-        try:
-            return construct_reveal_plus_quantize(
-                model, bias, k_last, grid_levels=s["grid_levels"]
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown policy kind {kind!r}")
-
-
 def _cmd_verify(cfg: dict):
-    model = build_source(cfg.get("source"))
-    bias = _get_bias(cfg, model.dim)
-    s = _solver_block(cfg)
-    policy = _build_policy(cfg, s, model, bias)
+    model, bias, s = _problem(cfg)
+    policy = _block(cfg, "policy", model, bias, s)
     samples, seed = s["samples"], s["seed"]
-    try:
+    with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
         cert = verify_equilibrium(policy, model, bias, samples=samples, seed=seed)
-    except ValueError as exc:  # too few samples or a negative seed
-        raise ConfigError(
-            f"invalid solver block (solver.samples={samples}, solver.seed={seed}): {exc}"
-        ) from exc
     payload = {"policy_kind": policy.kind, **cert.to_dict()}
     return payload, (0 if cert.passed else 1), None
 
 
 def _cmd_classify(cfg: dict):
-    model = build_source(cfg.get("source"))
-    bias = _get_bias(cfg, model.dim)
-    s = _solver_block(cfg)
+    model, bias, s = _problem(cfg)
     if model.family == "correlated-gaussian-2d":
         verdict = classify_mod.classify_correlated_gaussian(
             float(model.cov[0, 0]), float(model.cov[1, 1]), float(model.cov[0, 1]), bias
@@ -339,90 +399,15 @@ def _cmd_classify(cfg: dict):
     return verdict.to_dict(), (1 if verdict.exists == "no" else 0), None
 
 
-def _finite(block: dict, key: str, default=None) -> float:
-    value = float(block[key] if default is None else block.get(key, default))
-    if not math.isfinite(value):
-        raise ConfigError(f"invalid rd block: rd.{key} must be finite, got {value}")
-    return value
-
-
 def _cmd_rd(cfg: dict):
-    block = cfg.get("rd")
-    if not isinstance(block, dict):
-        raise ConfigError("rd needs an 'rd' block")
-    _known_keys(block, "rd", _RD_KEYS)
-    seed = _solver_block(cfg)["seed"]
-    try:
-        payload, csv_rows = _rd_payload(block, seed)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # ratedist rejects bad values with ValueError
-        raise ConfigError(f"invalid rd block: {exc}") from exc
+    payload, csv_rows = _block(cfg, "rd", _solver(cfg)["seed"])
     return payload, 0, csv_rows
 
 
-def _rd_payload(block: dict, seed: int):
-    sigma_sq = _finite(block, "sigma_sq")
-    b = _finite(block, "b", 0.0)
-    payload: dict = {"sigma_sq": sigma_sq, "b": b}
-    csv_rows = None
-    if "d_team" in block:
-        d_team = _finite(block, "d_team")
-        rate = ratedist.team_rate_distortion(sigma_sq, d_team)
-        tup = ratedist.achievable_tuple(rate, d_team, b)
-        payload["team_rate"] = rate
-        payload["achievable"] = {"rate": tup.rate, "de": tup.de, "dd": tup.dd}
-    if "de" in block and "dd" in block:
-        try:
-            payload["rate_bound"] = ratedist.game_rate_bound(
-                sigma_sq, b, _finite(block, "de"), _finite(block, "dd")
-            )
-            payload["feasible"] = True
-        except InfeasibleDistortionError:
-            payload["rate_bound"] = None
-            payload["feasible"] = False
-    if "n_list" in block:
-        if not isinstance(block["n_list"], list):
-            raise ConfigError("invalid rd block: rd.n_list must be a list of dimensions")
-        rows = ratedist.asymptotic_experiment(
-            sigma_sq,
-            b,
-            _integer(block.get("rate_bits", 1), "rd.rate_bits"),
-            [_integer(n, f"rd.n_list[{i}]") for i, n in enumerate(block["n_list"])],
-            samples=_integer(block.get("samples", 400_000), "rd.samples"),
-            seed=seed,
-        )
-        payload["asymptotic"] = [
-            dict(zip(ratedist.AsymptoticRow.CSV_COLUMNS, r.csv_values())) for r in rows
-        ]
-        csv_rows = [ratedist.AsymptoticRow.CSV_COLUMNS] + [r.csv_values() for r in rows]
-    if len(payload) == 2:
-        raise ConfigError("rd block specifies nothing to compute (d_team, de/dd, or n_list)")
-    return payload, csv_rows
-
-
 def _cmd_transform(cfg: dict):
-    block = cfg.get("transform")
-    if not isinstance(block, dict):
-        raise ConfigError("transform needs a 'transform' block")
-    kind = block.get("kind")
-    if not isinstance(kind, str) or kind not in _TRANSFORM_KEYS:
-        raise ConfigError(f"unknown transform kind {kind!r}")
-    _known_keys(block, "transform", ("kind", *_TRANSFORM_KEYS[kind]))
-    try:
-        if kind == "pair2d":
-            t = pair_transform_2d(np.asarray(block["bias"], dtype=float))
-        elif kind == "helmert":
-            n = _integer(block["n"], "transform.n")
-            t = helmert_transform(n, bias=float(block.get("bias", 0.0)))
-        else:
-            t = bias_aligning_transform(np.asarray(block["bias"], dtype=float))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid transform block: {exc}") from exc
+    t = _block(cfg, "transform")
     payload = {
-        "kind": kind,
+        "kind": cfg["transform"]["kind"],
         "forward": t.forward,
         "inverse": t.inverse,
         "transformed_bias": t.transformed_bias,
@@ -434,16 +419,13 @@ def _cmd_transform(cfg: dict):
 
 
 def _cmd_sweep(cfg: dict):
-    block = cfg.get("sweep")
-    if not isinstance(block, dict):
-        raise ConfigError("sweep needs a 'sweep' block")
+    block = _block(cfg, "sweep")
     command = block.get("command")
-    path = block.get("path")
-    values = block.get("values")
-    if command not in COMMANDS or command == "sweep":
-        raise ConfigError(f"sweep command must be one of {COMMANDS[:-1]}")
-    if not isinstance(path, str) or not isinstance(values, list) or not values:
-        raise ConfigError("sweep needs a dotted 'path' and a nonempty 'values' list")
+    if command not in COMMANDS[:-1]:
+        raise _bad("sweep.command", f"one of {', '.join(COMMANDS[:-1])}", command)
+    if "path" not in block or "values" not in block:
+        raise ConfigError("invalid sweep block: sweep needs a dotted 'path' and a nonempty 'values' list")
+    path, values = block["path"], block["values"]
     results = []
     status = 0
     for value in values:
@@ -453,27 +435,14 @@ def _cmd_sweep(cfg: dict):
         payload, code, _ = _COMMAND_TABLE[command](sub)
         results.append({"value": value, "payload": payload, "status": code})
         status = max(status, code)
+    keys = sorted({k for r in results for k, v in r["payload"].items() if _scalar(v)})
+    rows = [(r["value"], r["status"], *[r["payload"].get(k) for k in keys]) for r in results]
     payload = {"command": command, "path": path, "points": results}
-    csv_rows = _sweep_csv(results, path)
-    return payload, status, csv_rows
+    return payload, status, [(path, "status", *keys), *rows]
 
 
-def _sweep_csv(results: list[dict], path: str):
-    scalar_keys = sorted(
-        {
-            k
-            for r in results
-            for k, v in r["payload"].items()
-            if isinstance(v, (int, float, bool, str)) or v is None
-        }
-    )
-    header = (path, "status", *scalar_keys)
-    rows = [header]
-    for r in results:
-        rows.append(
-            (r["value"], r["status"], *[r["payload"].get(k) for k in scalar_keys])
-        )
-    return rows
+def _scalar(value) -> bool:
+    return isinstance(value, (int, float, bool, str)) or value is None
 
 
 _COMMAND_TABLE = {
@@ -517,6 +486,7 @@ def main(argv=None) -> int:
         cfg = effective_config(
             load_config(args.config), overrides, os.environ.get("CHEAPTALK_SEED"), args.seed
         )
+        out_path = _block(cfg, "output").get("records")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -527,26 +497,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BinDeathError, CheapTalkError) as exc:
+    except CheapTalkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
 
-    record = {
-        "command": args.command,
-        "config_hash": config_hash(cfg),
-        "payload": _jsonable(payload),
-        "status": status,
-    }
+    payload = _jsonable(payload)
     line = (
-        '{"command":' + json.dumps(record["command"])
-        + ',"config_hash":' + json.dumps(record["config_hash"])
-        + ',"payload":' + canonical_json(record["payload"])
+        '{"command":' + json.dumps(args.command)
+        + ',"config_hash":' + json.dumps(config_hash(cfg))
+        + ',"payload":' + canonical_json(payload)
         + ',"status":' + str(status)
         + ',"wall_clock_s":' + f"{wall:.6f}" + "}"
     )
 
-    out_path = (cfg.get("output") or {}).get("records")
     if out_path:
         with open(out_path, "a") as fh:
             fh.write(line + "\n")
@@ -554,12 +518,8 @@ def main(argv=None) -> int:
 
     if args.csv:
         if csv_rows is None:
-            _write_csv(args.csv, [("key", "value"), *sorted(
-                (k, v) for k, v in record["payload"].items()
-                if isinstance(v, (int, float, str, bool)) or v is None
-            )])
-        else:
-            _write_csv(args.csv, csv_rows)
+            csv_rows = [("key", "value"), *sorted((k, v) for k, v in payload.items() if _scalar(v))]
+        _write_csv(args.csv, csv_rows)
     return status
 
 

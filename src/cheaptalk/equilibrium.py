@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
-from .geometry import _assign_targets, as_point, assign_actions_batch
+from .geometry import _assign_columns, _assign_targets, as_point, assign_actions_batch
 from .sources import (
     _TRUNCATION_EPS,
     GAUSSIAN,
@@ -297,17 +297,11 @@ class _SweepMeasure:
         self.rescored, self.changed = cand.size, 0
         if cand.size == 0:
             return
-        cols = cand if cand.size > 1 else np.repeat(cand, 2)  # one column would go to gemv
-        m = cols.size
-        best, second = np.empty(m), np.empty(m)
-        idx = _assign_targets(
-            np.take(self.t, cols, axis=1), acts, np.empty((acts.shape[0], m)), best,
-            np.empty(m, dtype=bool), np.empty(m, dtype=np.intp), second,
-        )[:cand.size]
-        _distance_gaps(second, best, self.sq[cols])
+        idx, best, second = _assign_columns(np.take(self.t, cand, axis=1), acts, second=True)
+        _distance_gaps(second, best, self.sq[cand])
         self.changed = int(np.count_nonzero(idx != self.idx[cand]))
         self.idx[cand] = idx
-        self.gap[cand] = second[:cand.size]
+        self.gap[cand] = second
 
 
 def best_response_step(

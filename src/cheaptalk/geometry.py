@@ -199,12 +199,7 @@ def assign_actions_batch(points, actions, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, actions {acts.shape[1]}"
         )
-    t = np.ascontiguousarray((-2.0 * (pts - b)).T)
-    n = pts.shape[0]
-    return _assign_targets(
-        t, acts, np.empty((acts.shape[0], n)), np.empty(n), np.empty(n, dtype=bool),
-        np.empty(n, dtype=np.intp),
-    )
+    return _assign_columns(np.ascontiguousarray((-2.0 * (pts - b)).T), acts)[0]
 
 
 def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray:
@@ -221,7 +216,8 @@ def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray
     K = 1).  Each score depends only on its own point, so scoring a subset
     of the columns of ``t`` gives those columns' full-set scores bit for bit,
     as long as the subset has two or more columns: numpy hands a single
-    column to gemv, which rounds differently from gemm.
+    column to gemv, which rounds differently from gemm (``_assign_columns``
+    scores a lone column twice).
     """
     np.matmul(acts, t, out=scores)
     scores += np.sum(acts * acts, axis=1)[:, None]
@@ -239,3 +235,21 @@ def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray
             np.minimum(second, scores[0], out=second)
         np.minimum(best, scores[j], out=best)
     return idx
+
+
+def _assign_columns(t, acts, second: bool = False):
+    """``_assign_targets`` on fresh buffers: (idx, best, second or None) per column.
+
+    A single column is scored as two identical ones, so that a lone point
+    goes through gemm and scores exactly as it does within any batch.
+    """
+    n = t.shape[1]
+    if n == 1:
+        t = np.repeat(t, 2, axis=1)
+    m = t.shape[1]
+    best, runner_up = np.empty(m), (np.empty(m) if second else None)
+    idx = _assign_targets(
+        t, acts, np.empty((acts.shape[0], m)), best, np.empty(m, dtype=bool),
+        np.empty(m, dtype=np.intp), runner_up,
+    )
+    return idx[:n], best[:n], None if runner_up is None else runner_up[:n]

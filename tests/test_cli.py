@@ -170,6 +170,9 @@ class TestExitCodes:
         ("solve", "solve_uniform_k3.json", "--source.rate=2", "source.rate"),
         ("rd", "rd_asymptotic.json", "--rd.sampels=5", "rd.sampels"),
         ("transform", "transform_helmert.json", "--transform.nn=4", "transform.nn"),
+        ("verify", "verify_reveal_quantize.json", "--policy.k_lst=5", "policy.k_lst"),
+        ("sweep", "sweep_bin_counts.json", "--sweep.valeus=[1]", "sweep.valeus"),
+        ("classify", "classify_uniform_antisym.json", "--output.recrods=x", "output.recrods"),
     ])
     def test_unknown_key_in_any_block_is_two(self, command, config, override, leaf):
         config = str(Path(__file__).resolve().parent.parent / "configs" / config)
@@ -177,6 +180,41 @@ class TestExitCodes:
         assert code == 2 and record is None
         assert f"no setting named {leaf}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, override, leaf", [
+        ("verify", "verify_planted_violation.json", "--policy.actions=[[NaN,0],[1,0]]",
+         "policy.actions"),
+        ("verify", "verify_planted_violation.json", '--policy.actions="abc"', "policy.actions"),
+        ("verify", "verify_planted_violation.json", "--policy.actions=[]", "policy.actions"),
+        ("verify", "verify_planted_violation.json", "--policy.actions=[[0,0,0],[1,0,0]]",
+         "invalid policy block"),
+        ("verify", "verify_planted_violation.json", '--bias=[1,"a"]', "bias[1]"),
+        ("solve", "solve_uniform_k3.json", '--solver.tolerance="x"', "solver.tolerance"),
+        ("solve", "solve_uniform_k3.json", "--solver.tolerance=true", "solver.tolerance"),
+        ("classify", "classify_uniform_antisym.json", "--output=5", "output"),
+        ("classify", "classify_uniform_antisym.json",
+         '--source={"family":"tabulated-density","csv":"/nonexistent/table.csv"}', "table.csv"),
+    ])
+    def test_malformed_leaf_is_two(self, command, config, override, leaf):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        code, record, err = run_cli(command, "--config", config, override)
+        assert code == 2 and record is None
+        assert leaf in err
+        assert "Traceback" not in err
+
+    def test_readme_lists_every_config_leaf(self):
+        from cheaptalk.cli import _BLOCKS, _CHOSEN
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config schema")[1].split("\n## ")[0]
+        names = ["`bias`"]
+        for name, (_, kinds) in _BLOCKS.items():
+            names += [f"`{name}.{key}`" for key in kinds]
+        for name, (key, choices) in _CHOSEN.items():
+            names.append(f"`{name}.{key}`")
+            for choice, (_, kinds) in choices.items():
+                names += [f"`{choice}`"] + [f"`{name}.{k}`" for k in kinds]
+        assert [n for n in names if n not in section] == []
 
     @pytest.mark.parametrize("override, name", [
         ("--source.sigma_sq=nan", "sigma_sq"),
@@ -198,6 +236,14 @@ class TestExitCodes:
         code, record, err = run_cli("solve", "--config", cfg)
         assert code == 2 and record is None
         assert "solver.sample" in err and "Traceback" not in err
+
+    def test_solver_block_not_an_object_in_config_file_is_two(self, tmp_path):
+        cfg = write_config(tmp_path, "solver5.json", {
+            "source": {"family": "iid-uniform", "dim": 1}, "bias": [0.05], "solver": 5,
+        })
+        code, record, err = run_cli("solve", "--config", cfg)
+        assert code == 2 and record is None
+        assert "solver must be an object" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [
         "--rd.sigma_sq=0",

@@ -210,6 +210,21 @@ class TestAssignmentExactness:
             pts = rng.normal(scale=1.5, size=(20_000, dim))
             assert np.array_equal(assign_actions_batch(pts, acts, b), argmin_oracle(pts, acts, b))
 
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_single_point_matches_its_batch(self, dim):
+        # half the points lie on the indifference plane of actions 0 and 1,
+        # where the last bit of each score decides the action
+        rng = np.random.default_rng(20 + dim)
+        for k in range(2, 8):
+            acts = rng.normal(size=(k, dim))
+            b = rng.normal(scale=0.5, size=dim)
+            normal = acts[1] - acts[0]
+            w = rng.normal(size=(40, dim))
+            w -= np.outer(w @ normal / (normal @ normal), normal)
+            pts = np.concatenate([b + (acts[0] + acts[1]) / 2 + w, rng.normal(size=(40, dim))])
+            batch = assign_actions_batch(pts, acts, b)
+            assert [assign_action(p, acts, b) for p in pts] == batch.tolist()
+
     def test_single_action(self):
         pts = np.random.default_rng(3).normal(size=(1000, 2))
         idx = assign_actions_batch(pts, [[0.3, -0.2]], [1.0, 0.5])
