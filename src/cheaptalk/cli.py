@@ -21,6 +21,7 @@ import copy
 import csv as csv_module
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -171,6 +172,14 @@ def _int(value, leaf: str) -> int:
     return int(value)
 
 
+def _count(value, leaf: str) -> int:
+    """An integer of at least 1: a bin count or a grid resolution."""
+    count = _int(value, leaf)
+    if count < 1:
+        raise _bad(leaf, "an integer of at least 1", value)
+    return count
+
+
 def _real(value, leaf: str) -> float:
     """A finite number; a boolean or a string is not one."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -259,14 +268,15 @@ def _rd(seed: int, sigma_sq, b=0.0, d_team=None, de=None, dd=None, n_list=None, 
 # block -> (maker or None, the kind of each key); README lists every leaf
 _BLOCKS = {
     "solver": (None, {
-        "k": _int, "k_last": _int, "tolerance": _real, "max_iterations": _int,
-        "damping": _real, "samples": _int, "seed": _int, "grid_levels": _int,
+        "k": _count, "k_last": _count, "tolerance": _real, "max_iterations": _int,
+        "damping": _real, "samples": _int, "seed": _int, "grid_levels": _count,
     }),
     "rd": (_rd, {
         "sigma_sq": _real, "b": _real, "d_team": _real, "de": _real, "dd": _real,
         "n_list": _ints, "rate_bits": _int, "samples": _int,
     }),
-    "sweep": (None, {"command": _text, "path": _text, "values": _list}),
+    "sweep": (lambda command, path, values: (command, path, values),
+              {"command": _text, "path": _text, "values": _list}),
     "output": (None, {"records": _text}),
 }
 # block -> (the key that chooses, {choice: (maker, the kind of each other key)})
@@ -283,7 +293,7 @@ _CHOSEN = {
     }),
     "policy": ("kind", {
         "quantizer": (_quantizer, {"actions": _matrix}),
-        "reveal-quantize": (_reveal_quantize, {"k_last": _int}),
+        "reveal-quantize": (_reveal_quantize, {"k_last": _count}),
     }),
     "transform": ("kind", {
         "pair2d": (lambda bias: pair_transform_2d(bias), {"bias": _vector}),
@@ -309,10 +319,11 @@ def _invalid(block: str, lead: str = ""):
 def _block(cfg: dict, name: str, *args):
     """Config block ``name`` (absent reads as empty), read by its table row.
 
-    A non-object block, an unknown ``family``/``kind`` and a key the block
-    does not take are config errors naming the dotted leaf.  The keys present
-    are converted by their kinds and, where the block has a maker, passed to
-    ``maker(*args, ...)``, so the library's defaults fill in the rest.
+    A non-object block, an unknown ``family``/``kind``, a key the block does
+    not take and a required key it lacks are config errors naming the dotted
+    leaf.  The keys present are converted by their kinds and, where the block
+    has a maker, passed to ``maker(*args, ...)``, so the library's defaults
+    fill in the rest.
     """
     block = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(block, dict):
@@ -332,6 +343,12 @@ def _block(cfg: dict, name: str, *args):
     leaves = {k: kinds[k](v, f"{name}.{k}") for k, v in block.items()}
     if maker is None:
         return leaves
+    # the maker's parameters past ``args`` are named as the block's keys
+    params = list(inspect.signature(maker).parameters.values())[len(args):]
+    missing = ", ".join(f"{name}.{p.name}" for p in params if p.name not in leaves
+                        and p.default is p.empty and p.kind is not p.VAR_KEYWORD)
+    if missing:
+        raise ConfigError(f"invalid {name} block: missing {missing}")
     with _invalid(name):
         return maker(*args, **leaves)
 
@@ -419,13 +436,9 @@ def _cmd_transform(cfg: dict):
 
 
 def _cmd_sweep(cfg: dict):
-    block = _block(cfg, "sweep")
-    command = block.get("command")
+    command, path, values = _block(cfg, "sweep")
     if command not in COMMANDS[:-1]:
         raise _bad("sweep.command", f"one of {', '.join(COMMANDS[:-1])}", command)
-    if "path" not in block or "values" not in block:
-        raise ConfigError("invalid sweep block: sweep needs a dotted 'path' and a nonempty 'values' list")
-    path, values = block["path"], block["values"]
     results = []
     status = 0
     for value in values:

@@ -443,9 +443,6 @@ class ScalarQuantizer:
     def k(self) -> int:
         return self.actions.shape[0]
 
-    def assign(self, x) -> np.ndarray:
-        return np.searchsorted(self.boundaries[1:-1], np.asarray(x, dtype=float), side="left")
-
     def distortion(self) -> float:
         """Expected squared error of the quantizer (decoder cost)."""
         total = 0.0

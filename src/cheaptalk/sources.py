@@ -104,6 +104,21 @@ def _norm_pdf(z):
     return np.exp(-z**2 / 2.0) / _NORM_PDF_C
 
 
+def _exponential_bin(rate: float, d: float, w: float):
+    """Mass, mean offset from ``d`` and variance of the exponential law of ``rate``
+    on ``[0, inf)`` restricted to ``[d, d + w]``, ``d >= 0``, ``0 <= w <= inf``:
+    with ``x = rate w`` and ``h = x / 2``, ``exp(-rate d) (1 - exp(-x))``,
+    ``1/rate - w / expm1(x)`` and ``(1 - (h / sinh h)^2) / rate^2``."""
+    x = rate * w
+    mass = math.exp(-rate * d) * -math.expm1(-x)
+    if x < 1e-3:  # the closed forms cancel; next series terms: x^3/360 and x^4/504 relative
+        return mass, 0.5 * w * (1.0 - x / 6.0), w * w / 12.0 * (1.0 - x * x / 20.0)
+    if x > 700.0:  # x e^-x is below rounding next to 1
+        return mass, 1.0 / rate, 1.0 / rate**2
+    h = 0.5 * x
+    return mass, 1.0 / rate - w / math.expm1(x), (1.0 - (h / math.sinh(h)) ** 2) / rate**2
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateWithError:
     """A numeric estimate with its standard error and the sample count used.
@@ -196,7 +211,8 @@ class UniformMarginal:
         if right <= left:
             return 0.0, math.nan, math.nan
         mass = (right - left) / (self.hi - self.lo)
-        return mass, 0.5 * (left + right), (right**3 - left**3) / (3.0 * (right - left))
+        mean = 0.5 * (left + right)
+        return mass, mean, mean * mean + (right - left) ** 2 / 12.0
 
 
 @dataclass(frozen=True)
@@ -229,26 +245,12 @@ class ExponentialMarginal:
         return rng.exponential(1.0 / self.rate, size=size)
 
     def truncated_moments(self, a: float, b: float):
-        rate = self.rate
         a = max(a, 0.0)
-        if b <= a:
+        mass, offset, var = _exponential_bin(self.rate, a, max(b - a, 0.0))
+        if not mass > 0.0:  # also a NaN mass, as on [inf, inf]
             return 0.0, math.nan, math.nan
-        mass = float(np.exp(-rate * a) - (np.exp(-rate * b) if math.isfinite(b) else 0.0))
-        if mass <= 0.0:
-            return 0.0, math.nan, math.nan
-        if math.isfinite(b):
-            width = b - a
-            arg = rate * width
-            mean = a + 1.0 / rate - (width / np.expm1(arg) if arg < 700 else 0.0)
-        else:
-            mean = a + 1.0 / rate
-
-        def g2(x):
-            return (x**2 + 2.0 * x / rate + 2.0 / rate**2) * np.exp(-rate * x)
-
-        upper = g2(b) if math.isfinite(b) else 0.0
-        second = (g2(a) - upper) / mass
-        return mass, float(mean), float(second)
+        mean = a + offset
+        return mass, mean, mean * mean + var
 
 
 @dataclass(frozen=True)
@@ -282,32 +284,20 @@ class LaplaceMarginal:
         return rng.laplace(self.mean, self.scale, size=size)
 
     def truncated_moments(self, a: float, b: float):
-        mu, s = self.mean, self.scale
-
-        def cdf(x):
-            if not math.isfinite(x):
-                return 0.0 if x < 0 else 1.0
-            z = (x - mu) / s
-            return 0.5 * math.exp(z) if z <= 0 else 1.0 - 0.5 * math.exp(-z)
-
-        def m1(x):
-            if not math.isfinite(x):
-                return 0.0 if x < 0 else mu
-            if x <= mu:
-                return 0.5 * (x - s) * math.exp((x - mu) / s)
-            return mu - 0.5 * (x + s) * math.exp(-(x - mu) / s)
-
-        def m2(x):
-            if not math.isfinite(x):
-                return 0.0 if x < 0 else mu**2 + 2.0 * s**2
-            if x <= mu:
-                return 0.5 * (x**2 - 2.0 * s * x + 2.0 * s**2) * math.exp((x - mu) / s)
-            return mu**2 + 2.0 * s**2 - 0.5 * (x**2 + 2.0 * s * x + 2.0 * s**2) * math.exp(-(x - mu) / s)
-
-        mass = cdf(b) - cdf(a)
-        if mass <= 0.0:
+        # two exponential halves of rate 1/scale and weight 1/2, mirrored about
+        # the location (side +1 above it, -1 below); parts are (mass, mean, variance)
+        mu, rate = self.mean, 1.0 / self.scale
+        parts = []
+        for side, start, end in ((1.0, max(a, mu), b), (-1.0, min(b, mu), a)):
+            if side * (end - mu) > 0.0:
+                mass, offset, var = _exponential_bin(rate, side * (start - mu), side * (end - start))
+                parts.append((mass, start + side * offset, var))
+        total = sum(part[0] for part in parts)
+        if not total > 0.0:
             return 0.0, math.nan, math.nan
-        return float(mass), float((m1(b) - m1(a)) / mass), float((m2(b) - m2(a)) / mass)
+        mean = sum(m * u for m, u, _ in parts) / total
+        var = sum(m * (v + (u - mean) ** 2) for m, u, v in parts) / total
+        return 0.5 * total, mean, mean * mean + var
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,12 +319,8 @@ class TableMarginal:
 
     @property
     def variance(self) -> float:
-        dens, lo, step = self.density, self.lo, self.step
-        edges = lo + step * np.arange(dens.shape[0] + 1)
-        mass = float(np.sum(dens * step))
-        mean = float(np.sum(dens * (edges[1:] ** 2 - edges[:-1] ** 2) / 2.0)) / mass
-        second = float(np.sum(dens * (edges[1:] ** 3 - edges[:-1] ** 3) / 3.0)) / mass
-        return second - mean**2
+        _, mean, second = self.truncated_moments(self.lo, self.hi)
+        return second - mean * mean
 
     def pdf(self, x):
         dens, lo, step = self.density, self.lo, self.step
@@ -367,12 +353,15 @@ class TableMarginal:
         left = np.clip(edges[:-1], a, b)
         right = np.clip(edges[1:], a, b)
         w = np.maximum(right - left, 0.0)
-        mass = float(np.sum(dens * w))
+        cell_mass = dens * w
+        mass = float(np.sum(cell_mass))
         if mass <= 0.0:
             return 0.0, math.nan, math.nan
-        mean = float(np.sum(dens * (right**2 - left**2) / 2.0)) / mass
-        second = float(np.sum(dens * (right**3 - left**3) / 3.0)) / mass
-        return mass, mean, second
+        # each cell is uniform: its centre, and its variance w^2 / 12
+        centre = 0.5 * (left + right)
+        mean = float(np.sum(cell_mass * centre)) / mass
+        var = float(np.sum(cell_mass * (w * w / 12.0 + (centre - mean) ** 2))) / mass
+        return mass, mean, mean * mean + var
 
 
 @dataclass(eq=False)

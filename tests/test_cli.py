@@ -194,6 +194,8 @@ class TestExitCodes:
         ("classify", "classify_uniform_antisym.json", "--output=5", "output"),
         ("classify", "classify_uniform_antisym.json",
          '--source={"family":"tabulated-density","csv":"/nonexistent/table.csv"}', "table.csv"),
+        ("verify", "verify_reveal_quantize.json", "--solver.grid_levels=0", "solver.grid_levels "),
+        ("verify", "verify_reveal_quantize.json", "--policy.k_last=0", "policy.k_last "),
     ])
     def test_malformed_leaf_is_two(self, command, config, override, leaf):
         config = str(Path(__file__).resolve().parent.parent / "configs" / config)
@@ -201,6 +203,30 @@ class TestExitCodes:
         assert code == 2 and record is None
         assert leaf in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, override, leaves", [
+        ("transform", "transform_helmert.json", '--transform={"kind":"pair2d"}', "transform.bias"),
+        ("transform", "transform_helmert.json", '--transform={"kind":"bias-aligning"}',
+         "transform.bias"),
+        ("transform", "transform_helmert.json", '--transform={"kind":"helmert"}', "transform.n"),
+        ("classify", "classify_uniform_antisym.json", '--source={"family":"tabulated-density"}',
+         "source.csv"),
+        ("classify", "classify_uniform_antisym.json",
+         '--source={"family":"correlated-gaussian-2d","rho":0.1}',
+         "source.sigma1_sq, source.sigma2_sq"),
+        ("rd", "rd_asymptotic.json", '--rd={"d_team":0.25}', "rd.sigma_sq"),
+        ("verify", "verify_planted_violation.json", '--policy={"kind":"quantizer"}',
+         "policy.actions"),
+        ("sweep", "sweep_bin_counts.json", '--sweep={"command":"solve","values":[1]}',
+         "sweep.path"),
+    ])
+    def test_missing_required_leaf_is_two(self, command, config, override, leaves):
+        # the message names the dotted leaves, not the library function that needs them
+        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        code, record, err = run_cli(command, "--config", config, override)
+        assert code == 2 and record is None
+        assert err.strip().endswith(f"block: missing {leaves}")
+        assert "()" not in err and "Traceback" not in err
 
     def test_readme_lists_every_config_leaf(self):
         from cheaptalk.cli import _BLOCKS, _CHOSEN

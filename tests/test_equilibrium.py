@@ -45,6 +45,14 @@ def uniform_recursion_boundaries(beta: float, k: int):
     return np.cumsum(lengths)[:-1]
 
 
+def solve_up_to(model, beta, k):
+    """The K-bin scalar solve, or the one at the largest feasible K below it."""
+    try:
+        return solve_scalar_biased(model, beta, k)
+    except InfeasibleBinCountError as exc:
+        return solve_scalar_biased(model, beta, exc.max_feasible)
+
+
 def triangle_table():
     """Symmetric triangle density on [-1, 1], tabulated on 200 cells."""
     edges = np.linspace(-1.0, 1.0, 201)
@@ -105,7 +113,7 @@ class TestScalarSolver:
             # adjacent actions keep the scalar separation 2*beta
             assert np.all(np.diff(quant.actions) >= 2.0 * beta - 1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 12])
     @pytest.mark.parametrize(
         "model, beta",
         [(iid_gaussian(1), 0.8), (iid_laplace(1), 0.3), (iid_uniform(1, -1.0, 1.0), 0.05),
@@ -113,11 +121,14 @@ class TestScalarSolver:
         ids=["gaussian", "laplace", "uniform", "triangle"],
     )
     def test_negative_bias_mirrors_positive(self, model, beta, k):
-        # a symmetric source: -beta shoots up from the first boundary, +beta down from the last
-        qp = solve_scalar_biased(model, beta, k)
-        qn = solve_scalar_biased(model, -beta, k)
-        assert np.allclose(qn.actions, -qp.actions[::-1], atol=1e-8)
-        assert np.allclose(qn.boundaries[1:-1], -qp.boundaries[1:-1][::-1], atol=1e-8)
+        # a symmetric source: -beta shoots up from the first boundary, +beta down from
+        # the last, and both find the same largest feasible K; K = 12 caps the bin
+        # count at five biases, K = 2..4 solve at the model's own
+        for b in (0.05, 0.1, 0.2, 0.5, 1.0) if k == 12 else (beta,):
+            qp, qn = solve_up_to(model, b, k), solve_up_to(model, -b, k)
+            assert qp.k == qn.k, b
+            assert np.max(np.abs(qn.actions + qp.actions[::-1])) <= 1e-12, b
+            assert np.all(np.abs(qn.boundaries[1:-1] + qp.boundaries[-2:0:-1]) <= 1e-12), b
 
     def test_scale_covariance(self):
         # scaling the source and bias by c scales the equilibrium by c
@@ -141,7 +152,7 @@ class TestScalarSolver:
                 )
                 assert mean == pytest.approx(quant.actions[j], abs=1e-9)
 
-    @pytest.mark.parametrize("model, beta", [(iid_exponential(1), -0.125), (iid_laplace(1), 0.1)],
+    @pytest.mark.parametrize("model, beta", [(iid_exponential(1), -0.125), (iid_laplace(1), 5.0)],
                              ids=["exponential", "laplace"])
     def test_infeasible_chain_is_linear(self, model, beta, monkeypatch):
         k = 8

@@ -38,21 +38,45 @@ _TABLE_2D = tabulated_density(
 )
 
 
+_GAUSSIAN_1D = iid_gaussian(1, mean=0.3, sigma_sq=2.0)
+
+
+def _property_bins(model, narrow: bool):
+    """One-sided bins cut anywhere out to +-40 sd and, when ``narrow``, 2,000
+    seeded bins of width 1e-13 to 1e-5 sd starting anywhere in +-8 sd, all
+    within the support."""
+    marginal = model.marginals[0]
+    mu, sd = float(model.mean[0]), math.sqrt(model.marginal_variance(0))
+    cuts = np.clip(mu + sd * np.linspace(-40.0, 40.0, 161), marginal.lo, marginal.hi).tolist()
+    bins = [(t, marginal.hi) for t in cuts] + [(marginal.lo, t) for t in cuts]
+    if narrow:
+        rng = np.random.default_rng(2024)
+        starts = rng.uniform(max(marginal.lo, mu - 8.0 * sd), min(marginal.hi, mu + 8.0 * sd), 2000)
+        bins += zip(starts.tolist(), (starts + sd * 10.0 ** rng.uniform(-13.0, -5.0, 2000)).tolist())
+    return bins
+
+
 @pytest.mark.parametrize(
-    "model, ends",
+    "model, ends, narrow",
     [
-        (iid_gaussian(1, mean=0.3, sigma_sq=2.0), [(-INF, INF)]),
-        (iid_uniform(1, lo=-1.0, hi=3.0), [(-1.0, 3.0)]),
-        (iid_exponential(1, rate=1.5), [(0.0, INF)]),
-        (iid_laplace(1, mean=0.4, scale=0.9), [(-INF, INF)]),
-        (_TABLE_1D, [(-1.5, 1.5)]),
-        (correlated_gaussian_2d(1.0, 2.0, 0.5, mean=(0.1, -0.2)), [(-INF, INF)] * 2),
-        (_TABLE_2D, [(0.0, 1.0), (-1.0, 1.0)]),
+        (_GAUSSIAN_1D, [(-INF, INF)], False),
+        (iid_uniform(1, lo=-1.0, hi=3.0), [(-1.0, 3.0)], True),
+        (iid_exponential(1, rate=1.5), [(0.0, INF)], True),
+        (iid_laplace(1, mean=0.4, scale=0.9), [(-INF, INF)], True),
+        (_TABLE_1D, [(-1.5, 1.5)], True),
+        (correlated_gaussian_2d(1.0, 2.0, 0.5, mean=(0.1, -0.2)), [(-INF, INF)] * 2, False),
+        (_TABLE_2D, [(0.0, 1.0), (-1.0, 1.0)], False),
+        pytest.param(_GAUSSIAN_1D, [(-INF, INF)], True, marks=pytest.mark.xfail(strict=True, reason=(
+            "the gaussian mean is a difference of pdf values, which cancels on narrow bins; "
+            "test_truncated_moments_equal_scipy pins these forms to scipy.stats bit for bit"))),
     ],
-    ids=["gaussian", "uniform", "exponential", "laplace", "table-1d", "correlated", "table-2d"],
+    ids=["gaussian", "uniform", "exponential", "laplace", "table-1d", "correlated", "table-2d",
+         "gaussian-narrow"],
 )
-def test_marginal_contract(model, ends):
-    """Every family: cdf inverts ppf, the support rule, and full-support moments."""
+def test_marginal_contract(model, ends, narrow):
+    """Every family: cdf inverts ppf, the support rule, and full-support moments;
+    1-D families: on every tail bin, and every narrow bin where ``narrow``, a
+    nonnegative mass, a mean inside the bin and mean^2 <= second moment."""
     qs = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
     eps = 1e-6  # unbounded supports are cut at the 1e-6 quantiles
     for i, (lo, hi) in enumerate(ends):
@@ -68,6 +92,13 @@ def test_marginal_contract(model, ends):
         assert mass == pytest.approx(1.0, rel=1e-12)
         assert mean == pytest.approx(model.mean[0], rel=1e-12, abs=1e-14)
         assert second == pytest.approx(model.marginal_variance(0) + mean**2, rel=1e-10)
+        bins = _property_bins(model, narrow)
+        bad = []
+        for a, b in bins:
+            mass, mean, second = truncated_moments_1d(model, a, b)
+            if not (mass >= 0.0 and (mass == 0.0 or a <= mean <= b and mean * mean <= second)):
+                bad.append((a, b, mass, mean, second))
+        assert bad == [], f"{len(bad)} of {len(bins)} bins, first {bad[:3]}"
 
 
 class TestSampling:
