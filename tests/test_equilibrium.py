@@ -123,9 +123,10 @@ class TestScalarSolver:
     def test_negative_bias_mirrors_positive(self, model, beta, k):
         # a symmetric source: -beta shoots up from the first boundary, +beta down from
         # the last, and both find the same largest feasible K; K = 12 caps the bin
-        # count at five biases, K = 2..4 solve at the model's own
+        # count at five biases, K = 2..4 must be feasible at the model's own
+        solve = solve_up_to if k == 12 else solve_scalar_biased
         for b in (0.05, 0.1, 0.2, 0.5, 1.0) if k == 12 else (beta,):
-            qp, qn = solve_up_to(model, b, k), solve_up_to(model, -b, k)
+            qp, qn = solve(model, b, k), solve(model, -b, k)
             assert qp.k == qn.k, b
             assert np.max(np.abs(qn.actions + qp.actions[::-1])) <= 1e-12, b
             assert np.all(np.abs(qn.boundaries[1:-1] + qp.boundaries[-2:0:-1]) <= 1e-12), b
