@@ -26,6 +26,7 @@ costs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -531,8 +532,7 @@ def _next_boundary(model: SourceModel, start: float, target: float, end: float, 
             return -s
         return mean - target
 
-    whole_mass, whole_mean, _ = _bin_moments(model, start, end)
-    if whole_mass <= 0.0 or s * target >= s * whole_mean:
+    if s * g(end) <= 0.0:
         return None  # the target centroid is unreachable before the support end
     near = start + s * (1e-13 * scale)
     if s * g(near) >= 0.0:
@@ -591,12 +591,12 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
 
 
 _TAIL_SDS = np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
-# quantile points scanned for a sign change of the shooting residual
+# quantile points of the grid bisected for the shooting residual's sign change
 _SCAN_POINTS = 257
 
 
 def _scan_grid(model: SourceModel, beta: float) -> np.ndarray:
-    """Strictly increasing scan points for the shooting variable.
+    """Strictly increasing grid points for the shooting variable.
 
     The 1e-9 .. 1 - 1e-9 quantiles, extended into an unbounded tail on the
     side the bias pushes bins into (far-tail bins sit beyond any quantile
@@ -621,9 +621,10 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
     pushes the extra bins toward the upper tail, so it runs down from the
     last boundary (``s = -1``); a negative bias mirrors that and it runs up
     from the first (``s = +1``).  Either way the masses grow as the recursion
-    proceeds, so errors attenuate instead of amplifying.  The shooting
-    variable is scanned for a sign change of the residual, which ``brentq``
-    then refines.  Raises
+    proceeds, so errors attenuate instead of amplifying.  The residual
+    increases in the shooting variable, so a bisection of ``_scan_grid``
+    finds the grid pair across which it turns nonnegative, and ``brentq``
+    refines the root inside that pair.  Raises
     :class:`InfeasibleBinCountError` (reporting the maximum feasible bin
     count) when no K-bin configuration fits the support.
     """
@@ -645,18 +646,10 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
     def residual(x):
         return _shoot(model, beta, k, x, lo, hi, scale, s)[0]
 
-    grid = _scan_grid(model, beta)
     # python floats: numpy scalars would slow every step of the recursion
-    vals = np.array([residual(x) for x in grid.tolist()])
-
-    bracket = None
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == fb:  # same sign, or the same out-of-range stand-in
-            continue
-        if (fa <= 0.0 <= fb) or (fb <= 0.0 <= fa):
-            bracket = (grid[i], grid[i + 1])
-            break
+    xs = _scan_grid(model, beta).tolist()
+    # the residual increases in x: its first grid point at or above zero ends the bracket
+    i = bisect.bisect_left(xs, 0.0, key=residual)
 
     def infeasible() -> InfeasibleBinCountError:
         # K-1 bins if they fit, else the largest count the K-1 failure reports:
@@ -670,10 +663,10 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
                 max_feasible = exc.max_feasible
         return InfeasibleBinCountError(requested=k, max_feasible=max_feasible)
 
-    if bracket is None:
+    if i == 0 or i == len(xs):
         raise infeasible()
 
-    x_star = _brentq(residual, bracket[0], bracket[1], scale)
+    x_star = _brentq(residual, xs[i - 1], xs[i], scale)
     resid, bounds, actions = _shoot(model, beta, k, x_star, lo, hi, scale, s)
     if bounds is None or abs(resid) > 1e-8 * scale:
         # brentq can land on a feasibility jump rather than a true root

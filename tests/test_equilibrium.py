@@ -379,6 +379,23 @@ class TestFixedPoint:
             0.2666645050048828, 0.6999950408935547, 0.9333305358886719,
         ]
 
+    def test_cli_scalar_solves_are_pinned(self):
+        # the K = 2 gaussian solves behind the `rd` and `verify` CLI payloads:
+        # their brentq brackets, so every bit of their roots, must not move
+        from cheaptalk.ratedist import lloyd_max_quantizer
+
+        def hexes(values):
+            return [float(v).hex() for v in np.ravel(values)]
+
+        quant, distortion = lloyd_max_quantizer(1.0, 2)
+        assert hexes(quant.boundaries) == ["-inf", "0x0.0p+0", "inf"]
+        assert hexes(quant.actions) == ["-0x1.9884533d43651p-1", "0x1.9884533d43651p-1"]
+        assert hexes(distortion) == ["0x1.7419f246c6efap-2"]
+        policy = construct_reveal_plus_quantize(iid_gaussian(2), [1, 1], 2)
+        assert hexes(policy.transform.transformed_bias[-1]) == ["0x1.6a09e667f3bccp+0"]
+        assert hexes(policy.last_boundaries) == ["-inf", "0x1.8cf6c3e66be97p+1", "inf"]
+        assert hexes(policy.last_actions) == ["-0x1.aae722442cc00p-9", "0x1.b04e5b2d75215p+1"]
+
     def test_drifting_3d_solve_reaches_an_exact_fixed_point(self):
         # halving the step once the movement shrinks slowly left this case
         # unconverged at 500 sweeps; at damping 1 it settles exactly
