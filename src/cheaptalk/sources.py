@@ -119,6 +119,36 @@ def _exponential_bin(rate: float, d: float, w: float):
     return mass, 1.0 / rate - w / math.expm1(x), (1.0 - (h / math.sinh(h)) ** 2) / rate**2
 
 
+# gaussian bins narrower than this many sd take the width series below
+_NARROW_SDS = 1e-3
+
+
+def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float):
+    """Gaussian moments of a finite bin narrower than ``_NARROW_SDS`` sd.
+
+    The closed forms take the mean and second moment as differences of pdf
+    values, which cancel on a narrow bin.  In sd units, with ``w`` the width
+    and ``z`` the midpoint, the density on the bin is
+    ``phi(z) exp(-z t - t^2/2)``; integrating its Taylor series in ``t`` gives
+    mass ``phi(z) w (1 + (z^2-1) w^2/24 + (z^4-6z^2+3) w^4/1920)``, mean
+    offset from the midpoint ``-z w^2/12 + (z^3+2z) w^4/720`` and variance
+    ``w^2/12 - (3z^2+2) w^4/720``.  The first dropped mass term,
+    ``(z w)^6/322560`` relative, stays below 1e-14 out to 38 sd, past which
+    the mass underflows.
+    """
+    w = (b - a) / sd
+    mid = a + 0.5 * (b - a)
+    z = (mid - mu) / sd
+    zz, ww = z * z, w * w
+    series = 1.0 + (zz - 1.0) * ww / 24.0 + (zz * zz - 6.0 * zz + 3.0) * ww * ww / 1920.0
+    mass = w * series / _NORM_PDF_C * math.exp(-0.5 * zz)
+    if mass <= 0.0:
+        return 0.0, math.nan, math.nan
+    mean = mid - sd * z * ww * (1.0 / 12.0 - (zz + 2.0) * ww / 720.0)
+    var = sd * sd * ww * (1.0 / 12.0 - (3.0 * zz + 2.0) * ww / 720.0)
+    return mass, mean, mean * mean + var
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateWithError:
     """A numeric estimate with its standard error and the sample count used.
@@ -158,6 +188,8 @@ class GaussianMarginal:
 
     def truncated_moments(self, a: float, b: float):
         mu, sd = self.mean, math.sqrt(self.variance)
+        if b - a < _NARROW_SDS * sd:
+            return _narrow_gaussian_bin(mu, sd, a, b)
         alpha = (a - mu) / sd if math.isfinite(a) else -math.inf
         beta = (b - mu) / sd if math.isfinite(b) else math.inf
         if alpha > 0.0:

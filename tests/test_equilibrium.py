@@ -191,6 +191,46 @@ class TestScalarSolver:
         if model.family == "iid-gaussian":  # all seven tail points lie past the 1e-9 quantile
             assert grid.shape == (257 + 7,)
 
+    @pytest.mark.parametrize("model", [iid_gaussian(1), iid_laplace(1), iid_exponential(1),
+                                       iid_uniform(1, -1.0, 1.0), triangle_table()],
+                             ids=["gaussian", "laplace", "exponential", "uniform", "triangle"])
+    def test_bisection_finds_the_scanned_bracket(self, model, monkeypatch):
+        # the solver bisects its grid for the shooting residual's sign change; a
+        # full scan of the grid is the oracle: the residual is negative on a
+        # prefix and nonnegative after it, and the solve brackets that change
+        lo, hi = model.marginals[0].lo, model.marginals[0].hi
+        scale = math.sqrt(model.marginal_variance(0))
+        solve, brentq = equilibrium.solve_scalar_biased, equilibrium._brentq
+        brackets = []
+
+        def recorded(f, a, b, scale):
+            if f.__name__ == "residual":
+                brackets.append((a, b))
+            return brentq(f, a, b, scale)
+
+        def nested(model, beta, k):  # the smaller K an infeasible solve tries next
+            raise InfeasibleBinCountError(requested=k, max_feasible=1)
+
+        monkeypatch.setattr(equilibrium, "_brentq", recorded)
+        monkeypatch.setattr(equilibrium, "solve_scalar_biased", nested)
+        for beta in (0.05, -0.05, 0.1, -0.1, 0.5, -0.5, math.sqrt(2.0), -math.sqrt(2.0)):
+            s = -1.0 if beta >= 0.0 else 1.0
+            xs = equilibrium._scan_grid(model, beta).tolist()
+            for k in (2, 5, 8, 12):
+                signs = [equilibrium._shoot(model, beta, k, x, lo, hi, scale, s)[0] >= 0.0
+                         for x in xs]
+                first = signs.index(True) if True in signs else len(xs)
+                assert all(signs[first:]), (beta, k)
+                brackets.clear()
+                try:
+                    solve(model, beta, k)
+                except InfeasibleBinCountError:
+                    pass
+                if 0 < first < len(xs):
+                    assert brackets[:1] == [(xs[first - 1], xs[first])], (beta, k)
+                else:
+                    assert brackets == [], (beta, k)
+
 
 def _brent_outcome(solver, f, a, b, scale):
     """(root as hex or exception type, evaluations of f) of one root solve."""

@@ -66,9 +66,7 @@ def _property_bins(model, narrow: bool):
         (_TABLE_1D, [(-1.5, 1.5)], True),
         (correlated_gaussian_2d(1.0, 2.0, 0.5, mean=(0.1, -0.2)), [(-INF, INF)] * 2, False),
         (_TABLE_2D, [(0.0, 1.0), (-1.0, 1.0)], False),
-        pytest.param(_GAUSSIAN_1D, [(-INF, INF)], True, marks=pytest.mark.xfail(strict=True, reason=(
-            "the gaussian mean is a difference of pdf values, which cancels on narrow bins; "
-            "test_truncated_moments_equal_scipy pins these forms to scipy.stats bit for bit"))),
+        (_GAUSSIAN_1D, [(-INF, INF)], True),
     ],
     ids=["gaussian", "uniform", "exponential", "laplace", "table-1d", "correlated", "table-2d",
          "gaussian-narrow"],
@@ -228,7 +226,8 @@ def _norm_truncated_moments(mu, sd, a, b):
 
 
 class TestGaussianClosedForms:
-    """The gaussian marginal reproduces scipy.stats.norm exactly, not approximately."""
+    """The gaussian marginal reproduces scipy.stats.norm exactly, not approximately,
+    except on finite bins narrower than 1e-3 sd."""
 
     X = np.concatenate([[0.0, 1.0, -1.0, INF, -INF, math.nan, 1e-300, -38.5, 38.5],
                         np.linspace(-40.0, 40.0, 2001)])
@@ -254,7 +253,7 @@ class TestGaussianClosedForms:
         ends = list(map(tuple, np.sort(rng.normal(0.0, 6.0, size=(160, 2)), axis=1)))
         ends += [(-INF, INF), (-INF, 0.3), (0.3, INF), (-INF, -39.0), (39.0, INF),
                  (-40.0, -37.5), (37.5, 40.0), (-8.5, -8.4), (8.4, 8.5), (0.0, 0.0),
-                 (-1e-12, 1e-12), (12.0, 30.0), (-30.0, -12.0)]
+                 (12.0, 30.0), (-30.0, -12.0)]
         ends += [(a, INF) for a in np.linspace(-10.0, 10.0, 13)]
         ends += [(-INF, b) for b in np.linspace(-10.0, 10.0, 13)]
         for mu, sigma_sq in [(0.0, 1.0), (0.7, 2.25)]:
@@ -263,6 +262,13 @@ class TestGaussianClosedForms:
                 got = truncated_moments_1d(model, a, b)
                 want = _norm_truncated_moments(mu, math.sqrt(sigma_sq), a, b)
                 assert np.array_equal(got, want, equal_nan=True), (mu, a, b)
+        # bins below 1e-3 sd take a width series: scipy.stats gives this one a
+        # negative second moment (-2.9e-5) and a mass 3e-5 off
+        w = 2e-12
+        mass, mean, second = truncated_moments_1d(iid_gaussian(1), -1e-12, 1e-12)
+        assert mass == pytest.approx(w / math.sqrt(2.0 * math.pi), rel=1e-12)
+        assert mean == 0.0
+        assert second == pytest.approx(w * w / 12.0, rel=1e-12)
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
