@@ -56,11 +56,10 @@ __all__ = ["main", "run_command", "build_source", "ConfigError"]
 
 COMMANDS = ("solve", "verify", "classify", "rd", "transform", "sweep")
 
-# the library's defaults, so that the CLI cannot drift from them; k and k_last
-# have no library default
+# the library's defaults, so that the CLI cannot drift from them; k has no
+# library default
 SOLVER_DEFAULTS = {
     "k": 1,
-    "k_last": 1,
     **{f.name: f.default for f in dataclasses.fields(SolverConfig)},
     "grid_levels": construct_reveal_plus_quantize.__kwdefaults__["grid_levels"],
 }
@@ -231,8 +230,7 @@ def _quantizer(model: SourceModel, bias: np.ndarray, solver: dict, actions: np.n
     return QuantizerPolicy(ActionSet(actions), bias)
 
 
-def _reveal_quantize(model: SourceModel, bias: np.ndarray, solver: dict, k_last=None):
-    k_last = solver["k_last"] if k_last is None else k_last
+def _reveal_quantize(model: SourceModel, bias: np.ndarray, solver: dict, k_last=1):
     return construct_reveal_plus_quantize(model, bias, k_last, grid_levels=solver["grid_levels"])
 
 
@@ -268,8 +266,8 @@ def _rd(seed: int, sigma_sq, b=0.0, d_team=None, de=None, dd=None, n_list=None, 
 # block -> (maker or None, the kind of each key); README lists every leaf
 _BLOCKS = {
     "solver": (None, {
-        "k": _count, "k_last": _count, "tolerance": _real, "max_iterations": _int,
-        "damping": _real, "samples": _int, "seed": _int, "grid_levels": _count,
+        "k": _count, "tolerance": _real, "max_iterations": _int, "samples": _int,
+        "seed": _int, "grid_levels": _count,
     }),
     "rd": (_rd, {
         "sigma_sq": _real, "b": _real, "d_team": _real, "de": _real, "dd": _real,

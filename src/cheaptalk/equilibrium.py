@@ -27,6 +27,7 @@ costs.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,10 +113,9 @@ class ActionSet:
 class SolverConfig:
     """Knobs for the fixed-point iteration.
 
-    Every sweep moves each action by ``damping`` times the gap to its bin's
-    conditional mean; the damping is applied as configured, with no
-    adaptive switch.  The solve stops once the largest action movement is
-    below ``tolerance``.  At damping 1 a sweep that leaves the assignment
+    Every sweep moves each action to its bin's conditional mean, the
+    decoder's best response.  The solve stops once the largest action
+    movement is below ``tolerance``.  A sweep that leaves the assignment
     unchanged reproduces the actions bit for bit, so the movement drops to
     exactly 0.0 and "converged" means an exact fixed point of the
     evaluation measure.  Error messages start with the name of the
@@ -124,15 +124,12 @@ class SolverConfig:
 
     tolerance: float = 1e-8
     max_iterations: int = 500
-    damping: float = 1.0
     samples: int = 1_000_000
     seed: int = 42
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.samples < 1:
@@ -312,18 +309,17 @@ def best_response_step(
     *,
     samples: int = 1_000_000,
     seed: int = 0,
-    damping: float = 1.0,
     _measure=None,
 ) -> ActionSet:
     """One simultaneous best-response sweep.
 
     Evaluation points are assigned to their cheapest action under the
-    encoder cost (ties to the lowest index), then each action moves toward
-    its bin's conditional mean by ``damping`` times the gap, as given.  At
-    damping 1 a sweep from an exact fixed point returns bitwise the same
-    actions.  ``_measure`` is a ``_SweepMeasure`` prepared for the same bias,
-    or None to draw one from ``samples`` and ``seed``.  Raises
-    :class:`BinDeathError` with the dying index when a bin receives no mass.
+    encoder cost (ties to the lowest index), then each action moves to its
+    bin's conditional mean.  A sweep from an exact fixed point returns
+    bitwise the same actions.  ``_measure`` is a ``_SweepMeasure`` prepared
+    for the same bias, or None to draw one from ``samples`` and ``seed``.
+    Raises :class:`BinDeathError` with the dying index when a bin receives
+    no mass.
     """
     b = as_point(b, dim=actions.dim)
     if _measure is None:
@@ -337,8 +333,7 @@ def best_response_step(
     new = np.empty_like(actions.actions)
     for d in range(actions.dim):
         new[:, d] = np.bincount(idx, weights=_measure.wpts[d], minlength=k) / mass
-    stepped = actions.actions + damping * (new - actions.actions)
-    return ActionSet(stepped)
+    return ActionSet(new)
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -372,9 +367,8 @@ def _initial_actions(model: SourceModel, b: np.ndarray, k: int, pts: np.ndarray,
 def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None = None) -> FixedPointResult:
     """Iterate best-response sweeps until the actions stop moving.
 
-    The evaluation measure is drawn and prepared once per solve; every
-    sweep applies ``config.damping`` as configured and the solve stops when
-    the largest movement is below ``config.tolerance``.  At damping 1 a
+    The evaluation measure is drawn and prepared once per solve and the
+    solve stops when the largest movement is below ``config.tolerance``.  A
     converged solve ends on a movement of 0.0 once the assignment stops
     changing, so "converged" means an exact fixed point of the measure.
     Returns a candidate equilibrium with its convergence status; bin death
@@ -400,9 +394,7 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
             converged = False
             it = 0
             for it in range(1, config.max_iterations + 1):
-                new = best_response_step(
-                    actions, model, b, damping=config.damping, _measure=measure
-                )
+                new = best_response_step(actions, model, b, _measure=measure)
                 if new.k < actions.k:
                     raise BinDeathError(actions.k - 1, "actions merged during the sweep")
                 movement = float(np.max(np.abs(new.actions - actions.actions)))
@@ -526,6 +518,7 @@ def _next_boundary(model: SourceModel, start: float, target: float, end: float, 
     """Nearest x past ``start`` in direction ``s`` (+1 up, -1 down) at which the
     bin between ``start`` and ``x`` has conditional mean ``target``; None when
     the target is out of reach before the support end ``end``."""
+    @functools.cache  # brentq starts from g(near) and g(far), both already known
     def g(x):
         mass, mean, _ = _bin_moments(model, start, x)
         if mass <= 0.0 or not math.isfinite(mean):
@@ -643,8 +636,11 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
     scale = max(math.sqrt(model.marginal_variance(0)), 1e-12)
     s = -1.0 if beta >= 0.0 else 1.0
 
+    # one shoot per point: the bisection, brentq's bracket ends and the root share them
+    shoot = functools.cache(lambda x: _shoot(model, beta, k, x, lo, hi, scale, s))
+
     def residual(x):
-        return _shoot(model, beta, k, x, lo, hi, scale, s)[0]
+        return shoot(x)[0]
 
     # python floats: numpy scalars would slow every step of the recursion
     xs = _scan_grid(model, beta).tolist()
@@ -667,7 +663,7 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
         raise infeasible()
 
     x_star = _brentq(residual, xs[i - 1], xs[i], scale)
-    resid, bounds, actions = _shoot(model, beta, k, x_star, lo, hi, scale, s)
+    resid, bounds, actions = shoot(x_star)
     if bounds is None or abs(resid) > 1e-8 * scale:
         # brentq can land on a feasibility jump rather than a true root
         raise infeasible()
@@ -1042,6 +1038,12 @@ def _code_groups(codes: np.ndarray):
     return ordered[starts], np.minimum.reduceat(order, starts), counts
 
 
+def _estimate(values: np.ndarray) -> EstimateWithError:
+    """The sample mean of ``values`` with its standard error."""
+    n = values.shape[0]
+    return EstimateWithError(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
+
+
 def verify_equilibrium(
     policy: EncoderPolicy,
     model: SourceModel,
@@ -1080,8 +1082,7 @@ def verify_equilibrium(
     d -= b
     ce = np.sum(d * d, axis=1)
     del d
-    je = EstimateWithError(float(ce.mean()), float(ce.std(ddof=1) / math.sqrt(samples)), samples)
-    jd = EstimateWithError(float(cd.mean()), float(cd.std(ddof=1) / math.sqrt(samples)), samples)
+    je, jd = _estimate(ce), _estimate(cd)
 
     uniq, first_idx, counts = _code_groups(codes)
     if uniq.size == 0:
@@ -1097,12 +1098,9 @@ def verify_equilibrium(
     )
     pass_centroid = max_z <= 3.0
 
-    gain = _deviation_gains(policy, m, codes, b, x, y, cells)
-    gain_mean = float(gain.mean())
-    gain_se = float(gain.std(ddof=1) / math.sqrt(gain.shape[0]))
-    deviation = EstimateWithError(gain_mean, gain_se, gain.shape[0])
+    deviation = _estimate(_deviation_gains(policy, m, codes, b, x, y, cells))
     # the epsilon term absorbs float dust when the gains are identically zero
-    pass_deviation = gain_mean <= 3.0 * gain_se + 1e-12 * max(1.0, float(np.asarray(je.value)))
+    pass_deviation = deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value)
 
     return EquilibriumCertificate(
         min_pairwise_geo_slack=min_slack,
@@ -1234,9 +1232,7 @@ def expected_distortions(
     n = model.dim
     ce = np.sum((m - u - b) ** 2, axis=1) / n
     cd = np.sum((m - u) ** 2, axis=1) / n
-    je = EstimateWithError(float(ce.mean()), float(ce.std(ddof=1) / math.sqrt(samples)), samples)
-    jd = EstimateWithError(float(cd.mean()), float(cd.std(ddof=1) / math.sqrt(samples)), samples)
-    return je, jd
+    return _estimate(ce), _estimate(cd)
 
 
 # -- linear (continuum) equilibrium verification -----------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,18 +7,24 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+EXAMPLES = sorted(path.name for path in (ROOT / "configs").glob("*.json"))
 
 
-def run_cli(*args, env_extra=None):
+def run_process(*args, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "cheaptalk.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def run_cli(*args, env_extra=None):
+    proc = run_process(*args, env_extra=env_extra)
     record = None
     if proc.stdout.strip():
         record = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -121,7 +128,6 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("override, field", [
-        ("--solver.damping=1.5", "damping"),
         ("--solver.tolerance=0", "tolerance"),
         ("--solver.tolerance=nan", "tolerance"),
         ("--solver.max_iterations=0", "max_iterations"),
@@ -135,7 +141,7 @@ class TestExitCodes:
         ("--solver.seed=3.9", "seed"),
     ])
     def test_solve_with_bad_solver_value_is_two(self, override, field):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        config = str(ROOT / "configs" / "solve_uniform_k3.json")
         code, record, err = run_cli("solve", "--config", config, override)
         assert code == 2
         assert record is None
@@ -145,7 +151,7 @@ class TestExitCodes:
     def test_solve_with_replaced_solver_block(self):
         # an override may replace the whole block: one that is not an object
         # is a config error, a partial one takes the defaults it leaves out
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        config = str(ROOT / "configs" / "solve_uniform_k3.json")
         code, record, err = run_cli("solve", "--config", config, "--solver=5")
         assert code == 2 and record is None and "solver must be an object" in err
         assert "Traceback" not in err
@@ -157,9 +163,13 @@ class TestExitCodes:
         (["--solver.scan_points=3"], "solver.scan_points"),
         (["--solver.init=random", "--solver.samples=2000"], "solver.init"),
         (['--solver={"k":2,"scan_points":3}'], "solver.scan_points"),
+        # removed settings: every sweep is the plain best response, and the
+        # reveal-quantize bin count is policy.k_last alone
+        (["--solver.damping=1.0"], "solver.damping"),
+        (["--solver.k_last=2"], "solver.k_last"),
     ])
     def test_solve_with_unknown_solver_key_is_two(self, args, leaf):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "solve_uniform_k3.json")
+        config = str(ROOT / "configs" / "solve_uniform_k3.json")
         code, record, err = run_cli("solve", "--config", config, *args)
         assert code == 2 and record is None
         assert leaf in err
@@ -175,7 +185,7 @@ class TestExitCodes:
         ("classify", "classify_uniform_antisym.json", "--output.recrods=x", "output.recrods"),
     ])
     def test_unknown_key_in_any_block_is_two(self, command, config, override, leaf):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        config = str(ROOT / "configs" / config)
         code, record, err = run_cli(command, "--config", config, override)
         assert code == 2 and record is None
         assert f"no setting named {leaf}" in err
@@ -198,7 +208,7 @@ class TestExitCodes:
         ("verify", "verify_reveal_quantize.json", "--policy.k_last=0", "policy.k_last "),
     ])
     def test_malformed_leaf_is_two(self, command, config, override, leaf):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        config = str(ROOT / "configs" / config)
         code, record, err = run_cli(command, "--config", config, override)
         assert code == 2 and record is None
         assert leaf in err
@@ -222,7 +232,7 @@ class TestExitCodes:
     ])
     def test_missing_required_leaf_is_two(self, command, config, override, leaves):
         # the message names the dotted leaves, not the library function that needs them
-        config = str(Path(__file__).resolve().parent.parent / "configs" / config)
+        config = str(ROOT / "configs" / config)
         code, record, err = run_cli(command, "--config", config, override)
         assert code == 2 and record is None
         assert err.strip().endswith(f"block: missing {leaves}")
@@ -231,7 +241,7 @@ class TestExitCodes:
     def test_readme_lists_every_config_leaf(self):
         from cheaptalk.cli import _BLOCKS, _CHOSEN
 
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         section = readme.split("### Config schema")[1].split("\n## ")[0]
         names = ["`bias`"]
         for name, (_, kinds) in _BLOCKS.items():
@@ -247,7 +257,7 @@ class TestExitCodes:
         ("--source.mean=Infinity", "mean"),
     ])
     def test_non_finite_source_parameter_is_two(self, override, name):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "verify_reveal_quantize.json")
+        config = str(ROOT / "configs" / "verify_reveal_quantize.json")
         code, record, err = run_cli("verify", "--config", config, override)
         assert code == 2 and record is None
         assert f"{name} must be finite" in err
@@ -290,7 +300,7 @@ class TestExitCodes:
         "--rd.samples=1000.9",
     ])
     def test_rd_with_bad_value_is_two(self, override):
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "rd_asymptotic.json")
+        config = str(ROOT / "configs" / "rd_asymptotic.json")
         code, record, err = run_cli("rd", "--config", config, override)
         assert code == 2
         assert record is None
@@ -429,3 +439,26 @@ class TestOutputs:
         assert code == 0
         assert record["payload"]["passed"] is True
         assert record["payload"]["policy_kind"] == "linear-plus-quantizer"
+
+
+class TestExampleConfigs:
+    """The example configs are the benchmark's CLI configs, and each still
+    exits and prints the payload recorded in ``perfbench/cli_reference.json``."""
+
+    def test_examples_are_the_benchmark_configs(self):
+        bench = ROOT / "perfbench" / "cli_configs"
+        assert EXAMPLES == sorted(path.name for path in bench.glob("*.json"))
+        for name in EXAMPLES:
+            assert (ROOT / "configs" / name).read_bytes() == (bench / name).read_bytes(), name
+        reference = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())
+        assert sorted(reference) == EXAMPLES
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_exit_code_and_payload_hash(self, name):
+        reference = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())[name]
+        proc = run_process(reference["command"], "--config", str(ROOT / "configs" / name))
+        assert proc.returncode == reference["exit"], proc.stderr
+        # the payload exactly as printed, between its key and the status field
+        line = proc.stdout.strip().splitlines()[-1]
+        payload = line[line.index('"payload":') + len('"payload":'):line.rindex(',"status":')]
+        assert hashlib.sha256(payload.encode()).hexdigest() == reference["payload_sha256"]

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +233,24 @@ class TestScalarSolver:
                 else:
                     assert brackets == [], (beta, k)
 
+    @pytest.mark.parametrize("model, beta, k", [
+        (iid_gaussian(1), 0.105, 6), (iid_laplace(1), -0.5, 4), (iid_exponential(1), 0.1, 5),
+        (iid_uniform(1), 0.05, 3),
+    ], ids=["gaussian", "laplace", "exponential", "uniform"])
+    def test_solve_repeats_no_interval(self, model, beta, k, monkeypatch):
+        # the bisection probes, brentq's bracket ends and the re-shoot at the
+        # root share their shoots; brentq in a boundary search reuses g(near), g(far)
+        seen = collections.Counter()
+        moments = equilibrium.truncated_moments_1d
+
+        def recorded(model, a, b):
+            seen[a, b] += 1
+            return moments(model, a, b)
+
+        monkeypatch.setattr(equilibrium, "truncated_moments_1d", recorded)
+        assert equilibrium.solve_scalar_biased(model, beta, k).k == k
+        assert [ab for ab, n in seen.items() if n > 1] == []
+
 
 def _brent_outcome(solver, f, a, b, scale):
     """(root as hex or exception type, evaluations of f) of one root solve."""
@@ -348,12 +368,6 @@ class TestBestResponse:
             )
         assert info.value.index == 1
 
-    def test_damping_moves_halfway(self):
-        model = iid_gaussian(1)
-        start = ActionSet(np.array([[2.0]]))
-        half = best_response_step(start, model, [0.0], damping=0.5)
-        assert half.actions[0, 0] == pytest.approx(1.0, abs=1e-6)
-
     @pytest.mark.parametrize("model, b, k", [
         (iid_uniform(1), [0.05], 3),
         (iid_gaussian(2), [1.0, 0.5], 3),
@@ -378,8 +392,7 @@ class TestBestResponse:
                 [np.bincount(idx, weights=w * pts[:, d], minlength=kk) / mass
                  for d in range(pts.shape[1])], axis=1,
             )
-            a = acts.actions
-            assert np.array_equal(prepared.actions, a + 1.0 * (oracle - a))
+            assert np.array_equal(prepared.actions, oracle)
 
 
 class TestFixedPoint:
@@ -438,7 +451,7 @@ class TestFixedPoint:
 
     def test_drifting_3d_solve_reaches_an_exact_fixed_point(self):
         # halving the step once the movement shrinks slowly left this case
-        # unconverged at 500 sweeps; at damping 1 it settles exactly
+        # unconverged at 500 sweeps; the plain best response settles exactly
         model, b = iid_gaussian(3), [0.3, 0.2, 0.1]
         result = solve_fixed_point(model, b, 4, SolverConfig(samples=50_000, seed=5))
         assert result.converged and result.iterations < 400
@@ -446,17 +459,16 @@ class TestFixedPoint:
         again = best_response_step(result.actions, model, b, samples=50_000, seed=5)
         assert np.array_equal(again.actions, result.actions.actions)
 
-    @pytest.mark.parametrize("damping", [1.0, 0.75])
-    def test_damping_is_applied_as_configured(self, damping):
-        # no sweep of the solve may switch to a smaller step than configured
+    def test_solve_equals_its_sweeps_iterated_from_the_same_start(self):
+        # no sweep of the solve may take another step than the plain best response
         model, b = iid_gaussian(2), [1.0, 0.5]
-        cfg = SolverConfig(samples=10_000, damping=damping, max_iterations=30, tolerance=1e-12)
+        cfg = SolverConfig(samples=10_000, max_iterations=30, tolerance=1e-12)
         result = solve_fixed_point(model, b, 3, cfg)
         pts, w = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
         actions = equilibrium._initial_actions(model, np.asarray(b), 3, pts, w)
         measure = equilibrium._SweepMeasure(pts, w, np.asarray(b))
         for _ in range(result.iterations):
-            actions = best_response_step(actions, model, b, damping=damping, _measure=measure)
+            actions = best_response_step(actions, model, b, _measure=measure)
         assert np.array_equal(actions.actions, result.actions.actions)
 
     def test_fixed_point_scale_covariance(self):
@@ -919,21 +931,26 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
-        with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
     @pytest.mark.parametrize("field, value", [
         ("tolerance", float("nan")),
         ("tolerance", float("inf")),
         ("tolerance", -1e-8),
-        ("damping", float("nan")),
         ("samples", 0),
         ("samples", -5),
     ])
     def test_rejected_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             SolverConfig(**{field: value})
+
+    def test_damping_is_not_a_field(self):
+        # every sweep is the plain best response: there is no step size to set
+        with pytest.raises(TypeError, match="damping"):
+            SolverConfig(damping=1.0)
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "tolerance", "max_iterations", "samples", "seed",
+        ]
 
     def test_zero_actions_rejected(self):
         with pytest.raises(ValueError, match="^k "):
