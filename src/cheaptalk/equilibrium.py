@@ -677,6 +677,20 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
 # -- encoder policies -------------------------------------------------------------
 
 
+def _observations(points, dim: int) -> np.ndarray:
+    """``points`` as an (N, dim) float batch of finite rows, which ``decode``
+    needs; anything else raises, naming the shape or the first bad row."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"decode expects an (N, {dim}) batch of observations, got shape {pts.shape}"
+        )
+    if not np.isfinite(pts).all():
+        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"observation row {bad} is not finite: {pts[bad].tolist()}")
+    return pts
+
+
 @dataclass(eq=False)
 class QuantizerPolicy:
     """Finite quantizer: assign each observation to its cheapest action."""
@@ -696,7 +710,8 @@ class QuantizerPolicy:
         return self.action_set.dim
 
     def decode(self, points) -> tuple[np.ndarray, np.ndarray]:
-        codes = assign_actions_batch(points, self.action_set.actions, self.bias)
+        codes = assign_actions_batch(_observations(points, self.dim), self.action_set.actions,
+                                     self.bias)
         return self.action_set.actions[codes], codes
 
 
@@ -754,30 +769,34 @@ class RevealQuantizePolicy:
         return self.last_actions.shape[0]
 
     def transformed_coordinates(self, points) -> np.ndarray:
+        """The (N, n) transformed batch, held coordinate-major: row r of its
+        transpose is coordinate r, contiguous (see ``LinearTransform.apply``)."""
         return self.transform.apply(np.asarray(points, dtype=float), "forward")
 
-    def _cell(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Cell index of every row of x along revealed coordinate r.
+    def _cell(self, row: np.ndarray, r: int) -> np.ndarray:
+        """Cell index of every value in ``row`` along revealed coordinate r.
 
-        Equal to ``clip(searchsorted(edges, x[:, r], "right") - 1, 0,
+        Equal to ``clip(searchsorted(edges, row, "right") - 1, 0,
         levels - 1)``.  The edges are finite, strictly increasing and uniform
         (``__post_init__`` checks it), so the arithmetic index
-        ``floor((x - lo) / w)`` is at most one cell off, and one correction
+        ``floor((row - lo) / w)`` is at most one cell off, and one correction
         step against the stored edges makes it exact.
         """
         edges = self.cell_edges[r]
         levels = edges.shape[0] - 1
-        col = x[:, r]
-        i = np.floor((col - edges[0]) / ((edges[-1] - edges[0]) / levels))
+        i = row - edges[0]
+        i /= (edges[-1] - edges[0]) / levels
+        np.floor(i, out=i)
         i = np.clip(i, 0, levels - 1, out=i).astype(np.intp)
-        i -= (col < edges[i]) & (i > 0)
-        i += (col >= edges[i + 1]) & (i < levels - 1)
+        i -= (row < edges[i]) & (i > 0)
+        i += (row >= edges[1:][i]) & (i < levels - 1)
         return i
 
     def _cells(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Cell index columns of the revealed coordinates, and the last coordinate's bin."""
-        idx = [self._cell(x, r) for r in range(self.n_revealed)]
-        j = np.searchsorted(self.last_boundaries[1:-1], x[:, -1], side="left")
+        """Cell indices of the revealed coordinates, and the last coordinate's bin."""
+        rows = x.T
+        idx = [self._cell(rows[r], r) for r in range(self.n_revealed)]
+        j = np.searchsorted(self.last_boundaries[1:-1], rows[-1], side="left")
         return idx, j
 
     def decode_transformed(self, x: np.ndarray, cells=None):
@@ -786,20 +805,21 @@ class RevealQuantizePolicy:
         Revealed coordinates are indexed by arithmetic on their uniform grids
         (see ``_cell``).  ``cells`` is ``self._cells(x)`` when the caller
         already has it: the verifier indexes its sample once for all checks.
+        Like x from ``transformed_coordinates``, y is held coordinate-major.
         """
         idx, j = self._cells(x) if cells is None else cells
-        y = np.empty_like(x)
+        yt = np.empty((x.shape[1], x.shape[0]))
         codes = np.zeros(x.shape[0], dtype=np.int64)
         bound = 1
         for r in range(self.n_revealed):
-            y[:, r] = self.cell_values[r][idx[r]]
+            np.take(self.cell_values[r], idx[r], out=yt[r], mode="clip")
             codes, bound = _push_digit(codes, bound, idx[r], self.cell_values[r].shape[0])
-        y[:, -1] = self.last_actions[j]
+        np.take(self.last_actions, j, out=yt[-1], mode="clip")
         codes, _ = _push_digit(codes, bound, j, self.k_last)
-        return y, codes
+        return yt.T, codes
 
     def decode(self, points) -> tuple[np.ndarray, np.ndarray]:
-        x = self.transformed_coordinates(points)
+        x = self.transformed_coordinates(_observations(points, self.dim))
         y, codes = self.decode_transformed(x)
         return self.transform.apply(y, "inverse"), codes
 
@@ -981,25 +1001,37 @@ class EquilibriumCertificate:
 
 
 # verify_equilibrium: the pairwise slack may dip this far below zero, at most
-# this many action pairs are checked, the centroid check looks at about this
-# many bins, and it skips bins with fewer samples than the last
+# this many action pairs are checked (all pairs among this many heaviest
+# actions first), the centroid check looks at about this many bins, and it
+# skips bins with fewer samples than the last
 _GEO_TOLERANCE = 1e-6
 _MAX_PAIRS = 2000
+_TOP_ACTIONS = 50
 _CENTROID_BINS = 8
 _MIN_BIN_COUNT = 30
 
 
-def _pairwise_min_slack(realized_u: np.ndarray, counts: np.ndarray, b: np.ndarray,
+def _pairwise_min_slack(u: np.ndarray, first: np.ndarray, counts: np.ndarray, b: np.ndarray,
                         seed: int) -> float:
-    kr = realized_u.shape[0]
+    """Least pairwise slack among the realized actions ``u[first]``.
+
+    Only the actions of the checked pairs are gathered: all pairs when
+    there are few, else all pairs among the ``_TOP_ACTIONS`` heaviest
+    (most counted, ties to the lower index) and a seeded random fill.
+    """
+    kr = first.shape[0]
     if kr < 2:
         return math.inf
     if kr * (kr - 1) // 2 <= _MAX_PAIRS:
         ia, ib = np.triu_indices(kr, k=1)
     else:
-        # all pairs among the heaviest actions, then a seeded random fill
-        order = np.lexsort((np.arange(kr), -counts))
-        top = order[: min(50, kr)]
+        # the heaviest actions are those above the _TOP_ACTIONS-th largest
+        # count and the first ones at it; only they are sorted
+        cut = kr - _TOP_ACTIONS
+        kth = np.partition(counts, cut)[cut]
+        above = np.flatnonzero(counts > kth)
+        cand = np.concatenate([above, np.flatnonzero(counts == kth)[: _TOP_ACTIONS - above.size]])
+        top = cand[np.lexsort((cand, -counts[cand]))]
         ia_t, ib_t = np.triu_indices(top.shape[0], k=1)
         ia, ib = top[ia_t], top[ib_t]
         rng = np.random.default_rng(seed)
@@ -1010,7 +1042,7 @@ def _pairwise_min_slack(realized_u: np.ndarray, counts: np.ndarray, b: np.ndarra
             keep = ra != rb
             ia = np.concatenate([ia, ra[keep][:extra]])
             ib = np.concatenate([ib, rb[keep][:extra]])
-    d = realized_u[ib] - realized_u[ia]
+    d = u[first[ib]] - u[first[ia]]
     slack = np.sum(d * d, axis=1) - 2.0 * np.abs(d @ b)
     return float(slack.min())
 
@@ -1067,38 +1099,43 @@ def verify_equilibrium(
     m = model.sample(samples, seed)
     if isinstance(policy, QuantizerPolicy):
         u, codes = policy.decode(m)
-        x = y = cells = None
+        x = cells = gains = None
     else:
-        # transform, index and decode once; the centroid and deviation checks
-        # reuse x, y and the cell indices
+        # transform, index and decode once, coordinate-major; the centroid
+        # check reuses x and the cell indices, and the deviation scan, the
+        # last reader of y, runs before the cost step so that y is freed
         x = policy.transformed_coordinates(m)
         cells = policy._cells(x)
         y, codes = policy.decode_transformed(x, cells)
+        gains = _reveal_deviation_gains(policy, x, y, cells)
         u = policy.transform.apply(y, "inverse")
+        del y
 
-    # one residual array at a time: m - u - b evaluates as (m - u) - b
+    # m - u - b evaluates as (m - u) - b; the second square reuses the first's buffer
     d = m - u
-    cd = np.sum(d * d, axis=1)
+    sq = d * d
+    cd = np.sum(sq, axis=1)
     d -= b
-    ce = np.sum(d * d, axis=1)
-    del d
+    ce = np.sum(np.multiply(d, d, out=sq), axis=1)
+    del d, sq
     je, jd = _estimate(ce), _estimate(cd)
 
     uniq, first_idx, counts = _code_groups(codes)
     if uniq.size == 0:
         raise BinDeathError(0, "policy induced no realized actions")
-    realized_u = u[first_idx]
-    del u  # nothing reads it below; frees room for the cell index columns
 
-    min_slack = _pairwise_min_slack(realized_u, counts, b, seed + 1)
+    min_slack = _pairwise_min_slack(u, first_idx, counts, b, seed + 1)
     pass_geometry = min_slack >= -_GEO_TOLERANCE
+    del u  # nothing reads it below
 
     max_resid, max_resid_se, max_z, evaluated = _centroid_check(
-        policy, m, x, cells, codes, uniq, counts, realized_u
+        policy, m, x, cells, codes, uniq, counts
     )
     pass_centroid = max_z <= 3.0
 
-    deviation = _estimate(_deviation_gains(policy, m, codes, b, x, y, cells))
+    if gains is None:
+        gains = _quantizer_deviation_gains(policy, m, codes, b)
+    deviation = _estimate(gains)
     # the epsilon term absorbs float dust when the gains are identically zero
     pass_deviation = deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value)
 
@@ -1133,7 +1170,7 @@ def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
     return counts, means, se
 
 
-def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
+def _centroid_check(policy, m, x, cells, codes, uniq, counts):
     """Largest centroid residual (value, stderr, z) over well-populated bins.
 
     Finite quantizers are checked on their heaviest joint bins.  Continuum
@@ -1154,29 +1191,31 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
             max_z, max_resid, max_resid_se = z, resid, se
 
     if isinstance(policy, QuantizerPolicy):
+        acts = policy.action_set.actions
         order = np.lexsort((uniq, -counts))
         for row in order[: min(_CENTROID_BINS, order.shape[0])]:
             cnt = int(counts[row])
             if cnt < _MIN_BIN_COUNT:
                 continue
             sel = m[codes == uniq[row]]
-            resid = float(np.linalg.norm(realized_u[row] - sel.mean(axis=0)))
+            resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
             se = math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / cnt)
             consider(resid, se)
         return max_resid, max_resid_se, max_z, evaluated
 
     idx, j = cells
+    rows = x.T
     n_coords = policy.n_revealed + 1
     per_coord = max(2, _CENTROID_BINS // n_coords)
     for r in range(policy.n_revealed):
         levels = policy.cell_values[r].shape[0]
-        cnts, means, ses = _bin_stats(x[:, r], idx[r], levels)
+        cnts, means, ses = _bin_stats(rows[r], idx[r], levels)
         top = np.argsort(-cnts, kind="stable")[:per_coord]
         for c in top:
             if cnts[c] < _MIN_BIN_COUNT:
                 continue
             consider(abs(float(policy.cell_values[r][c] - means[c])), float(ses[c]))
-    cnts, means, ses = _bin_stats(x[:, -1], j, policy.k_last)
+    cnts, means, ses = _bin_stats(rows[-1], j, policy.k_last)
     for jj in range(policy.k_last):
         if cnts[jj] < _MIN_BIN_COUNT:
             continue
@@ -1184,37 +1223,65 @@ def _centroid_check(policy, m, x, cells, codes, uniq, counts, realized_u):
     return max_resid, max_resid_se, max_z, evaluated
 
 
-def _deviation_gains(policy: EncoderPolicy, m, codes, b, x, y, cells) -> np.ndarray:
+def _quantizer_deviation_gains(policy: QuantizerPolicy, m, codes, b) -> np.ndarray:
+    """Per-sample cost reduction available by reporting another action."""
+    acts = policy.action_set.actions
+    target = m - b
+    scores = -2.0 * target @ acts.T + np.sum(acts * acts, axis=1)
+    assigned = scores[np.arange(m.shape[0]), codes]
+    return assigned - scores.min(axis=1)
+
+
+def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, cells) -> np.ndarray:
     """Per-sample cost reduction available by re-reporting within the policy.
 
-    ``x``, ``y`` and ``cells`` are the transformed sample, its decoded values
-    and its cell indices (reveal-and-quantize policies only).
+    ``x``, ``y`` and ``cells`` are the transformed sample, its decoded
+    values (both coordinate-major) and its cell indices.  Each revealed cell
+    holds its midpoint, so the value nearest a sample is its own decoded
+    y_r or the neighbour on the sample's side of it: one gather per
+    coordinate.  The own squared distances sum into the assigned cost and
+    their minima with the neighbours' into the best one, both in coordinate
+    order, so a sample with nothing to gain scores exactly 0.
     """
-    if isinstance(policy, QuantizerPolicy):
-        acts = policy.action_set.actions
-        target = m - b
-        scores = -2.0 * target @ acts.T + np.sum(acts * acts, axis=1)
-        assigned = scores[np.arange(m.shape[0]), codes]
-        return assigned - scores.min(axis=1)
-
-    best = np.zeros(x.shape[0])
+    rows, yrows = x.T, y.T
+    n = rows.shape[1]
+    assigned, best = np.zeros(n), np.zeros(n)
+    own, alt = np.empty(n), np.empty(n)
+    nb = np.empty(n, dtype=np.intp)
+    side = np.empty(n, dtype=bool)
     for r, idx in enumerate(cells[0]):
-        vals = policy.cell_values[r]
-        col = x[:, r]
-        # each cell holds its midpoint, so this is np.searchsorted(vals, col)
-        pos = idx + (col > vals[idx])
-        lo = vals[np.clip(pos - 1, 0, vals.shape[0] - 1)]
-        hi = vals[np.clip(pos, 0, vals.shape[0] - 1)]
-        best += np.minimum((col - lo) ** 2, (col - hi) ** 2)
-    target = x[:, -1] - policy.last_bias
+        row = rows[r]
+        # the neighbour toward the sample, idx + 1 above y_r and idx - 1 at or
+        # below it, clipped to the grid by take's mode
+        np.greater(row, yrows[r], out=side)
+        np.add(idx, side, out=nb)
+        nb += side
+        nb -= 1
+        np.take(policy.cell_values[r], nb, out=alt, mode="clip")
+        alt -= row
+        alt *= alt
+        np.subtract(row, yrows[r], out=own)
+        own *= own
+        assigned += own
+        best += np.minimum(own, alt, out=alt)
+    del nb, side
+    # the last coordinate: the nearest action is on one side of the biased target
     acts = policy.last_actions
+    target = rows[-1] - policy.last_bias
     pos = np.searchsorted(acts, target)
-    lo = acts[np.clip(pos - 1, 0, acts.shape[0] - 1)]
-    hi = acts[np.clip(pos, 0, acts.shape[0] - 1)]
-    best += np.minimum((target - lo) ** 2, (target - hi) ** 2)
-
-    assigned = np.sum((x[:, :-1] - y[:, :-1]) ** 2, axis=1) + (target - y[:, -1]) ** 2
-    return assigned - best
+    np.take(acts, pos, out=alt, mode="clip")
+    alt -= target
+    alt *= alt
+    pos -= 1
+    np.take(acts, pos, out=own, mode="clip")
+    own -= target
+    own *= own
+    best += np.minimum(own, alt, out=alt)
+    np.subtract(target, yrows[-1], out=own)
+    own *= own
+    assigned += own
+    assigned -= best
+    return assigned
 
 
 def expected_distortions(

@@ -173,6 +173,10 @@ class GaussianMarginal:
     hi = math.inf
     symmetric = True
 
+    def __post_init__(self):
+        _finite_parameters(mean=self.mean, variance=self.variance)
+        _positive_parameters(variance=self.variance)
+
     def pdf(self, x):
         sd = math.sqrt(self.variance)
         return _norm_pdf((np.asarray(x, dtype=float) - self.mean) / sd) / sd
@@ -217,6 +221,11 @@ class UniformMarginal:
     hi: float
     symmetric = True
 
+    def __post_init__(self):
+        _finite_parameters(lo=self.lo, hi=self.hi)
+        if not self.lo < self.hi:
+            raise ValueError(f"lo must be below hi, got lo={self.lo}, hi={self.hi}")
+
     @property
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -256,6 +265,10 @@ class ExponentialMarginal:
     hi = math.inf
     symmetric = False
 
+    def __post_init__(self):
+        _finite_parameters(rate=self.rate)
+        _positive_parameters(rate=self.rate)
+
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -294,6 +307,10 @@ class LaplaceMarginal:
     lo = -math.inf
     hi = math.inf
     symmetric = True
+
+    def __post_init__(self):
+        _finite_parameters(mean=self.mean, scale=self.scale)
+        _positive_parameters(scale=self.scale)
 
     @property
     def variance(self) -> float:
@@ -572,6 +589,13 @@ def _finite_parameters(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _positive_parameters(**values) -> None:
+    """Raise ValueError naming the first parameter that is not positive."""
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def iid_gaussian(n: int, mean: float = 0.0, sigma_sq: float = 1.0) -> SourceModel:

@@ -73,7 +73,12 @@ class LinearTransform:
         return bool(np.allclose(self.forward.T, self.inverse, atol=1e-12))
 
     def apply(self, p, direction: str = "forward"):
-        """Apply the transform to a point or an (N, n) batch of points."""
+        """Apply the transform to a point or an (N, n) batch of points.
+
+        A batch comes back as the transposed view of a coordinate-major
+        (n, N) array, so ``out.T[r]`` holds coordinate r contiguously, and a
+        batch given that way is read row by row.
+        """
         if direction == "forward":
             mat = self.forward
         elif direction == "inverse":
@@ -92,7 +97,7 @@ class LinearTransform:
                 raise DimensionMismatchError(
                     f"points have dimension {arr.shape[1]}, transform is {self.dim}-dimensional"
                 )
-            return arr @ mat.T
+            return (mat @ arr.T).T
         raise DimensionMismatchError(f"expected a vector or a 2-D batch, got shape {arr.shape}")
 
 

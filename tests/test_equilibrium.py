@@ -19,7 +19,7 @@ from cheaptalk.equilibrium import (
     verify_equilibrium,
     verify_linear_equilibrium,
 )
-from cheaptalk.errors import BinDeathError, InfeasibleBinCountError
+from cheaptalk.errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from cheaptalk.geometry import assign_actions_batch
 from cheaptalk.sources import (
     conditional_mean_curve,
@@ -636,9 +636,9 @@ class TestVerifyEquilibrium:
         calls = []
         cell = RevealQuantizePolicy._cell
 
-        def counted(self, x, r):
+        def counted(self, row, r):
             calls.append(r)
-            return cell(self, x, r)
+            return cell(self, row, r)
 
         monkeypatch.setattr(RevealQuantizePolicy, "_cell", counted)
         verify_equilibrium(policy, model, b, samples=20_000, seed=3)
@@ -734,7 +734,7 @@ class TestConstructRevealPlusQuantize:
         x = policy.transformed_coordinates(model.sample(20_000, seed=5))
         _, codes = policy.decode_transformed(x)
         last = np.searchsorted(policy.last_boundaries[1:-1], x[:, -1], side="left")
-        cells = np.column_stack([policy._cell(x, r) for r in range(7)] + [last])
+        cells = np.column_stack([policy._cell(x[:, r], r) for r in range(7)] + [last])
         assert codes.min() >= 0
         assert np.unique(codes).size == np.unique(cells, axis=0).shape[0]
         # codes sort the cell-index rows lexicographically
@@ -821,7 +821,7 @@ class TestCellIndex:
         edges = policy.cell_edges[0]
         col = self.probe_values(policy)
         expected = np.clip(np.searchsorted(edges, col, side="right") - 1, 0, levels - 1)
-        got = policy._cell(col[:, None], 0)
+        got = policy._cell(col, 0)
         assert got.dtype == np.intp
         assert np.array_equal(got, expected)
 
@@ -830,7 +830,7 @@ class TestCellIndex:
         policy = single_grid_policy(lo, hi, levels)
         vals = policy.cell_values[0]
         col = self.probe_values(policy)
-        idx = policy._cell(col[:, None], 0)
+        idx = policy._cell(col, 0)
         assert np.array_equal(idx + (col > vals[idx]), np.searchsorted(vals, col))
 
 
@@ -997,3 +997,239 @@ class TestCodeGroups:
             self.assert_like_unique(codes)
         # the quantizer and the 2-D codes are counted, the 8-D ones sorted
         assert wide == [False, False, True]
+
+
+# -- the reveal certificate against a row-major reference ---------------------------
+
+B8 = np.array([0.9, -0.8, 0.7, -0.6, 0.5, -0.4, 0.3, -0.2])
+
+
+def reference_cells(policy, x):
+    """Cell index columns of an (N, n) row-major batch: ``_cell`` as it read
+    strided columns, and the last coordinate's bin."""
+    idx = []
+    for r, edges in enumerate(policy.cell_edges):
+        levels = edges.shape[0] - 1
+        col = x[:, r]
+        i = np.floor((col - edges[0]) / ((edges[-1] - edges[0]) / levels))
+        i = np.clip(i, 0, levels - 1, out=i).astype(np.intp)
+        i -= (col < edges[i]) & (i > 0)
+        i += (col >= edges[i + 1]) & (i < levels - 1)
+        idx.append(i)
+    return idx, np.searchsorted(policy.last_boundaries[1:-1], x[:, -1], side="left")
+
+
+def reference_decode(policy, points):
+    """(x, u, y, codes, cells) of the reveal decode, every array row-major."""
+    t = policy.transform
+    x = points @ t.forward.T
+    idx, j = cells = reference_cells(policy, x)
+    y = np.empty_like(x)
+    codes = np.zeros(x.shape[0], dtype=np.int64)
+    bound = 1
+    for r in range(policy.n_revealed):
+        y[:, r] = policy.cell_values[r][idx[r]]
+        codes, bound = equilibrium._push_digit(codes, bound, idx[r], policy.cell_values[r].shape[0])
+    y[:, -1] = policy.last_actions[j]
+    codes, _ = equilibrium._push_digit(codes, bound, j, policy.k_last)
+    return x, y @ t.inverse.T, y, codes, cells
+
+
+def reference_min_slack(realized, counts, b, seed) -> float:
+    """Least pairwise slack with every realized action gathered and the
+    heaviest 50 picked by a full lexsort (ties to the lower index)."""
+    kr = realized.shape[0]
+    if kr < 2:
+        return math.inf
+    if kr * (kr - 1) // 2 <= equilibrium._MAX_PAIRS:
+        ia, ib = np.triu_indices(kr, k=1)
+    else:
+        top = np.lexsort((np.arange(kr), -counts))[:50]
+        ia_t, ib_t = np.triu_indices(top.shape[0], k=1)
+        ia, ib = top[ia_t], top[ib_t]
+        rng = np.random.default_rng(seed)
+        extra = equilibrium._MAX_PAIRS - ia.shape[0]
+        ra = rng.integers(0, kr, size=2 * extra)
+        rb = rng.integers(0, kr, size=2 * extra)
+        keep = ra != rb
+        ia = np.concatenate([ia, ra[keep][:extra]])
+        ib = np.concatenate([ib, rb[keep][:extra]])
+    d = realized[ib] - realized[ia]
+    return float(np.min(np.sum(d * d, axis=1) - 2.0 * np.abs(d @ b)))
+
+
+def reference_deviation_gains(policy, x, y, idx):
+    """Per-sample deviation gains on row-major x and y: three gathers per
+    revealed coordinate, the own distances summed across a row."""
+    best = np.zeros(x.shape[0])
+    for r in range(policy.n_revealed):
+        vals, col = policy.cell_values[r], x[:, r]
+        pos = idx[r] + (col > vals[idx[r]])
+        lo = vals[np.clip(pos - 1, 0, vals.shape[0] - 1)]
+        hi = vals[np.clip(pos, 0, vals.shape[0] - 1)]
+        best += np.minimum((col - lo) ** 2, (col - hi) ** 2)
+    target = x[:, -1] - policy.last_bias
+    acts = policy.last_actions
+    pos = np.searchsorted(acts, target)
+    lo = acts[np.clip(pos - 1, 0, acts.shape[0] - 1)]
+    hi = acts[np.clip(pos, 0, acts.shape[0] - 1)]
+    best += np.minimum((target - lo) ** 2, (target - hi) ** 2)
+    assigned = np.sum((x[:, :-1] - y[:, :-1]) ** 2, axis=1) + (target - y[:, -1]) ** 2
+    return assigned - best
+
+
+def reference_reveal_certificate(policy, model, b, samples, seed) -> dict:
+    """``verify_equilibrium(policy, ...).to_dict()`` for a reveal policy,
+    computed row-major: the (N, n) transformed sample read by columns, the
+    realized actions gathered in full, the heaviest picked by a full
+    lexsort, and a three-gather deviation scan."""
+    b = np.asarray(b, dtype=float)
+    m = model.sample(samples, seed)
+    x, u, y, codes, (idx, j) = reference_decode(policy, m)
+    d = m - u
+    cd = np.sum(d * d, axis=1)
+    d -= b
+    ce = np.sum(d * d, axis=1)
+    je, jd = equilibrium._estimate(ce), equilibrium._estimate(cd)
+
+    uniq, first, counts = equilibrium._code_groups(codes)
+    slack = reference_min_slack(u[first], counts, b, seed + 1)
+
+    max_z, max_resid, max_se, evaluated = 0.0, 0.0, math.inf, 0
+    per_coord = max(2, equilibrium._CENTROID_BINS // (policy.n_revealed + 1))
+    checks = []
+    for r in range(policy.n_revealed):
+        cnts, means, ses = equilibrium._bin_stats(x[:, r], idx[r], policy.cell_values[r].shape[0])
+        checks += [(cnts[c], policy.cell_values[r][c], means[c], ses[c])
+                   for c in np.argsort(-cnts, kind="stable")[:per_coord]]
+    cnts, means, ses = equilibrium._bin_stats(x[:, -1], j, policy.k_last)
+    checks += [(cnts[c], policy.last_actions[c], means[c], ses[c]) for c in range(policy.k_last)]
+    for cnt, value, mean, se in checks:
+        if cnt < equilibrium._MIN_BIN_COUNT:
+            continue
+        evaluated += 1
+        resid, se = abs(float(value - mean)), float(se)
+        if se > 0.0 and resid / se >= max_z:
+            max_z, max_resid, max_se = resid / se, resid, se
+
+    deviation = equilibrium._estimate(reference_deviation_gains(policy, x, y, idx))
+
+    return equilibrium.EquilibriumCertificate(
+        min_pairwise_geo_slack=slack, max_centroid_residual=max_resid,
+        centroid_residual_stderr=max_se, centroid_max_z=max_z, deviation_gain=deviation,
+        je=je, jd=jd, pass_geometry=slack >= -equilibrium._GEO_TOLERANCE,
+        pass_centroid=max_z <= 3.0,
+        pass_deviation=deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value),
+        samples=samples, seed=seed, realized_actions=int(uniq.size), evaluated_bins=evaluated,
+        grid_levels=policy.grid_levels,
+    ).to_dict()
+
+
+class TestRevealCertificateOracle:
+    """The coordinate-major certificate gives the row-major reference's bits."""
+
+    CASES = [
+        *[(iid_gaussian(2), [1.0, 1.0], k, None) for k in (1, 2, 3, 4)],
+        (iid_gaussian(8), B8, 3, None),
+        (iid_gaussian(8), B8, 3, 2 * B8),               # a bias the policy was not built for
+        (iid_laplace(3), [0.7, 0.7, 0.7], 1, None),     # Helmert
+        (iid_exponential(2), [0.0, 3.0], 1, None),      # permutation
+        (iid_gaussian(3), [0.0, 0.4, 0.0], 2, None),    # permutation, quantized last coordinate
+    ]
+    IDS = ["gauss2d-k1", "gauss2d-k2", "gauss2d-k3", "gauss2d-k4", "gauss8d-k3",
+           "gauss8d-k3-double-bias", "laplace3d-helmert", "exp2d-permutation", "gauss3d-permutation"]
+
+    @pytest.mark.parametrize("model,b,k_last,check_bias", CASES, ids=IDS)
+    def test_certificate_equals_reference(self, model, b, k_last, check_bias):
+        policy = construct_reveal_plus_quantize(model, b, k_last)
+        b_check = b if check_bias is None else check_bias
+        cert = verify_equilibrium(policy, model, b_check, samples=100_000, seed=31)
+        assert cert.to_dict() == reference_reveal_certificate(policy, model, b_check, 100_000, 31)
+
+    @pytest.mark.parametrize("model,b,k_last,check_bias", CASES, ids=IDS)
+    def test_decode_equals_reference(self, model, b, k_last, check_bias):
+        policy = construct_reveal_plus_quantize(model, b, k_last)
+        m = model.sample(20_000, seed=32)
+        u, codes = policy.decode(m)
+        _, ref_u, ref_y, ref_codes, _ = reference_decode(policy, m)
+        y, _ = policy.decode_transformed(policy.transformed_coordinates(m))
+        assert np.array_equal(u, ref_u) and np.array_equal(y, ref_y)
+        assert np.array_equal(codes, ref_codes)
+
+    def test_deviation_scan_equals_reference_off_the_midpoints(self):
+        # with the cell values moved 0.4 cell widths up on one revealed
+        # coordinate and down on the other, a sample's own value is often not
+        # the nearest, so the neighbour each scan picks on either side decides
+        # the gains; the last coordinate's bias is off too
+        model = iid_gaussian(3)
+        policy = construct_reveal_plus_quantize(model, [0.0, 0.4, 0.0], 2, grid_levels=32)
+        policy.cell_values = [v + shift * (e[1] - e[0]) for v, e, shift
+                              in zip(policy.cell_values, policy.cell_edges, (0.4, -0.4))]
+        policy.last_bias += 0.3
+        m = model.sample(50_000, seed=35)
+        x = policy.transformed_coordinates(m)
+        cells = policy._cells(x)
+        y, _ = policy.decode_transformed(x, cells)
+        gains = equilibrium._reveal_deviation_gains(policy, x, y, cells)
+        ref_x, _, ref_y, _, (ref_idx, _) = reference_decode(policy, m)
+        assert np.array_equal(gains, reference_deviation_gains(policy, ref_x, ref_y, ref_idx))
+        assert np.count_nonzero(gains > 0.0) > 1_000
+
+    def test_transformed_sample_is_coordinate_major(self):
+        policy = construct_reveal_plus_quantize(iid_gaussian(8), B8, 3)
+        x = policy.transformed_coordinates(iid_gaussian(8).sample(1_000, seed=33))
+        y, _ = policy.decode_transformed(x)
+        assert x.shape == y.shape == (1_000, 8)
+        assert x.T.flags.c_contiguous and y.T.flags.c_contiguous
+
+    def test_heaviest_actions_break_ties_by_index(self):
+        # 30 actions counted twice and 270 once: the heaviest 50 are the 30
+        # and the first 20 of the others.  On a line 10 apart with b = 0 the
+        # slack is the squared distance; the 20th single (index 21) sits 1
+        # from a heavy action and the 21st (index 22) 0.5 from another, so
+        # picking any other singles moves the least slack off 1.0
+        counts = np.ones(300, dtype=np.int64)
+        counts[5::10] = 2
+        u = np.zeros((300, 2))
+        u[:, 0] = 10.0 * np.arange(300)
+        u[21, 0] = u[105, 0] + 1.0
+        u[22, 0] = u[205, 0] + 0.5
+        first, b = np.arange(300), np.zeros(2)
+        got = equilibrium._pairwise_min_slack(u, first, counts, b, seed=5)
+        assert got == reference_min_slack(u, counts, b, seed=5) == 1.0
+
+
+class TestDecodeContract:
+    """``decode`` takes an (N, n) batch of finite rows and rejects anything else."""
+
+    @staticmethod
+    def policies():
+        model = iid_gaussian(2)
+        return [
+            construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=64),
+            QuantizerPolicy(ActionSet(np.array([[0.0, 0.0], [1.0, 0.0]])), [1.0, 0.0]),
+        ]
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["reveal", "quantizer"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_named(self, kind, bad):
+        policy = self.policies()[kind]
+        pts = np.zeros((5, 2))
+        pts[3, 1] = bad
+        pts[4, 0] = math.nan
+        with pytest.raises(ValueError, match="observation row 3 is not finite"):
+            policy.decode(pts)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["reveal", "quantizer"])
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (4, 1), (2, 2, 2)])
+    def test_not_a_batch_rejected(self, kind, shape):
+        policy = self.policies()[kind]
+        with pytest.raises(DimensionMismatchError, match=r"expects an \(N, 2\) batch"):
+            policy.decode(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["reveal", "quantizer"])
+    def test_finite_batch_decodes(self, kind):
+        policy = self.policies()[kind]
+        u, codes = policy.decode([[0.1, -0.2], [1.5, 0.3]])
+        assert u.shape == (2, 2) and codes.shape == (2,)
+        assert np.all(np.isfinite(u))

@@ -11,7 +11,10 @@ import cheaptalk
 from cheaptalk.geometry import Hyperplane
 from cheaptalk.sources import (
     EstimateWithError,
+    ExponentialMarginal,
     GaussianMarginal,
+    LaplaceMarginal,
+    UniformMarginal,
     _stable_order,
     conditional_mean_curve,
     conditional_support,
@@ -19,6 +22,7 @@ from cheaptalk.sources import (
     iid_exponential,
     iid_gaussian,
     iid_laplace,
+    iid_model,
     iid_uniform,
     pair_coordinate_interval,
     symmetry_deviation,
@@ -161,6 +165,36 @@ class TestSampling:
     def test_non_finite_parameters_rejected_by_name(self, factory, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             factory(value)
+
+    @pytest.mark.parametrize("family, make, message", [
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, -1.0), "^variance must be positive"),
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, 0.0), "^variance must be positive"),
+        ("iid-gaussian", lambda: GaussianMarginal(math.nan, 1.0), "^mean must be finite"),
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, math.inf), "^variance must be finite"),
+        ("iid-uniform", lambda: UniformMarginal(1.0, 0.0), "^lo must be below hi"),
+        ("iid-uniform", lambda: UniformMarginal(1.0, 1.0), "^lo must be below hi"),
+        ("iid-uniform", lambda: UniformMarginal(-math.inf, 0.0), "^lo must be finite"),
+        ("iid-uniform", lambda: UniformMarginal(0.0, math.nan), "^hi must be finite"),
+        ("iid-exponential", lambda: ExponentialMarginal(0.0), "^rate must be positive"),
+        ("iid-exponential", lambda: ExponentialMarginal(-2.0), "^rate must be positive"),
+        ("iid-exponential", lambda: ExponentialMarginal(math.nan), "^rate must be finite"),
+        ("iid-laplace", lambda: LaplaceMarginal(0.0, -1.0), "^scale must be positive"),
+        ("iid-laplace", lambda: LaplaceMarginal(math.inf, 1.0), "^mean must be finite"),
+        ("iid-laplace", lambda: LaplaceMarginal(0.0, math.nan), "^scale must be finite"),
+    ])
+    def test_iid_model_rejects_bad_marginals_by_name(self, family, make, message):
+        # the public constructors check first; iid_model callers rely on the marginal
+        with pytest.raises(ValueError, match=message):
+            iid_model(family, make(), 2)
+
+    def test_iid_model_accepts_valid_marginals(self):
+        for family, marginal in [("iid-gaussian", GaussianMarginal(1.0, 2.0)),
+                                 ("iid-uniform", UniformMarginal(-1.0, 3.0)),
+                                 ("iid-exponential", ExponentialMarginal(0.5)),
+                                 ("iid-laplace", LaplaceMarginal(-1.0, 0.25))]:
+            model = iid_model(family, marginal, 2)
+            assert np.allclose(model.mean, marginal.mean)
+            assert np.all(np.isfinite(model.sample(100, seed=1)))
 
 
 class TestTruncatedMoments:
