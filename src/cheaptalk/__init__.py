@@ -76,7 +76,6 @@ from .transforms import (
     LinearTransform,
     bias_aligning_transform,
     helmert_transform,
-    identity_transform,
     pair_transform_2d,
 )
 

@@ -76,7 +76,7 @@ def _curve_evidence(model: SourceModel, b, samples: int, seed: int) -> dict:
     pad = 0.1 * (hi - lo)
     grid = np.linspace(lo + pad, hi - pad, 9)
     curve = conditional_mean_curve(model, b, grid, samples=samples, seed=seed)
-    z = max(abs(float(np.asarray(e.value))) / max(e.stderr, 1e-15) for e in curve)
+    z = max(abs(e.value) / max(e.stderr, 1e-15) for e in curve)
     return {"curve_max_abs_z": float(z)}
 
 

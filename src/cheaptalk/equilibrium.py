@@ -723,7 +723,8 @@ class RevealQuantizePolicy:
     continuum claim is therefore explicitly approximate, at the reported
     resolution); the value attached to a cell, ``cell_values[r]``, is its
     midpoint.  The last transformed coordinate, which carries the whole
-    bias, follows a scalar biased quantizer.  Every ``cell_edges[r]`` must
+    bias (``transform.transformed_bias[-1]``, the policy's only record of
+    it), follows a scalar biased quantizer.  Every ``cell_edges[r]`` must
     be finite, strictly increasing and uniform (as ``linspace`` makes them):
     cell indices are computed by arithmetic, not by search.
     """
@@ -732,7 +733,6 @@ class RevealQuantizePolicy:
     cell_edges: list[np.ndarray]
     last_boundaries: np.ndarray
     last_actions: np.ndarray
-    last_bias: float
     cell_values: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -880,65 +880,54 @@ def construct_reveal_plus_quantize(
         )
     nonzero = np.flatnonzero(b)
 
+    # each construction picks the transform, the revealed intervals and the
+    # law of the last transformed coordinate (None: one action at its mean)
     if nonzero.size <= 1:
         # the biased coordinate decouples from the rest by independence
         biased = int(nonzero[0]) if nonzero.size else n - 1
         order = [j for j in range(n) if j != biased] + [biased]
         transform = permutation_transform(order, bias=b)
         intervals = [model.support_interval(j) for j in order[:-1]]
-        scalar = solve_scalar_biased(
-            iid_model(model.family, model.marginals[biased], 1), float(b[biased]), k_last
-        )
-        return _assemble_reveal_policy(transform, intervals, scalar.boundaries,
-                                       scalar.actions, float(b[biased]), grid_levels)
-
-    if model.family == GAUSSIAN:
+        last_law = iid_model(model.family, model.marginals[biased], 1)
+    elif model.family == GAUSSIAN:
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
         half = math.sqrt(sigma_sq) * float(-_special.ndtri(_TRUNCATION_EPS))
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
-        beta = float(transform.transformed_bias[-1])
-        scalar = solve_scalar_biased(
-            iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=sigma_sq), beta, k_last
-        )
-        return _assemble_reveal_policy(transform, intervals, scalar.boundaries,
-                                       scalar.actions, beta, grid_levels)
-
-    equal_bias = np.allclose(b, b[0], rtol=0.0, atol=1e-12 * max(1.0, abs(b[0])))
-    antisym_2d = n == 2 and abs(b[0] + b[1]) <= 1e-12 * max(1.0, abs(b[0]))
-
-    if equal_bias and model.symmetric:
-        transform = helmert_transform(n, bias=float(b[0]))
-    elif antisym_2d:
-        transform = bias_aligning_transform(b)
+        last_law = iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=sigma_sq)
     else:
-        raise ValueError(
-            "no supported construction: need a gaussian source, a single biased "
-            "coordinate, an equal-bias vector with a symmetric source, or a 2-D "
-            "antisymmetric bias"
-        )
-    if k_last != 1:
-        raise ValueError(
-            "quantizing the last coordinate with more than one bin requires the "
-            "gaussian family (the revealed coordinates must be independent of it)"
-        )
-    intervals = [_support_box_range(model, transform.forward[r]) for r in range(n - 1)]
-    mu_last = float(transform.apply(model.mean_vector, "forward")[-1])
-    return _assemble_reveal_policy(
-        transform, intervals, np.array([-math.inf, math.inf]), np.array([mu_last]),
-        float(transform.transformed_bias[-1]), grid_levels,
-    )
+        equal_bias = np.allclose(b, b[0], rtol=0.0, atol=1e-12 * max(1.0, abs(b[0])))
+        antisym_2d = n == 2 and abs(b[0] + b[1]) <= 1e-12 * max(1.0, abs(b[0]))
+        if equal_bias and model.symmetric:
+            transform = helmert_transform(n, bias=float(b[0]))
+        elif antisym_2d:
+            transform = bias_aligning_transform(b)
+        else:
+            raise ValueError(
+                "no supported construction: need a gaussian source, a single biased "
+                "coordinate, an equal-bias vector with a symmetric source, or a 2-D "
+                "antisymmetric bias"
+            )
+        if k_last != 1:
+            raise ValueError(
+                "quantizing the last coordinate with more than one bin requires the "
+                "gaussian family (the revealed coordinates must be independent of it)"
+            )
+        intervals = [_support_box_range(model, transform.forward[r]) for r in range(n - 1)]
+        last_law = None
 
-
-def _assemble_reveal_policy(transform, intervals, last_boundaries, last_actions,
-                            last_bias, grid_levels) -> RevealQuantizePolicy:
+    if last_law is None:
+        last_boundaries = np.array([-math.inf, math.inf])
+        last_actions = transform.apply(model.mean_vector, "forward")[-1:]
+    else:
+        scalar = solve_scalar_biased(last_law, float(transform.transformed_bias[-1]), k_last)
+        last_boundaries, last_actions = scalar.boundaries, scalar.actions
     return RevealQuantizePolicy(
         transform=transform,
         cell_edges=[np.linspace(lo, hi, grid_levels + 1) for lo, hi in intervals],
-        last_boundaries=np.asarray(last_boundaries, dtype=float),
-        last_actions=np.asarray(last_actions, dtype=float),
-        last_bias=float(last_bias),
+        last_boundaries=last_boundaries,
+        last_actions=last_actions,
     )
 
 
@@ -985,9 +974,9 @@ class EquilibriumCertificate:
             "centroid_max_z": self.centroid_max_z,
             "deviation_gain": self.deviation_gain.value,
             "deviation_gain_stderr": self.deviation_gain.stderr,
-            "je": float(np.asarray(self.je.value)),
+            "je": self.je.value,
             "je_stderr": self.je.stderr,
-            "jd": float(np.asarray(self.jd.value)),
+            "jd": self.jd.value,
             "jd_stderr": self.jd.stderr,
             "pass_geometry": self.pass_geometry,
             "pass_centroid": self.pass_centroid,
@@ -1090,8 +1079,10 @@ def verify_equilibrium(
     actions (sampled pairs when the realized set is large), (b) centroid
     residuals on the most-populated bins, against their Monte Carlo standard
     error, (c) the encoder's best deviation within the policy's message set,
-    and (d) estimates both players' expected costs.  The standard errors
-    need at least two samples; fewer raise ``ValueError``.
+    and (d) estimates both players' expected costs.  Every check reads the
+    encoder bias ``b`` given here, not the bias the policy was built for.
+    The standard errors need at least two samples; fewer raise
+    ``ValueError``.
     """
     if samples < 2:
         raise ValueError(f"verification needs at least 2 samples, got {samples}")
@@ -1103,11 +1094,13 @@ def verify_equilibrium(
     else:
         # transform, index and decode once, coordinate-major; the centroid
         # check reuses x and the cell indices, and the deviation scan, the
-        # last reader of y, runs before the cost step so that y is freed
+        # last reader of y, runs before the cost step so that y is freed.
+        # The bias is transformed by its matrix, not by apply: the sample's
+        # forward and the decode's inverse are the verify's only two applies
         x = policy.transformed_coordinates(m)
         cells = policy._cells(x)
         y, codes = policy.decode_transformed(x, cells)
-        gains = _reveal_deviation_gains(policy, x, y, cells)
+        gains = _reveal_deviation_gains(policy, x, y, policy.transform.forward @ b)
         u = policy.transform.apply(y, "inverse")
         del y
 
@@ -1232,54 +1225,51 @@ def _quantizer_deviation_gains(policy: QuantizerPolicy, m, codes, b) -> np.ndarr
     return assigned - scores.min(axis=1)
 
 
-def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, cells) -> np.ndarray:
+def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t) -> np.ndarray:
     """Per-sample cost reduction available by re-reporting within the policy.
 
-    ``x``, ``y`` and ``cells`` are the transformed sample, its decoded
-    values (both coordinate-major) and its cell indices.  Each revealed cell
-    holds its midpoint, so the value nearest a sample is its own decoded
-    y_r or the neighbour on the sample's side of it: one gather per
-    coordinate.  The own squared distances sum into the assigned cost and
-    their minima with the neighbours' into the best one, both in coordinate
-    order, so a sample with nothing to gain scores exactly 0.
+    ``x`` and ``y`` are the transformed sample and its decoded values, both
+    coordinate-major, and ``b_t`` the transformed bias T b.  The transform
+    is orthonormal, so the encoder's cost is a sum over coordinates of
+    (t_r - y_r)^2 with target t_r = x_r - b_t[r], and each coordinate's best
+    report is its own: on a revealed coordinate the midpoint of the cell
+    that holds t_r, on the last the action nearest t_r.  The own and the
+    best terms sum in coordinate order; where b_t[r] = 0 the two terms are
+    the same expression, so a sample with nothing to gain scores exactly 0.
     """
     rows, yrows = x.T, y.T
     n = rows.shape[1]
-    assigned, best = np.zeros(n), np.zeros(n)
-    own, alt = np.empty(n), np.empty(n)
-    nb = np.empty(n, dtype=np.intp)
-    side = np.empty(n, dtype=bool)
-    for r, idx in enumerate(cells[0]):
-        row = rows[r]
-        # the neighbour toward the sample, idx + 1 above y_r and idx - 1 at or
-        # below it, clipped to the grid by take's mode
-        np.greater(row, yrows[r], out=side)
-        np.add(idx, side, out=nb)
-        nb += side
-        nb -= 1
-        np.take(policy.cell_values[r], nb, out=alt, mode="clip")
-        alt -= row
+    # the scan runs while the sample, x and y are all live, so it keeps few
+    # (N,) buffers: t holds a coordinate's target, then its own cost, and
+    # each gather is freed before the next cell search
+    assigned, best, t = np.zeros(n), np.zeros(n), np.empty(n)
+    for r in range(policy.n_revealed):
+        np.subtract(rows[r], b_t[r], out=t)
+        alt = np.take(policy.cell_values[r], policy._cell(t, r), mode="clip")
+        alt -= t
         alt *= alt
-        np.subtract(row, yrows[r], out=own)
-        own *= own
-        assigned += own
-        best += np.minimum(own, alt, out=alt)
-    del nb, side
-    # the last coordinate: the nearest action is on one side of the biased target
+        best += alt
+        del alt
+        t -= yrows[r]
+        t *= t
+        assigned += t
+    # the last coordinate: the nearest action is on one side of the target
     acts = policy.last_actions
-    target = rows[-1] - policy.last_bias
-    pos = np.searchsorted(acts, target)
-    np.take(acts, pos, out=alt, mode="clip")
-    alt -= target
-    alt *= alt
+    np.subtract(rows[-1], b_t[-1], out=t)
+    pos = np.searchsorted(acts, t)
+    hi = np.take(acts, pos, mode="clip")
     pos -= 1
-    np.take(acts, pos, out=own, mode="clip")
-    own -= target
-    own *= own
-    best += np.minimum(own, alt, out=alt)
-    np.subtract(target, yrows[-1], out=own)
-    own *= own
-    assigned += own
+    lo = np.take(acts, pos, mode="clip")
+    del pos
+    hi -= t
+    hi *= hi
+    lo -= t
+    lo *= lo
+    best += np.minimum(lo, hi, out=hi)
+    del lo, hi
+    t -= yrows[-1]
+    t *= t
+    assigned += t
     assigned -= best
     return assigned
 
@@ -1339,7 +1329,7 @@ class LinearEquilibriumReport:
             "truthful_fraction": self.truthful_fraction,
             "pass_no_deviation": self.pass_no_deviation,
             "grid": [float(t) for t in self.grid],
-            "curve": [float(np.asarray(e.value)) for e in self.curve],
+            "curve": [e.value for e in self.curve],
             "curve_stderr": [e.stderr for e in self.curve],
             "kappa": self.kappa,
             "b_tilde": self.b_tilde,
@@ -1383,7 +1373,7 @@ def verify_linear_equilibrium(
     grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))
     curve = _window_curve(pairs, grid)
 
-    values = np.array([float(np.asarray(e.value)) for e in curve])
+    values = np.array([e.value for e in curve])
     errs = np.array([max(e.stderr, 1e-15) for e in curve])
     weights = 1.0 / errs**2
     center = float(np.sum(weights * values) / np.sum(weights))
@@ -1407,7 +1397,7 @@ def verify_linear_equilibrium(
     q_lo, q_hi = np.quantile(x1_pilot, [0.005, 0.995])
     probe_grid = np.linspace(q_lo, q_hi, _PROBE_POINTS)
     probe_curve = _window_curve(pairs, probe_grid, target_count=max(1000, samples // 8))
-    probe_vals = np.array([float(np.asarray(e.value)) for e in probe_curve])
+    probe_vals = np.array([e.value for e in probe_curve])
 
     probe = pilot[:_REPORT_POINTS]
     x1p, x2p = _pair_coordinates(b, probe)

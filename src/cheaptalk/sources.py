@@ -153,12 +153,10 @@ def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float):
 class EstimateWithError:
     """A numeric estimate with its standard error and the sample count used.
 
-    ``stderr`` is zero only for closed-form or quadrature results.  For
-    vector-valued estimates ``stderr`` is the root-sum-square of the
-    per-component standard errors.
+    ``stderr`` is zero only for closed-form or quadrature results.
     """
 
-    value: float | np.ndarray
+    value: float
     stderr: float
     sample_count: int
 
@@ -601,8 +599,6 @@ def _positive_parameters(**values) -> None:
 def iid_gaussian(n: int, mean: float = 0.0, sigma_sq: float = 1.0) -> SourceModel:
     """n i.i.d. gaussian coordinates with common mean and variance."""
     _finite_parameters(mean=mean, sigma_sq=sigma_sq)
-    if sigma_sq <= 0.0:
-        raise ValueError("variance must be positive")
     return iid_model(GAUSSIAN, GaussianMarginal(float(mean), float(sigma_sq)), n)
 
 
@@ -627,22 +623,16 @@ def correlated_gaussian_2d(
 
 def iid_uniform(n: int, lo: float = 0.0, hi: float = 1.0) -> SourceModel:
     _finite_parameters(lo=lo, hi=hi)
-    if hi <= lo:
-        raise ValueError("upper support bound must exceed the lower bound")
     return iid_model(UNIFORM, UniformMarginal(float(lo), float(hi)), n)
 
 
 def iid_exponential(n: int, rate: float = 1.0) -> SourceModel:
     _finite_parameters(rate=rate)
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
     return iid_model(EXPONENTIAL, ExponentialMarginal(float(rate)), n)
 
 
 def iid_laplace(n: int, mean: float = 0.0, scale: float = 1.0) -> SourceModel:
     _finite_parameters(mean=mean, scale=scale)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
     return iid_model(LAPLACE, LaplaceMarginal(float(mean), float(scale)), n)
 
 

@@ -26,7 +26,6 @@ from .geometry import as_point
 
 __all__ = [
     "LinearTransform",
-    "identity_transform",
     "permutation_transform",
     "pair_transform_2d",
     "helmert_transform",
@@ -101,13 +100,6 @@ class LinearTransform:
         raise DimensionMismatchError(f"expected a vector or a 2-D batch, got shape {arr.shape}")
 
 
-def identity_transform(n: int, bias=None) -> LinearTransform:
-    """Identity change of variables in ``n`` dimensions."""
-    eye = np.eye(n)
-    tb = np.zeros(n) if bias is None else as_point(bias, dim=n)
-    return LinearTransform(forward=eye, inverse=eye, transformed_bias=tb.copy(), scale=1.0)
-
-
 def permutation_transform(order, bias=None) -> LinearTransform:
     """Coordinate permutation sending original axis ``order[k]`` to axis ``k``."""
     order = np.asarray(order, dtype=int)
@@ -162,10 +154,8 @@ def helmert_transform(n: int, bias: float = 0.0) -> LinearTransform:
 def bias_aligning_transform(b) -> LinearTransform:
     """Orthonormal matrix whose last row is ``b / ||b||``.
 
-    For n = 2 and for generic n = 3 biases the rows are built in closed
-    form; degenerate cases (bias already on the last axis) and n >= 4 use a
-    Householder reflection exchanging the last standard basis vector with
-    ``b / ||b||``.
+    For n = 2 the rows are built in closed form; n >= 3 uses a Householder
+    reflection exchanging the last standard basis vector with ``b / ||b||``.
     """
     b = as_point(b)
     n = b.shape[0]
@@ -178,15 +168,6 @@ def bias_aligning_transform(b) -> LinearTransform:
 
     if n == 2:
         fwd = np.array([[b_hat[1], -b_hat[0]], b_hat])
-    elif n == 3 and b[0] ** 2 + b[1] ** 2 > 1e-24 * norm**2:
-        s2 = float(np.hypot(b[0], b[1]))
-        fwd = np.array(
-            [
-                [b[1] / s2, -b[0] / s2, 0.0],
-                [b[0] * b[2] / (s2 * norm), b[1] * b[2] / (s2 * norm), -s2 / norm],
-                b_hat,
-            ]
-        )
     else:
         fwd = _householder_to_last_axis(b_hat)
 

@@ -642,7 +642,8 @@ class TestVerifyEquilibrium:
 
         monkeypatch.setattr(RevealQuantizePolicy, "_cell", counted)
         verify_equilibrium(policy, model, b, samples=20_000, seed=3)
-        assert calls == list(range(policy.n_revealed))
+        # the sample's cells for the decode, then the targets' for the deviation scan
+        assert calls == 2 * list(range(policy.n_revealed))
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_too_few_samples_rejected(self, samples):
@@ -753,7 +754,6 @@ class TestConstructRevealPlusQuantize:
                 transform=transforms.permutation_transform([0, 1]),
                 cell_edges=[edges],
                 last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
-                last_bias=0.0,
             )
 
     def test_values_and_levels_follow_the_edges(self):
@@ -763,7 +763,6 @@ class TestConstructRevealPlusQuantize:
         policy = RevealQuantizePolicy(
             transform=transforms.permutation_transform([0, 1]), cell_edges=[edges],
             last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
-            last_bias=0.0,
         )
         assert policy.grid_levels == 64
         assert np.array_equal(policy.cell_values[0], 0.5 * (edges[:-1] + edges[1:]))
@@ -774,7 +773,6 @@ class TestConstructRevealPlusQuantize:
             RevealQuantizePolicy(
                 transform=transforms.permutation_transform([0, 1]), cell_edges=[],
                 last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
-                last_bias=0.0,
             )
 
     def test_zero_bias_team_policy(self):
@@ -789,9 +787,10 @@ class TestConstructRevealPlusQuantize:
 
 def single_grid_policy(lo: float, hi: float, levels: int) -> RevealQuantizePolicy:
     """A 2-D policy whose one revealed coordinate has ``levels`` cells on [lo, hi]."""
-    return equilibrium._assemble_reveal_policy(
-        transforms.permutation_transform([0, 1]), [(lo, hi)],
-        np.array([-math.inf, math.inf]), np.array([0.0]), 0.0, levels,
+    return RevealQuantizePolicy(
+        transform=transforms.permutation_transform([0, 1]),
+        cell_edges=[np.linspace(lo, hi, levels + 1)],
+        last_boundaries=np.array([-math.inf, math.inf]), last_actions=np.array([0.0]),
     )
 
 
@@ -879,8 +878,7 @@ class TestVerifyLinearEquilibrium:
         report = verify_linear_equilibrium(iid_exponential(2), [1.0, 1.0], samples=600_000, seed=34)
         for t, est in zip(report.grid, report.curve):
             oracle = abs(t) + 1.0 - 2.0
-            value = float(np.asarray(est.value))
-            assert value == pytest.approx(oracle, abs=5 * est.stderr + 0.01)
+            assert est.value == pytest.approx(oracle, abs=5 * est.stderr + 0.01)
 
     def test_zero_bias_rejected(self):
         with pytest.raises(ValueError):
@@ -1058,23 +1056,21 @@ def reference_min_slack(realized, counts, b, seed) -> float:
     return float(np.min(np.sum(d * d, axis=1) - 2.0 * np.abs(d @ b)))
 
 
-def reference_deviation_gains(policy, x, y, idx):
-    """Per-sample deviation gains on row-major x and y: three gathers per
-    revealed coordinate, the own distances summed across a row."""
+def reference_deviation_gains(policy, x, y, b):
+    """Per-sample deviation gains on row-major x and y against the bias b:
+    each revealed target's cell found by a search of the edges, the own
+    distances summed across a row."""
+    t = x - policy.transform.forward @ b
     best = np.zeros(x.shape[0])
-    for r in range(policy.n_revealed):
-        vals, col = policy.cell_values[r], x[:, r]
-        pos = idx[r] + (col > vals[idx[r]])
-        lo = vals[np.clip(pos - 1, 0, vals.shape[0] - 1)]
-        hi = vals[np.clip(pos, 0, vals.shape[0] - 1)]
-        best += np.minimum((col - lo) ** 2, (col - hi) ** 2)
-    target = x[:, -1] - policy.last_bias
+    for r, edges in enumerate(policy.cell_edges):
+        cell = np.clip(np.searchsorted(edges, t[:, r], side="right") - 1, 0, edges.shape[0] - 2)
+        best += (t[:, r] - policy.cell_values[r][cell]) ** 2
     acts = policy.last_actions
-    pos = np.searchsorted(acts, target)
+    pos = np.searchsorted(acts, t[:, -1])
     lo = acts[np.clip(pos - 1, 0, acts.shape[0] - 1)]
     hi = acts[np.clip(pos, 0, acts.shape[0] - 1)]
-    best += np.minimum((target - lo) ** 2, (target - hi) ** 2)
-    assigned = np.sum((x[:, :-1] - y[:, :-1]) ** 2, axis=1) + (target - y[:, -1]) ** 2
+    best += np.minimum((t[:, -1] - lo) ** 2, (t[:, -1] - hi) ** 2)
+    assigned = np.sum((t[:, :-1] - y[:, :-1]) ** 2, axis=1) + (t[:, -1] - y[:, -1]) ** 2
     return assigned - best
 
 
@@ -1082,7 +1078,7 @@ def reference_reveal_certificate(policy, model, b, samples, seed) -> dict:
     """``verify_equilibrium(policy, ...).to_dict()`` for a reveal policy,
     computed row-major: the (N, n) transformed sample read by columns, the
     realized actions gathered in full, the heaviest picked by a full
-    lexsort, and a three-gather deviation scan."""
+    lexsort, and each target's cell searched on the edges."""
     b = np.asarray(b, dtype=float)
     m = model.sample(samples, seed)
     x, u, y, codes, (idx, j) = reference_decode(policy, m)
@@ -1112,7 +1108,7 @@ def reference_reveal_certificate(policy, model, b, samples, seed) -> dict:
         if se > 0.0 and resid / se >= max_z:
             max_z, max_resid, max_se = resid / se, resid, se
 
-    deviation = equilibrium._estimate(reference_deviation_gains(policy, x, y, idx))
+    deviation = equilibrium._estimate(reference_deviation_gains(policy, x, y, b))
 
     return equilibrium.EquilibriumCertificate(
         min_pairwise_geo_slack=slack, max_centroid_residual=max_resid,
@@ -1156,24 +1152,33 @@ class TestRevealCertificateOracle:
         assert np.array_equal(u, ref_u) and np.array_equal(y, ref_y)
         assert np.array_equal(codes, ref_codes)
 
-    def test_deviation_scan_equals_reference_off_the_midpoints(self):
-        # with the cell values moved 0.4 cell widths up on one revealed
-        # coordinate and down on the other, a sample's own value is often not
-        # the nearest, so the neighbour each scan picks on either side decides
-        # the gains; the last coordinate's bias is off too
+    def test_deviation_scan_equals_reference_off_the_bias(self):
+        # checked against a bias whose transformed revealed parts, 0.5 and
+        # -0.6, exceed a cell width (9.5 / 32), many targets leave their
+        # sample's cell, and a report off the sample's own cell is the best
         model = iid_gaussian(3)
         policy = construct_reveal_plus_quantize(model, [0.0, 0.4, 0.0], 2, grid_levels=32)
-        policy.cell_values = [v + shift * (e[1] - e[0]) for v, e, shift
-                              in zip(policy.cell_values, policy.cell_edges, (0.4, -0.4))]
-        policy.last_bias += 0.3
+        b = np.array([0.5, 0.4, -0.6])
+        assert np.all(np.abs(policy.transform.forward @ b)[:-1]
+                      > np.diff(policy.cell_edges[0])[0])
         m = model.sample(50_000, seed=35)
         x = policy.transformed_coordinates(m)
-        cells = policy._cells(x)
-        y, _ = policy.decode_transformed(x, cells)
-        gains = equilibrium._reveal_deviation_gains(policy, x, y, cells)
-        ref_x, _, ref_y, _, (ref_idx, _) = reference_decode(policy, m)
-        assert np.array_equal(gains, reference_deviation_gains(policy, ref_x, ref_y, ref_idx))
+        y, _ = policy.decode_transformed(x)
+        gains = equilibrium._reveal_deviation_gains(policy, x, y, policy.transform.forward @ b)
+        ref_x, _, ref_y, _, _ = reference_decode(policy, m)
+        assert np.array_equal(gains, reference_deviation_gains(policy, ref_x, ref_y, b))
         assert np.count_nonzero(gains > 0.0) > 1_000
+
+    def test_8d_policy_fails_against_twice_its_bias(self):
+        # every check reads the bias it is given: the 8-D policy built for B8
+        # is no equilibrium when the encoder's bias is 2 B8
+        model = iid_gaussian(8)
+        policy = construct_reveal_plus_quantize(model, B8, 3)
+        cert = verify_equilibrium(policy, model, 2 * B8, samples=1_000_000, seed=99)
+        assert not cert.pass_deviation and not cert.passed
+        assert cert.deviation_gain.value > 3.0 * cert.deviation_gain.stderr
+        cert = verify_equilibrium(policy, model, B8, samples=1_000_000, seed=99)
+        assert cert.passed and cert.deviation_gain.value == 0.0
 
     def test_transformed_sample_is_coordinate_major(self):
         policy = construct_reveal_plus_quantize(iid_gaussian(8), B8, 3)

@@ -166,6 +166,21 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             factory(value)
 
+    @pytest.mark.parametrize("factory, message", [
+        (lambda: iid_gaussian(2, sigma_sq=0.0), "^variance must be positive"),
+        (lambda: iid_gaussian(2, sigma_sq=-1.0), "^variance must be positive"),
+        (lambda: iid_exponential(2, rate=0.0), "^rate must be positive"),
+        (lambda: iid_exponential(2, rate=-2.0), "^rate must be positive"),
+        (lambda: iid_laplace(2, scale=0.0), "^scale must be positive"),
+        (lambda: iid_laplace(2, scale=-1.0), "^scale must be positive"),
+        (lambda: iid_uniform(2, lo=1.0, hi=1.0), "^lo must be below hi"),
+        (lambda: iid_uniform(2, lo=1.0, hi=0.0), "^lo must be below hi"),
+    ])
+    def test_out_of_range_parameters_rejected_by_name(self, factory, message):
+        # the factories leave the range checks to the marginal laws
+        with pytest.raises(ValueError, match=message):
+            factory()
+
     @pytest.mark.parametrize("family, make, message", [
         ("iid-gaussian", lambda: GaussianMarginal(0.0, -1.0), "^variance must be positive"),
         ("iid-gaussian", lambda: GaussianMarginal(0.0, 0.0), "^variance must be positive"),
@@ -183,7 +198,7 @@ class TestSampling:
         ("iid-laplace", lambda: LaplaceMarginal(0.0, math.nan), "^scale must be finite"),
     ])
     def test_iid_model_rejects_bad_marginals_by_name(self, family, make, message):
-        # the public constructors check first; iid_model callers rely on the marginal
+        # the marginal laws make every range check, for the factories and iid_model alike
         with pytest.raises(ValueError, match=message):
             iid_model(family, make(), 2)
 
