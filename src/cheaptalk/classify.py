@@ -33,6 +33,7 @@ from .sources import (
     CORRELATED_GAUSSIAN_2D,
     GAUSSIAN,
     SourceModel,
+    _check_covariance_2d,
     conditional_mean_curve,
     pair_coordinate_interval,
     symmetry_deviation,
@@ -133,8 +134,7 @@ def correlated_gaussian_condition(
     condition holds when the residual vanishes to machine precision at the
     problem's scale.
     """
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0 or rho**2 > sigma1_sq * sigma2_sq:
-        raise ValueError("covariance matrix must be positive semidefinite with positive variances")
+    _check_covariance_2d(sigma1_sq, sigma2_sq, rho)
     b = as_point(b, dim=2)
     residual = float(b[0] * b[1] * (sigma2_sq - sigma1_sq) + (b[0] ** 2 - b[1] ** 2) * rho)
     scale = max(
@@ -142,7 +142,7 @@ def correlated_gaussian_condition(
         abs(b[0] * b[1]) * (sigma1_sq + sigma2_sq),
         abs(b[0] ** 2 - b[1] ** 2) * abs(rho),
     )
-    return residual, abs(residual) <= 1e-12 * scale
+    return residual, bool(abs(residual) <= 1e-12 * scale)
 
 
 def classify_correlated_gaussian(

@@ -443,7 +443,7 @@ def _cmd_sweep(cfg: dict):
         sub = copy.deepcopy(cfg)
         sub.pop("sweep", None)
         set_leaf(sub, path, value)
-        payload, code, _ = _COMMAND_TABLE[command](sub)
+        payload, code, _ = run_command(command, sub)
         results.append({"value": value, "payload": payload, "status": code})
         status = max(status, code)
     keys = sorted({k for r in results for k, v in r["payload"].items() if _scalar(v)})
@@ -467,7 +467,14 @@ _COMMAND_TABLE = {
 
 
 def run_command(command: str, cfg: dict):
-    """Dispatch to the command implementation; returns (payload, status, csv_rows)."""
+    """Dispatch to the command implementation; returns (payload, status, csv_rows).
+
+    A top-level key that is neither ``bias`` nor a block name is a config
+    error; a block the command does not read is accepted.
+    """
+    unknown = ", ".join(sorted(set(cfg) - {"bias", *_BLOCKS, *_CHOSEN}))
+    if unknown:
+        raise ConfigError(f"invalid config: no setting named {unknown}")
     return _COMMAND_TABLE[command](cfg)
 
 

@@ -40,7 +40,7 @@ from .sources import (
     GAUSSIAN,
     EstimateWithError,
     SourceModel,
-    _pair_coordinates,
+    _pair_values,
     _sorted_pairs,
     _special,
     _stable_order,
@@ -49,7 +49,6 @@ from .sources import (
     conditional_support,
     iid_gaussian,
     iid_model,
-    pair_coordinate_interval,
     truncated_moments_1d,
 )
 from .transforms import (
@@ -1352,8 +1351,9 @@ def verify_linear_equilibrium(
 ) -> LinearEquilibriumReport:
     """Check whether full revelation of the bias-orthogonal coordinate holds up.
 
-    Works in the pair coordinates ``x1 = b1 m2 - b2 m1`` (revealed) and
-    ``x2 = b1 m1 + b2 m2`` (bias ``b1^2 + b2^2``).  One sample of ``samples``
+    Works in the pair coordinates of ``pair_transform_2d(b)``: ``x1 = b1 m2 -
+    b2 m1`` (revealed) and ``x2 = b1 m1 + b2 m2`` (bias ``b1^2 + b2^2``, the
+    transform's ``scale``).  One sample of ``samples``
     points is drawn and sorted once; the curve and the probe curve are both
     read off it (each equals ``conditional_mean_curve`` with the same
     ``samples`` and ``seed``), and the pilot is its first
@@ -1362,14 +1362,9 @@ def verify_linear_equilibrium(
     """
     if model.dim != 2:
         raise DimensionMismatchError("linear-equilibrium verification needs a 2-D source")
-    b = as_point(b, dim=2)
-    if not np.any(b):
-        raise ValueError("bias vector must be nonzero")
-    b_tilde = float(b @ b)
-
     pairs = _sorted_pairs(model, b, samples, seed)
     pilot = pairs.pts[: min(samples, 200_000)]
-    x1_pilot, _ = _pair_coordinates(b, pilot)
+    x1_pilot, _ = _pair_values(pairs.pair, pilot)
     grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))
     curve = _window_curve(pairs, grid)
 
@@ -1380,9 +1375,9 @@ def verify_linear_equilibrium(
     constancy_max_z = float(np.max(np.abs(values - center) / errs))
     pass_constancy = constancy_max_z <= 3.0
 
-    kappa = float(b[0] * model.mean[0] + b[1] * model.mean[1])
+    kappa, b_tilde = pairs.x2_mean, pairs.pair.scale
     support = conditional_support(model, b, kappa)
-    span = pair_coordinate_interval(model, b, 0)
+    span = _support_box_range(model, pairs.pair.forward[0])
     width = support[1] - support[0]
     if width <= 0.0:
         coverage = 1.0
@@ -1400,7 +1395,7 @@ def verify_linear_equilibrium(
     probe_vals = np.array([e.value for e in probe_curve])
 
     probe = pilot[:_REPORT_POINTS]
-    x1p, x2p = _pair_coordinates(b, probe)
+    x1p, x2p = _pair_values(pairs.pair, probe)
     inside = (x1p >= probe_grid[1]) & (x1p <= probe_grid[-2])
     x1p, x2p = x1p[inside], x2p[inside]
     cost = (x1p[:, None] - probe_grid[None, :]) ** 2 + (

@@ -92,9 +92,7 @@ def game_rate_bound(sigma_sq: float, b: float, de: float, dd: float) -> float:
         raise InfeasibleDistortionError(
             f"no equilibrium code reaches de={de:g} with bias {b:g} (de - b^2 <= 0)"
         )
-    if effective >= sigma_sq:
-        return 0.0
-    return 0.5 * math.log2(sigma_sq / effective)
+    return team_rate_distortion(sigma_sq, effective)
 
 
 def lloyd_max_quantizer(sigma_sq: float, levels: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import as_point
+from .transforms import LinearTransform, pair_transform_2d
 
 __all__ = [
     "GAUSSIAN",
@@ -602,14 +602,21 @@ def iid_gaussian(n: int, mean: float = 0.0, sigma_sq: float = 1.0) -> SourceMode
     return iid_model(GAUSSIAN, GaussianMarginal(float(mean), float(sigma_sq)), n)
 
 
+def _check_covariance_2d(sigma1_sq: float, sigma2_sq: float, rho: float) -> None:
+    """Raise ValueError unless the entries are finite (naming the first that
+    is not) and ``[[sigma1_sq, rho], [rho, sigma2_sq]]`` is positive
+    semidefinite with positive variances."""
+    _finite_parameters(sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, rho=rho)
+    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0 or rho**2 > sigma1_sq * sigma2_sq:
+        raise ValueError("covariance matrix must be positive semidefinite with positive variances")
+
+
 def correlated_gaussian_2d(
     sigma1_sq: float, sigma2_sq: float, rho: float, mean=(0.0, 0.0)
 ) -> SourceModel:
     """2-D gaussian with per-coordinate variances and covariance ``rho``."""
-    _finite_parameters(sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, rho=rho)
+    _check_covariance_2d(sigma1_sq, sigma2_sq, rho)
     cov = np.array([[sigma1_sq, rho], [rho, sigma2_sq]], dtype=float)
-    if sigma1_sq <= 0.0 or sigma2_sq <= 0.0 or rho**2 > sigma1_sq * sigma2_sq:
-        raise ValueError("covariance matrix must be positive semidefinite with positive variances")
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (2,):
         raise ValueError("the mean of a 2-D gaussian needs two entries")
@@ -730,10 +737,13 @@ def truncated_moments_1d(model: SourceModel, a: float, b: float):
 # -- conditional structure for the 2-D transformed problem ---------------------
 
 
-def _pair_coordinates(b: np.ndarray, pts: np.ndarray):
-    x1 = b[0] * pts[:, 1] - b[1] * pts[:, 0]
-    x2 = b[0] * pts[:, 0] + b[1] * pts[:, 1]
-    return x1, x2
+def _pair_values(pair: LinearTransform, pts):
+    """``(X1, X2)`` of a point or a batch (last axis of length 2) under
+    ``pair.forward``, written out entry by entry: a point's values then do not
+    depend on the batch it comes in, which a BLAS product's fused
+    multiply-adds do not promise."""
+    (a, b), (c, d) = pair.forward
+    return a * pts[..., 0] + b * pts[..., 1], c * pts[..., 0] + d * pts[..., 1]
 
 
 def _support_box_range(model: SourceModel, row) -> tuple[float, float]:
@@ -750,11 +760,10 @@ def _support_box_range(model: SourceModel, row) -> tuple[float, float]:
 def pair_coordinate_interval(model: SourceModel, b, which: int) -> tuple[float, float]:
     """Interval-arithmetic range of ``X1`` (which=0) or ``X2`` (which=1).
 
-    ``X1 = b1 M2 - b2 M1`` and ``X2 = b1 M1 + b2 M2`` over the (truncated)
-    marginal support box.
+    ``(X1, X2)`` is ``pair_transform_2d(b)`` applied to ``M`` over the
+    (truncated) marginal support box.
     """
-    b = as_point(b, dim=2)
-    return _support_box_range(model, (-b[1], b[0]) if which == 0 else (b[0], b[1]))
+    return _support_box_range(model, pair_transform_2d(b).forward[which])
 
 
 def conditional_mean_curve(
@@ -767,7 +776,7 @@ def conditional_mean_curve(
 ) -> list[EstimateWithError]:
     """Centered conditional-mean curve ``E[X2 | X1 = t] - E[X2]`` on a grid.
 
-    ``X1 = b1 M2 - b2 M1`` and ``X2 = b1 M1 + b2 M2``.  Each grid point is
+    ``(X1, X2)`` is ``pair_transform_2d(b)`` applied to ``M``.  Each grid point is
     estimated by an adaptive-width window around ``t`` aiming for
     ``max(100, samples / 200)`` samples.  The window width is capped at a
     quarter of the observed range; capturing fewer than 100 samples there
@@ -781,7 +790,8 @@ class _SortedPairs:
     """A sample in pair coordinates, sorted by ``X1``, with prefix sums of ``X2``."""
 
     model: SourceModel
-    b: np.ndarray
+    pair: LinearTransform  # pair_transform_2d(b)
+    x2_mean: float  # E[X2], the pair image of the model's mean
     pts: np.ndarray  # the sample as drawn, unsorted
     x1s: np.ndarray
     csum: np.ndarray
@@ -809,25 +819,24 @@ def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPair
     """Draw ``samples`` points once, sort them by ``X1`` and build the prefix sums."""
     if model.dim != 2:
         raise DimensionMismatchError("conditional mean curves require a 2-D source")
-    b = as_point(b, dim=2)
-    if not np.any(b):
-        raise ValueError("bias vector must be nonzero")
+    pair = pair_transform_2d(b)
     pts = model.sample(samples, seed)
-    x1, x2 = _pair_coordinates(b, pts)
+    x1, x2 = _pair_values(pair, pts)
     order, x1s = _stable_order(x1)
     x2s = x2[order]
     csum = np.concatenate([[0.0], np.cumsum(x2s)])
     csq = np.concatenate([[0.0], np.cumsum(x2s**2)])
-    return _SortedPairs(model, b, pts, x1s, csum, csq)
+    x2_mean = float(_pair_values(pair, model.mean)[1])
+    return _SortedPairs(model, pair, x2_mean, pts, x1s, csum, csq)
 
 
 def _window_curve(pairs: _SortedPairs, grid, *,
                   target_count: int | None = None) -> list[EstimateWithError]:
     """The windowed curve of ``conditional_mean_curve`` on one sorted sample;
     ``target_count`` replaces its aim of ``max(100, samples / 200)`` samples."""
-    model, b, x1s = pairs.model, pairs.b, pairs.x1s
+    x1s = pairs.x1s
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    lo, hi = pair_coordinate_interval(model, b, 0)
+    lo, hi = _support_box_range(pairs.model, pairs.pair.forward[0])
     if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
         raise ValueError("grid points must lie within the truncated support of X1")
 
@@ -836,7 +845,6 @@ def _window_curve(pairs: _SortedPairs, grid, *,
     k = min(max(k, _MIN_WINDOW_COUNT), n)
     window_sums = x1s[k - 1 :] + x1s[: n - k + 1]
     cap = 0.25 * (x1s[-1] - x1s[0])
-    x2_mean_exact = float(b[0] * model.mean[0] + b[1] * model.mean[1])
 
     out = []
     for t in grid:
@@ -856,7 +864,7 @@ def _window_curve(pairs: _SortedPairs, grid, *,
         var = max(total_sq / count - mean**2, 0.0)
         out.append(
             EstimateWithError(
-                value=float(mean - x2_mean_exact),
+                value=float(mean - pairs.x2_mean),
                 stderr=float(math.sqrt(var / count)),
                 sample_count=count,
             )
@@ -889,25 +897,25 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
     """Support interval of ``X1`` given ``X2 = x2`` in pair coordinates.
 
     Gaussian families use the exact conditional law truncated at the
-    epsilon quantiles; all other families clip the line
-    ``b1 m1 + b2 m2 = x2`` against the (truncated) marginal support box and
-    map its endpoints through ``X1``.
+    epsilon quantiles.  Every other family clips the line ``b . m = x2``
+    against the (truncated) marginal support box: each edge ``m_i = e`` with
+    ``b_(1-i) != 0`` meets the line at one point, the points that lie in the
+    box (to a relative 1e-12) are the segment's ends, and ``forward[0]`` of
+    ``pair_transform_2d(b)`` maps them to ``X1``.
     """
     if model.dim != 2:
         raise DimensionMismatchError("conditional support requires a 2-D source")
-    b = as_point(b, dim=2)
-    if not np.any(b):
-        raise ValueError("bias vector must be nonzero")
+    pair = pair_transform_2d(b)
+    fwd = pair.forward
     x2 = float(x2)
-    lo2, hi2 = pair_coordinate_interval(model, b, 1)
+    lo2, hi2 = _support_box_range(model, fwd[1])
     if x2 < lo2 - 1e-12 or x2 > hi2 + 1e-12:
         raise ValueError(f"x2={x2:g} lies outside the support of X2 [{lo2:g}, {hi2:g}]")
 
     if model.family in (GAUSSIAN, CORRELATED_GAUSSIAN_2D):
         cov_m = model.cov if model.cov is not None else np.eye(2) * model.marginal_variance(0)
-        A = np.array([[-b[1], b[0]], [b[0], b[1]]])
-        cov_x = A @ cov_m @ A.T
-        mu_x = A @ model.mean
+        cov_x = fwd @ cov_m @ fwd.T
+        mu_x = fwd @ model.mean
         cond_mean = mu_x[0] + cov_x[0, 1] / cov_x[1, 1] * (x2 - mu_x[1])
         cond_var = max(cov_x[0, 0] - cov_x[0, 1] ** 2 / cov_x[1, 1], 0.0)
         if cond_var == 0.0:
@@ -915,30 +923,18 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
         cond = GaussianMarginal(cond_mean, cond_var)
         return float(cond.ppf(_TRUNCATION_EPS)), float(cond.ppf(1.0 - _TRUNCATION_EPS))
 
-    lo0, hi0 = model.support_interval(0)
-    lo1, hi1 = model.support_interval(1)
+    bias = fwd[1]
+    box = (model.support_interval(0), model.support_interval(1))
     tol = 1e-12 * max(1.0, abs(x2))
-    if b[0] != 0.0 and b[1] != 0.0:
-        # clip the line b1 m1 + b2 m2 = x2 to the support box, in m1
-        cand = sorted(((x2 - b[1] * lo1) / b[0], (x2 - b[1] * hi1) / b[0]))
-        m1_lo, m1_hi = max(lo0, cand[0]), min(hi0, cand[1])
-        if m1_hi < m1_lo - tol:
-            raise ValueError("x2 lies outside the support of X2")
-        m1_hi = max(m1_hi, m1_lo)
-
-        def x1_of(m1):
-            m2 = (x2 - b[0] * m1) / b[1]
-            return b[0] * m2 - b[1] * m1
-
-        ends = sorted((x1_of(m1_lo), x1_of(m1_hi)))
-    elif b[0] == 0.0:
-        m2 = x2 / b[1]
-        if m2 < lo1 - tol or m2 > hi1 + tol:
-            raise ValueError("x2 lies outside the support of X2")
-        ends = sorted((-b[1] * lo0, -b[1] * hi0))
-    else:
-        m1 = x2 / b[0]
-        if m1 < lo0 - tol or m1 > hi0 + tol:
-            raise ValueError("x2 lies outside the support of X2")
-        ends = sorted((b[0] * lo1, b[0] * hi1))
-    return float(ends[0]), float(ends[1])
+    ends = []
+    for i, j in ((0, 1), (1, 0)):
+        if bias[j] == 0.0:
+            continue
+        for edge in box[i]:
+            other = (x2 - bias[i] * edge) / bias[j]
+            if box[j][0] - tol <= other <= box[j][1] + tol:
+                point = np.array((edge, other) if i == 0 else (other, edge))
+                ends.append(_pair_values(pair, point)[0])
+    if not ends:
+        raise ValueError("x2 lies outside the support of X2")
+    return float(min(ends)), float(max(ends))

@@ -93,6 +93,18 @@ class TestCorrelatedGaussianCondition:
         with pytest.raises(ValueError):
             correlated_gaussian_condition(-1.0, 1.0, 0.0, [1.0, 1.0])
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: classify_correlated_gaussian(1.0, np.inf, 0.0, [1.0, 2.0]), "sigma2_sq"),
+        (lambda: correlated_gaussian_condition(1.0, 1.0, np.nan, [1.0, 2.0]), "rho"),
+    ])
+    def test_non_finite_input_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call()
+
+    def test_verdict_is_a_python_bool(self):
+        for rho in (2.0 / 3.0, 0.5):
+            assert type(correlated_gaussian_condition(1.0, 2.0, rho, [1.0, 2.0])[1]) is bool
+
     def test_bias_negation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

@@ -191,6 +191,17 @@ class TestExitCodes:
         assert f"no setting named {leaf}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config, override, key", [
+        ("classify", "classify_uniform_antisym.json", "--polcy.k_last=5", "polcy"),
+        ("sweep", "sweep_bin_counts.json", "--sweep.path=solvr.k", "solvr"),
+    ])
+    def test_unknown_top_level_key_is_two(self, command, config, override, key):
+        config = str(ROOT / "configs" / config)
+        code, record, err = run_cli(command, "--config", config, override)
+        assert code == 2 and record is None
+        assert err.strip().endswith(f"invalid config: no setting named {key}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, config, override, leaf", [
         ("verify", "verify_planted_violation.json", "--policy.actions=[[NaN,0],[1,0]]",
          "policy.actions"),

@@ -906,7 +906,7 @@ class TestVerifyLinearEquilibrium:
         # a pilot drawn on its own would give the same grid
         model, b = iid_gaussian(2), np.array([1.0, 2.0])
         report = verify_linear_equilibrium(model, b, samples=300_000, seed=36)
-        x1, _ = sources._pair_coordinates(b, model.sample(200_000, 36))
+        x1, _ = sources._pair_values(transforms.pair_transform_2d(b), model.sample(200_000, 36))
         assert np.array_equal(report.grid, np.quantile(x1, np.linspace(0.02, 0.98, 11)))
 
 

@@ -520,6 +520,65 @@ class TestConditionalSupport:
         lo, hi = conditional_support(model, [3.0, 0.0], 1.5)
         assert (lo, hi) == pytest.approx((0.0, 3.0))
 
+    @pytest.mark.parametrize("b", [[0.1, 0.2], [0.3, -0.7], [0.7, 0.1], [0.1, 0.7]])
+    def test_line_through_a_corner_keeps_it(self, b):
+        # at X2's ends the line meets the unit box in one corner, which
+        # rounding may put just outside the box
+        model = iid_uniform(2)
+        for x2, side in zip(pair_coordinate_interval(model, b, 1), (0.0, 1.0)):
+            m = [side if c > 0.0 else 1.0 - side for c in b]
+            lo, hi = conditional_support(model, b, x2)
+            assert lo == pytest.approx(b[0] * m[1] - b[1] * m[0], abs=1e-12)
+            assert hi == pytest.approx(lo, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        iid_uniform(2, lo=-0.5, hi=2.0), iid_exponential(2, rate=0.8),
+        iid_laplace(2, mean=0.4, scale=1.3), _TABLE_2D,
+    ])
+    def test_edge_rule_equals_three_branch_oracle(self, model):
+        # 250 seeded (b, x2) draws per source, a sixth with b1 = 0 and a
+        # sixth with b2 = 0, x2 anywhere inside X2's range
+        rng = np.random.default_rng(20)
+        for _ in range(250):
+            b = rng.normal(size=2) * rng.uniform(0.1, 3.0)
+            if rng.random() < 1.0 / 3.0:
+                b[rng.integers(0, 2)] = 0.0
+            lo2, hi2 = pair_coordinate_interval(model, b, 1)
+            x2 = lo2 + rng.uniform(0.0, 1.0) * (hi2 - lo2)
+            got = conditional_support(model, b, x2)
+            want = _three_branch_support(model, b, x2)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda b: conditional_mean_curve(iid_uniform(2), b, [0.0], samples=1_000, seed=0),
+        lambda b: conditional_support(iid_uniform(2), b, 0.0),
+        lambda b: pair_coordinate_interval(iid_uniform(2), b, 0),
+    ])
+    def test_zero_bias_rejected(self, call):
+        with pytest.raises(ValueError, match="nonzero bias"):
+            call([0.0, 0.0])
+
+
+def _three_branch_support(model, b, x2):
+    """Oracle: the box clipping with one branch per zero pattern of ``b``,
+    which re-derives X1 from the line instead of reading the pair transform."""
+    lo0, hi0 = model.support_interval(0)
+    lo1, hi1 = model.support_interval(1)
+    tol = 1e-12 * max(1.0, abs(x2))
+    if b[0] != 0.0 and b[1] != 0.0:
+        cand = sorted(((x2 - b[1] * lo1) / b[0], (x2 - b[1] * hi1) / b[0]))
+        m1_lo, m1_hi = max(lo0, cand[0]), min(hi0, cand[1])
+        assert m1_hi >= m1_lo - tol
+        m1_hi = max(m1_hi, m1_lo)
+        ends = [b[0] * ((x2 - b[0] * m1) / b[1]) - b[1] * m1 for m1 in (m1_lo, m1_hi)]
+    elif b[0] == 0.0:
+        assert lo1 - tol <= x2 / b[1] <= hi1 + tol
+        ends = [-b[1] * lo0, -b[1] * hi0]
+    else:
+        assert lo0 - tol <= x2 / b[0] <= hi0 + tol
+        ends = [b[0] * lo1, b[0] * hi1]
+    return min(ends), max(ends)
+
 
 class TestTabulated:
     def _triangle_model(self):
