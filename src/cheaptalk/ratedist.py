@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,20 @@ class RDTuple:
             raise ValueError("encoder distortion cannot be below decoder distortion")
 
 
+def _require_finite(**values) -> None:
+    """Raise a ``ValueError`` naming the first argument that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def team_rate_distortion(sigma_sq: float, d: float) -> float:
     """Team rate-distortion function ``max(0, log2(sigma^2/D)/2)``."""
+    _require_finite(sigma_sq=sigma_sq, d=d)
     if sigma_sq <= 0.0:
-        raise ValueError("variance must be positive")
+        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
     if d <= 0.0:
-        raise ValueError("distortion must be positive")
+        raise ValueError(f"d must be positive, got {d}")
     if d >= sigma_sq:
         return 0.0
     return 0.5 * math.log2(sigma_sq / d)
@@ -83,10 +92,11 @@ def game_rate_bound(sigma_sq: float, b: float, de: float, dd: float) -> float:
     encoder distortion below ``b^2`` cannot be met, since centroid decoders
     force ``de = dd + b^2``.
     """
+    _require_finite(sigma_sq=sigma_sq, b=b, de=de, dd=dd)
     if sigma_sq <= 0.0:
-        raise ValueError("variance must be positive")
+        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
     if de <= 0.0 or dd <= 0.0:
-        raise ValueError("distortions must be positive")
+        raise ValueError(f"de and dd must be positive, got de={de}, dd={dd}")
     effective = min(dd, de - b * b)
     if effective <= 0.0:
         raise InfeasibleDistortionError(
@@ -131,6 +141,65 @@ def _is_whole(x) -> bool:
     return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
+# Values drawn per chunk; each chunk of an ``n`` has its own seeded stream.
+_CHUNK_VALUES = 1 << 22
+# Values a job streams through its block buffers at a time, a size that stays in cache.
+_BLOCK_VALUES = 1 << 15
+# Bytes the jobs in flight may hold together: 25 B for each of a chunk's
+# values (a draw, a cell index, a comparison flag and an error).
+_MEMORY_BUDGET = 25 * _CHUNK_VALUES
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_sums(seed, idx, part, m, n, sd, first, rest, actions, shift):
+    """Sums of ``jd_i``, ``jd_i**2``, ``gap_i`` and ``gap_i**2`` over chunk
+    ``part`` of the ``idx``-th n: ``m`` rows of ``n`` draws from the
+    stream seeded by ``[seed, idx, part]``.
+
+    The draws pass through buffers of about ``_BLOCK_VALUES`` values:
+    consecutive fills of one generator give the numbers of one fill of the
+    whole chunk.  Each sum is taken over the whole chunk, since numpy's
+    pairwise summation order fixes its last bits.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, idx, part]))
+    block = max(1, min(m, _BLOCK_VALUES // n))  # rows
+    draws = np.empty((block, n))
+    cells = np.empty((block, n - 1), dtype=np.intp)
+    above = np.empty((block, n - 1), dtype=bool)
+    err = np.empty((block, n - 1))
+    jd = np.empty(m)
+    gap = np.empty(m)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        x = draws[: hi - lo]
+        rng.standard_normal(out=x)
+        x *= sd
+        x += 0.0  # the bits of rng.normal(0.0, sd): loc + scale * z
+        quantized = x[:, : n - 1]
+        # the quantizer cell: how many interior boundaries lie below the draw
+        cell = np.greater(quantized, first, out=cells[: hi - lo])
+        for t in rest:
+            cell += np.greater(quantized, t, out=above[: hi - lo])
+        e = err[: hi - lo]
+        np.take(actions, cell, out=e, mode="clip")  # every cell is in range
+        np.subtract(quantized, e, out=e)
+        e *= e
+        last = x[:, n - 1]
+        jd[lo:hi] = (e.sum(axis=1) + last**2) / n
+        gap[lo:hi] = (shift**2 - 2.0 * shift * last) / n  # je_i - jd_i, exactly
+    sum_jd, sum_gap = float(jd.sum()), float(gap.sum())
+    jd *= jd  # in place, the bits of jd**2
+    gap *= gap
+    return sum_jd, float(jd.sum()), sum_gap, float(gap.sum())
+
+
 def asymptotic_experiment(
     sigma_sq: float,
     b: float,
@@ -149,9 +218,18 @@ def asymptotic_experiment(
     The simulation runs directly in the decoupled coordinates (the change
     of variables is orthonormal and preserves both the squared errors and
     the gaussian law).
+
+    The ``samples`` rows of each ``n`` come in chunks of
+    ``max(1, 2**22 // n)`` rows, and each chunk has its own stream,
+    seeded by ``[seed, index of n, index of chunk]``.  The chunks run at
+    the same time on up to as many threads as the process has CPUs
+    available, and on fewer when their buffers would not fit a fixed
+    memory budget.  Their sums are added in chunk order, so the rows do
+    not depend on the thread count.
     """
+    _require_finite(sigma_sq=sigma_sq, b=b)
     if sigma_sq <= 0.0:
-        raise ValueError("variance must be positive")
+        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
     if not _is_whole(rate_bits) or rate_bits < 0:
         raise ValueError("rate must be a nonnegative integer bit count")
     if not all(_is_whole(n) for n in n_list):
@@ -159,10 +237,11 @@ def asymptotic_experiment(
     n_list = [int(n) for n in n_list]
     if any(n < 2 for n in n_list):
         raise ValueError("each n must be at least 2")
-    if samples < 2:
-        raise ValueError("sample budget too small")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not _is_whole(samples) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
+    if not _is_whole(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    samples, seed = int(samples), int(seed)
 
     levels = 2 ** int(rate_bits)
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)
@@ -173,44 +252,37 @@ def asymptotic_experiment(
     actions = quant.actions
     sd = math.sqrt(sigma_sq)
 
+    chunks = [max(1, min(samples, _CHUNK_VALUES // n)) for n in n_list]
+    starts = [range(0, samples, chunk) for chunk in chunks]  # each chunk's first row
+    # a job holds jd and gap for its chunk, and block buffers of 25 B a value
+    job_bytes = max(16 * chunk + 25 * max(n, _BLOCK_VALUES) for n, chunk in zip(n_list, chunks))
+    jobs = sum(len(first_rows) for first_rows in starts)
+    workers = max(1, min(_available_cpus(), jobs, _MEMORY_BUDGET // job_bytes))
+    # imported here, so that `import cheaptalk` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [
+            [
+                pool.submit(_chunk_sums, seed, idx, part, min(chunk, samples - done), n, sd,
+                            first, rest, actions, math.sqrt(n) * b)  # b sits wholly on coordinate n
+                for part, done in enumerate(first_rows)
+            ]
+            for idx, (n, chunk, first_rows) in enumerate(zip(n_list, chunks, starts))
+        ]
+        sums = [[future.result() for future in parts] for parts in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
     rows = []
-    for idx, n in enumerate(n_list):
-        shift = math.sqrt(n) * b  # the aligned bias sits wholly on coordinate n
+    for n, parts in zip(n_list, sums):
         sum_jd = sum_jd2 = sum_gap = sum_gap2 = 0.0
-        chunk = max(1, min(samples, (1 << 22) // n))
-        # one set of buffers per n, reused by every chunk
-        draws = np.empty((chunk, n))
-        cells = np.empty((chunk, n - 1), dtype=np.intp)
-        above = np.empty((chunk, n - 1), dtype=bool)
-        err = np.empty((chunk, n - 1))
-        done = 0
-        part = 0
-        while done < samples:
-            m = min(chunk, samples - done)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, idx, part]))
-            x = draws[:m]
-            rng.standard_normal(out=x)
-            x *= sd
-            x += 0.0  # the bits of rng.normal(0.0, sd): loc + scale * z
-            quantized = x[:, : n - 1]
-            # the quantizer cell: how many interior boundaries lie below the draw
-            cell = np.greater(quantized, first, out=cells[:m])
-            for t in rest:
-                cell += np.greater(quantized, t, out=above[:m])
-            e = err[:m]
-            np.take(actions, cell, out=e, mode="clip")  # every cell is in range
-            np.subtract(quantized, e, out=e)
-            e *= e
-            err_sq = e.sum(axis=1)
-            last = x[:, n - 1]
-            jd_i = (err_sq + last**2) / n
-            gap_i = (shift**2 - 2.0 * shift * last) / n  # je_i - jd_i, exactly
-            sum_jd += float(jd_i.sum())
-            sum_jd2 += float((jd_i**2).sum())
-            sum_gap += float(gap_i.sum())
-            sum_gap2 += float((gap_i**2).sum())
-            done += m
-            part += 1
+        for part_jd, part_jd2, part_gap, part_gap2 in parts:
+            sum_jd += part_jd
+            sum_jd2 += part_jd2
+            sum_gap += part_gap
+            sum_gap2 += part_gap2
         jd_mean = sum_jd / samples
         jd_var = max(sum_jd2 / samples - jd_mean**2, 0.0)
         gap_mean = sum_gap / samples

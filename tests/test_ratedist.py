@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from cheaptalk import ratedist
 from cheaptalk.errors import InfeasibleDistortionError
 from cheaptalk.ratedist import (
     AsymptoticRow,
@@ -60,6 +62,12 @@ def reference_asymptotic(sigma_sq, b, rate_bits, n_list, samples, seed):
     return rows
 
 
+def assert_rows_equal(got, want):
+    for row, ref in zip(got, want, strict=True):
+        for field in AsymptoticRow.__dataclass_fields__:
+            assert getattr(row, field) == getattr(ref, field), field
+
+
 class TestTeamRateDistortion:
     def test_examples(self):
         assert team_rate_distortion(1.0, 0.25) == 1.0
@@ -71,6 +79,13 @@ class TestTeamRateDistortion:
             team_rate_distortion(1.0, 0.0)
         with pytest.raises(ValueError):
             team_rate_distortion(-1.0, 0.5)
+
+    @pytest.mark.parametrize("sigma_sq, d, name", [
+        (1.0, math.nan, "d"), (math.nan, 1.0, "sigma_sq"), (math.inf, 1.0, "sigma_sq"),
+    ])
+    def test_rejects_non_finite_input_by_name(self, sigma_sq, d, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            team_rate_distortion(sigma_sq, d)
 
 
 class TestAchievableTuple:
@@ -103,6 +118,16 @@ class TestGameRateBound:
     def test_infeasible(self):
         with pytest.raises(InfeasibleDistortionError):
             game_rate_bound(1.0, 1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, math.nan, 1.25, 0.5), "b"),  # min(dd, nan) would drop the bias
+        ((math.inf, 1.0, 1.25, 0.5), "sigma_sq"),
+        ((1.0, 1.0, math.nan, 0.5), "de"),
+        ((1.0, 1.0, 1.25, math.inf), "dd"),
+    ])
+    def test_rejects_non_finite_input_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            game_rate_bound(*args)
 
     def test_matches_team_function_on_random_feasible_inputs(self):
         rng = np.random.default_rng(0)
@@ -160,6 +185,7 @@ class TestAsymptoticExperiment:
         b = asymptotic_experiment(1.0, 1.0, 1, [4], samples=50_000, seed=8)
         assert a[0].jd_emp == b[0].jd_emp and a[0].je_emp == b[0].je_emp
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("sigma_sq, b, rate_bits, n_list, samples, seed", [
         (2.5, -0.7, 0, [2, 5], 20_000, 3),
         (2.5, -0.7, 1, [2, 5], 20_000, 3),
@@ -167,13 +193,53 @@ class TestAsymptoticExperiment:
         (0.3, 1.2, 3, [3], 20_000, 5),
         (1.7, 0.4, 4, [2, 6], 20_000, 6),
         (1.0, 1.0, 1, [64], 150_001, 42),  # two full chunks and a partial one
+        (1.0, 1.0, 1, [5_000], 200, 7),  # six rows a block, the last block partial
+        (0.8, 0.3, 2, [2, 3, 5_000], 7, 8),  # the last block of n = 5000 holds one row
     ])
-    def test_equals_the_reference_bit_for_bit(self, sigma_sq, b, rate_bits, n_list, samples, seed):
+    def test_equals_the_reference_bit_for_bit(self, monkeypatch, workers,
+                                              sigma_sq, b, rate_bits, n_list, samples, seed):
+        monkeypatch.setattr(ratedist, "_available_cpus", lambda: workers)
         got = asymptotic_experiment(sigma_sq, b, rate_bits, n_list, samples=samples, seed=seed)
-        want = reference_asymptotic(sigma_sq, b, rate_bits, n_list, samples, seed)
-        for row, ref in zip(got, want, strict=True):
-            for field in AsymptoticRow.__dataclass_fields__:
-                assert getattr(row, field) == getattr(ref, field), field
+        assert_rows_equal(got, reference_asymptotic(sigma_sq, b, rate_bits, n_list, samples, seed))
+
+    def test_the_pinned_default_equals_the_reference_bit_for_bit(self):
+        got = asymptotic_experiment(1.0, 1.0, 1, [4, 16, 64], samples=400_000, seed=42)
+        assert_rows_equal(got, reference_asymptotic(1.0, 1.0, 1, [4, 16, 64], 400_000, 42))
+
+    def test_threads_never_exceed_the_cpus_or_the_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(workers):
+            started.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(ratedist, "_available_cpus", lambda: 2)
+        asymptotic_experiment(1.0, 1.0, 1, [64], samples=150_001, seed=0)  # three chunks
+        monkeypatch.setattr(ratedist, "_available_cpus", lambda: 8)
+        asymptotic_experiment(1.0, 1.0, 1, [4], samples=1_000, seed=0)  # one chunk
+        asymptotic_experiment(1.0, 1.0, 1, [64], samples=150_001, seed=0)
+        # four chunks of 2**21 rows: each job holds 32 MB of sums, three fit the budget
+        asymptotic_experiment(1.0, 1.0, 1, [2], samples=1 << 23, seed=0)
+        assert started == [2, 1, 3, 3]
+
+    def test_a_failing_chunk_raises_in_the_caller_and_joins_the_pool(self, monkeypatch):
+        real = ratedist._chunk_sums
+
+        def failing(seed, idx, part, *args):
+            if part == 1:
+                raise RuntimeError("chunk failed")
+            return real(seed, idx, part, *args)
+
+        monkeypatch.setattr(ratedist, "_chunk_sums", failing)
+        monkeypatch.setattr(ratedist, "_available_cpus", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            asymptotic_experiment(1.0, 1.0, 1, [64], samples=150_001, seed=0)
+        assert threading.active_count() == threads
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,3 +255,22 @@ class TestAsymptoticExperiment:
                                   (1.5, [4]), (True, [4])]:
             with pytest.raises(ValueError):
                 asymptotic_experiment(1.0, 1.0, rate_bits, n_list, samples=1000, seed=0)
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((1.0, math.nan, 1, [4]), {}, "b"),
+        ((1.0, math.inf, 1, [4]), {}, "b"),
+        ((math.nan, 1.0, 1, [4]), {}, "sigma_sq"),
+        ((1.0, 1.0, 1, [4]), {"samples": 1000.5}, "samples"),
+        ((1.0, 1.0, 1, [4]), {"samples": True}, "samples"),
+        ((1.0, 1.0, 1, [4]), {"samples": math.inf}, "samples"),
+        ((1.0, 1.0, 1, [4]), {"seed": 1.5}, "seed"),
+        ((1.0, 1.0, 1, [4]), {"seed": math.nan}, "seed"),
+    ])
+    def test_rejects_non_finite_and_non_integer_input_by_name(self, args, kwargs, name):
+        kwargs = {"samples": 1000, "seed": 0} | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            asymptotic_experiment(*args, **kwargs)
+
+    def test_integral_float_counts_are_read_as_integers(self):
+        got = asymptotic_experiment(1.0, 1.0, 1, [4.0], samples=1000.0, seed=3.0)
+        assert got == asymptotic_experiment(1.0, 1.0, 1, [4], samples=1000, seed=3)
