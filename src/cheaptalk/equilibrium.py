@@ -27,15 +27,20 @@ costs.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import _assign_columns, _assign_targets, as_point, assign_actions_batch
 from .sources import (
+    _SAMPLE_CHUNK,
     _TRUNCATION_EPS,
     GAUSSIAN,
     EstimateWithError,
@@ -53,6 +58,7 @@ from .sources import (
 )
 from .transforms import (
     LinearTransform,
+    _apply_batch,
     bias_aligning_transform,
     helmert_transform,
     permutation_transform,
@@ -772,50 +778,70 @@ class RevealQuantizePolicy:
         transpose is coordinate r, contiguous (see ``LinearTransform.apply``)."""
         return self.transform.apply(np.asarray(points, dtype=float), "forward")
 
-    def _cell(self, row: np.ndarray, r: int) -> np.ndarray:
+    def _cell(self, row: np.ndarray, r: int, out=None, work=None) -> np.ndarray:
         """Cell index of every value in ``row`` along revealed coordinate r.
 
         Equal to ``clip(searchsorted(edges, row, "right") - 1, 0,
         levels - 1)``.  The edges are finite, strictly increasing and uniform
         (``__post_init__`` checks it), so the arithmetic index
         ``floor((row - lo) / w)`` is at most one cell off, and one correction
-        step against the stored edges makes it exact.
+        step against the stored edges makes it exact.  The indices go into
+        ``out`` (intp, like ``row``) when given, and ``work`` holds a float
+        and two bool buffers like ``row``; without them they are allocated.
         """
         edges = self.cell_edges[r]
         levels = edges.shape[0] - 1
-        i = row - edges[0]
-        i /= (edges[-1] - edges[0]) / levels
-        np.floor(i, out=i)
-        i = np.clip(i, 0, levels - 1, out=i).astype(np.intp)
-        i -= (row < edges[i]) & (i > 0)
-        i += (row >= edges[1:][i]) & (i < levels - 1)
+        n = row.shape[0]
+        i = np.empty(n, dtype=np.intp) if out is None else out
+        if work is None:
+            work = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        f, below, inside = work
+        np.subtract(row, edges[0], out=f)
+        f /= (edges[-1] - edges[0]) / levels
+        np.floor(f, out=f)
+        np.clip(f, 0, levels - 1, out=f)
+        np.copyto(i, f, casting="unsafe")
+        np.less(row, np.take(edges, i, out=f), out=below)
+        i -= np.logical_and(below, np.greater(i, 0, out=inside), out=below)
+        np.greater_equal(row, np.take(edges[1:], i, out=f), out=below)
+        i += np.logical_and(below, np.less(i, levels - 1, out=inside), out=below)
         return i
 
-    def _cells(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Cell indices of the revealed coordinates, and the last coordinate's bin."""
+    def _cells(self, x: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
+        """Cell indices of the revealed coordinates, one row each, and the
+        last coordinate's bin: the rows of ``out``, an (n, N) intp array,
+        allocated unless given (``work`` as for ``_cell``)."""
         rows = x.T
-        idx = [self._cell(rows[r], r) for r in range(self.n_revealed)]
-        j = np.searchsorted(self.last_boundaries[1:-1], rows[-1], side="left")
-        return idx, j
+        out = np.empty(rows.shape, dtype=np.intp) if out is None else out
+        for r in range(self.n_revealed):
+            self._cell(rows[r], r, out[r], work)
+        out[-1] = np.searchsorted(self.last_boundaries[1:-1], rows[-1], side="left")
+        return out[:-1], out[-1]
 
-    def decode_transformed(self, x: np.ndarray, cells=None):
+    def decode_transformed(self, x: np.ndarray):
         """(y, codes) for pre-transformed observations x; codes sort like the cell tuples.
 
         Revealed coordinates are indexed by arithmetic on their uniform grids
-        (see ``_cell``).  ``cells`` is ``self._cells(x)`` when the caller
-        already has it: the verifier indexes its sample once for all checks.
-        Like x from ``transformed_coordinates``, y is held coordinate-major.
+        (see ``_cell``).  Like x from ``transformed_coordinates``, y is held
+        coordinate-major.
         """
-        idx, j = self._cells(x) if cells is None else cells
-        yt = np.empty((x.shape[1], x.shape[0]))
+        idx, j = cells = self._cells(x)
+        y = self._values(cells, np.empty((x.shape[1], x.shape[0])))
         codes = np.zeros(x.shape[0], dtype=np.int64)
         bound = 1
         for r in range(self.n_revealed):
-            np.take(self.cell_values[r], idx[r], out=yt[r], mode="clip")
             codes, bound = _push_digit(codes, bound, idx[r], self.cell_values[r].shape[0])
-        np.take(self.last_actions, j, out=yt[-1], mode="clip")
         codes, _ = _push_digit(codes, bound, j, self.k_last)
-        return yt.T, codes
+        return y, codes
+
+    def _values(self, cells, yt: np.ndarray) -> np.ndarray:
+        """The decoded value of each cell index in ``cells``, written into
+        the coordinate-major (n, N) ``yt``; returns its (N, n) view."""
+        idx, j = cells
+        for r in range(self.n_revealed):
+            np.take(self.cell_values[r], idx[r], out=yt[r], mode="clip")
+        np.take(self.last_actions, j, out=yt[-1], mode="clip")
+        return yt.T
 
     def decode(self, points) -> tuple[np.ndarray, np.ndarray]:
         x = self.transformed_coordinates(_observations(points, self.dim))
@@ -999,38 +1025,50 @@ _CENTROID_BINS = 8
 _MIN_BIN_COUNT = 30
 
 
-def _pairwise_min_slack(u: np.ndarray, first: np.ndarray, counts: np.ndarray, b: np.ndarray,
-                        seed: int) -> float:
-    """Least pairwise slack among the realized actions ``u[first]``.
+def _checked_pairs(counts: np.ndarray, seed: int):
+    """Index pairs (ia, ib) of the realized actions whose slack is checked.
 
-    Only the actions of the checked pairs are gathered: all pairs when
-    there are few, else all pairs among the ``_TOP_ACTIONS`` heaviest
-    (most counted, ties to the lower index) and a seeded random fill.
+    All pairs when there are few, else all pairs among the
+    ``_TOP_ACTIONS`` heaviest (most counted, ties to the lower index) and
+    a seeded random fill.
     """
-    kr = first.shape[0]
-    if kr < 2:
-        return math.inf
+    kr = counts.shape[0]
     if kr * (kr - 1) // 2 <= _MAX_PAIRS:
-        ia, ib = np.triu_indices(kr, k=1)
-    else:
-        # the heaviest actions are those above the _TOP_ACTIONS-th largest
-        # count and the first ones at it; only they are sorted
-        cut = kr - _TOP_ACTIONS
-        kth = np.partition(counts, cut)[cut]
-        above = np.flatnonzero(counts > kth)
-        cand = np.concatenate([above, np.flatnonzero(counts == kth)[: _TOP_ACTIONS - above.size]])
-        top = cand[np.lexsort((cand, -counts[cand]))]
-        ia_t, ib_t = np.triu_indices(top.shape[0], k=1)
-        ia, ib = top[ia_t], top[ib_t]
-        rng = np.random.default_rng(seed)
-        extra = _MAX_PAIRS - ia.shape[0]
-        if extra > 0:
-            ra = rng.integers(0, kr, size=2 * extra)
-            rb = rng.integers(0, kr, size=2 * extra)
-            keep = ra != rb
-            ia = np.concatenate([ia, ra[keep][:extra]])
-            ib = np.concatenate([ib, rb[keep][:extra]])
-    d = u[first[ib]] - u[first[ia]]
+        return np.triu_indices(kr, k=1)
+    # the heaviest actions are those above the _TOP_ACTIONS-th largest
+    # count and the first ones at it; only they are sorted
+    cut = kr - _TOP_ACTIONS
+    kth = np.partition(counts, cut)[cut]
+    above = np.flatnonzero(counts > kth)
+    cand = np.concatenate([above, np.flatnonzero(counts == kth)[: _TOP_ACTIONS - above.size]])
+    top = cand[np.lexsort((cand, -counts[cand]))]
+    ia_t, ib_t = np.triu_indices(top.shape[0], k=1)
+    ia, ib = top[ia_t], top[ib_t]
+    rng = np.random.default_rng(seed)
+    extra = _MAX_PAIRS - ia.shape[0]
+    if extra > 0:
+        ra = rng.integers(0, kr, size=2 * extra)
+        rb = rng.integers(0, kr, size=2 * extra)
+        keep = ra != rb
+        ia = np.concatenate([ia, ra[keep][:extra]])
+        ib = np.concatenate([ib, rb[keep][:extra]])
+    return ia, ib
+
+
+def _pairwise_min_slack(realized, first: np.ndarray, counts: np.ndarray, b: np.ndarray,
+                        seed: int) -> float:
+    """Least pairwise slack among the realized actions, the decoded values
+    of the sample rows ``first``.
+
+    ``realized(rows)`` decodes the given sample rows; it is asked only for
+    the rows of the checked pairs (see ``_checked_pairs``), two or more.
+    """
+    if first.shape[0] < 2:
+        return math.inf
+    ia, ib = _checked_pairs(counts, seed)
+    rows, pos = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    u = realized(first[rows])
+    d = u[pos[ia.shape[0]:]] - u[pos[: ia.shape[0]]]
     slack = np.sum(d * d, axis=1) - 2.0 * np.abs(d @ b)
     return float(slack.min())
 
@@ -1064,6 +1102,284 @@ def _estimate(values: np.ndarray) -> EstimateWithError:
     return EstimateWithError(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
 
 
+def _is_whole(x) -> bool:
+    """An integer or an integral float; booleans, fractions, nan and inf are not."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# The job buffers of the chunks a verify has in flight stay within this many
+# bytes, though two chunks are always in flight
+_STREAM_BUDGET = 1 << 27
+
+
+def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
+    """Run ``stream.job`` on every chunk of ``model.sample(samples, seed)``,
+    and ``stream.fold`` on the calling thread in chunk order.
+
+    Chunk i is the i-th ``_SAMPLE_CHUNK`` rows of the sample, drawn by
+    ``SourceModel._sample_chunk`` into ``stream.draw_buffer``.  The jobs
+    run on min(available CPUs, chunks) threads.  Each chunk in flight has
+    its own slot of buffers, made once per call by ``stream.new_slot``; a
+    stream that folds keeps one more chunk in flight than threads, so that
+    the threads work on while a chunk is folded, and the slots stay within
+    ``_STREAM_BUDGET`` (two always fit).  A job gets the chunk's rows, or
+    two rows when the chunk holds only one: a lone row would go through
+    gemv, which rounds differently from the gemm every other row goes
+    through.  A failing job's exception is raised here, after every thread
+    has stopped.
+    """
+    chunks = -(-samples // _SAMPLE_CHUNK)
+    cpus = _available_cpus()
+    depth = min(chunks, cpus + stream.folds, max(2, _STREAM_BUDGET // stream.slot_bytes))
+    slots = [stream.new_slot() for _ in range(depth)]
+
+    def bounds(i):
+        lo = i * _SAMPLE_CHUNK
+        return lo, min(lo + _SAMPLE_CHUNK, samples)
+
+    def run(i):
+        lo, hi = bounds(i)
+        slot = slots[i % depth]
+        pts = model._sample_chunk(seed, i, stream.draw_buffer(slot, lo, max(hi - lo, 2)))
+        stream.job(pts, lo, hi, slot)
+
+    # imported here, so that `import cheaptalk` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(cpus, depth))
+    try:
+        pending = collections.deque(pool.submit(run, i) for i in range(depth))
+        for i in range(chunks):
+            pending.popleft().result()
+            stream.fold(*bounds(i), slots[i % depth])
+            if i + depth < chunks:  # the slot just folded takes the next chunk
+                pending.append(pool.submit(run, i + depth))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _costs(pts: np.ndarray, u: np.ndarray, b: np.ndarray, d: np.ndarray, sq: np.ndarray,
+           ce: np.ndarray, cd: np.ndarray) -> None:
+    """Each row's decoder cost ||m - u||^2 into ``cd`` and encoder cost
+    ||m - u - b||^2 into ``ce``, through the flat buffers ``d`` and ``sq``
+    (``sq`` may be u's own).
+
+    ``pts`` is row-major and m - u is held row-major too, as numpy lays out
+    ``pts - u`` for either layout of u; m - u - b evaluates as (m - u) - b.
+    """
+    c, n = pts.shape
+    d = np.subtract(pts, u, out=d[: c * n].reshape(c, n))
+    sq = np.multiply(d, d, out=sq[: c * n].reshape(c, n))
+    np.sum(sq, axis=1, out=cd)
+    d -= b
+    np.sum(np.multiply(d, d, out=sq), axis=1, out=ce)
+
+
+class _Stream:
+    """What every certificate keeps of its sample: each row's encoder and
+    decoder cost and its deviation gain, which jobs write in place.
+
+    They hold one row more than the sample: a chunk of one row is computed
+    as two (see ``_stream_chunks``), and its second row lands there.
+    """
+
+    def __init__(self, samples: int):
+        self.ce, self.cd, self.gains = (np.empty(samples + 1) for _ in range(3))
+
+
+class _RevealStream(_Stream):
+    """A reveal policy's certificate, one chunk at a time.
+
+    Each job transforms its rows, indexes and decodes them, scores the
+    deviation gains and both costs, and keeps each coordinate's cell digit
+    in the smallest unsigned type that holds it.  The fold adds each cell's
+    count, sum and sum of squares along its coordinate in sample order,
+    which rounds as one ``np.bincount`` over the whole sample would.
+    """
+
+    folds = True
+
+    def __init__(self, policy: RevealQuantizePolicy, b: np.ndarray, samples: int):
+        super().__init__(samples)
+        self.policy, self.b = policy, b
+        self.b_t = policy.transform.forward @ b
+        self.radices = [v.shape[0] for v in policy.cell_values] + [policy.k_last]
+        self.values = policy.cell_values + [policy.last_actions]
+        n = policy.dim
+        self.digits = np.empty((n, samples), dtype=np.min_scalar_type(max(self.radices) - 1))
+        self.counts = [np.zeros(k, dtype=np.intp) for k in self.radices]
+        self.sums = [np.zeros(k) for k in self.radices]
+        self.sumsq = [np.zeros(k) for k in self.radices]
+        self.square = np.empty(_SAMPLE_CHUNK)
+        # the draw, x, y and u, and the (N,) buffers
+        self.slot_bytes = 8 * _SAMPLE_CHUNK * (4 * n + 6)
+
+    def new_slot(self) -> SimpleNamespace:
+        size, c = self.policy.dim * _SAMPLE_CHUNK, _SAMPLE_CHUNK
+        return SimpleNamespace(draw=np.empty(size), x=np.empty(size), y=np.empty(size),
+                               u=np.empty(size),
+                               t=np.empty(c), best=np.empty(c), f=np.empty(c), g=np.empty(c),
+                               below=np.empty(c, dtype=bool), inside=np.empty(c, dtype=bool),
+                               rows=None)
+
+    def draw_buffer(self, slot: SimpleNamespace, lo: int, count: int) -> np.ndarray:
+        return slot.draw[: count * self.policy.dim].reshape(count, -1)
+
+    def job(self, pts: np.ndarray, lo: int, hi: int, slot: SimpleNamespace) -> None:
+        policy = self.policy
+        c, n = pts.shape
+        out = slice(lo, lo + c)
+        x = _apply_batch(policy.transform.forward, pts, out=slot.x[: n * c].reshape(n, c))
+        slot.rows = x.T  # the fold reads them
+        # u's buffer holds the cell indices until u is computed
+        cells = slot.u[: n * c].view(np.intp).reshape(n, c)
+        work = slot.f[:c], slot.below[:c], slot.inside[:c]
+        y = policy._values(policy._cells(x, cells, work), slot.y[: n * c].reshape(n, c))
+        self.digits[:, lo:hi] = cells[:, : hi - lo]
+        _reveal_deviation_gains(policy, x, y, self.b_t, out=self.gains[out],
+                                work=(slot.t[:c], slot.best[:c], slot.g[:c], cells[0], *work))
+        u = _apply_batch(policy.transform.inverse, y, out=slot.u[: n * c].reshape(n, c))
+        # y is spent: m - u takes its buffer, and the squares take u's
+        _costs(pts, u, self.b, slot.y, slot.u, self.ce[out], self.cd[out])
+
+    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
+        m = hi - lo
+        for r, cell in enumerate(self.digits[:, lo:hi]):
+            row = slot.rows[r, :m]
+            self.counts[r] += np.bincount(cell, minlength=self.radices[r])
+            np.add.at(self.sums[r], cell, row)
+            np.add.at(self.sumsq[r], cell, np.multiply(row, row, out=self.square[:m]))
+        slot.rows = None
+
+    def codes(self) -> np.ndarray:
+        """The codes ``decode`` gives the sample, from the stored digits."""
+        codes = np.zeros(self.digits.shape[1], dtype=np.int64)
+        bound = 1
+        for digit, radix in zip(self.digits, self.radices):
+            codes, bound = _push_digit(codes, bound, digit, radix)
+        return codes
+
+    def realized(self, rows: np.ndarray) -> np.ndarray:
+        """The decoded actions of sample ``rows`` (two or more), from their
+        digits, with the bits of the whole sample's decode."""
+        digits = self.digits[:, rows]
+        yt = np.empty(digits.shape)
+        for r, values in enumerate(self.values):
+            np.take(values, digits[r], out=yt[r], mode="clip")
+        return self.policy.transform.apply(yt.T, "inverse")
+
+    def centroids(self, uniq, counts):
+        """(residual, stderr) of each checked bin: per transformed coordinate,
+        on marginal bins (see ``_worst_centroid``)."""
+        policy = self.policy
+        per_coord = max(2, _CENTROID_BINS // (policy.n_revealed + 1))
+        for r, values in enumerate(self.values):
+            cnts, means, ses = _bin_summary(self.counts[r], self.sums[r], self.sumsq[r])
+            # the last coordinate's bins are all checked
+            top = (np.argsort(-cnts, kind="stable")[:per_coord] if r < policy.n_revealed
+                   else range(policy.k_last))
+            for c in top:
+                if cnts[c] >= _MIN_BIN_COUNT:
+                    yield abs(float(values[c] - means[c])), float(ses[c])
+
+
+class _QuantizerStream(_Stream):
+    """A quantizer's certificate, one chunk at a time.
+
+    Each job draws its rows into the sample, which the centroid check
+    groups by bin, assigns them their cheapest action, and scores the
+    deviation gains and both costs.  The fold has nothing to add.  Like
+    the costs, the sample and the codes hold one row more than the sample.
+    """
+
+    folds = False
+
+    def __init__(self, policy: QuantizerPolicy, b: np.ndarray, samples: int):
+        super().__init__(samples)
+        self.policy, self.b = policy, b
+        self.m = np.empty((samples + 1, policy.dim))
+        self._codes = np.empty(samples + 1, dtype=np.intp)
+        k, n = policy.action_set.actions.shape
+        # each row's first score in the (N, K) scores of the deviation scan
+        self.row_starts = k * np.arange(_SAMPLE_CHUNK)
+        # t and u, the scores, and the (N,) buffers
+        self.slot_bytes = 8 * _SAMPLE_CHUNK * (2 * n + k + 3)
+
+    def new_slot(self) -> SimpleNamespace:
+        k, n = self.policy.action_set.actions.shape
+        c = _SAMPLE_CHUNK
+        return SimpleNamespace(t=np.empty(n * c), u=np.empty(n * c), scores=np.empty(k * c),
+                               best=np.empty(c), mask=np.empty(c, dtype=bool),
+                               at=np.empty(c, dtype=np.intp))
+
+    def draw_buffer(self, slot: SimpleNamespace, lo: int, count: int) -> np.ndarray:
+        return self.m[lo : lo + count]
+
+    def job(self, pts: np.ndarray, lo: int, hi: int, slot: SimpleNamespace) -> None:
+        policy = self.policy
+        acts = policy.action_set.actions
+        k = acts.shape[0]
+        c, n = pts.shape
+        out = slice(lo, lo + c)
+        # the targets -2 (pts - bias), transposed, as assign_actions_batch scores them
+        t = np.subtract(pts.T, policy.bias[:, None], out=slot.t[: n * c].reshape(n, c))
+        t *= -2.0
+        codes = _assign_targets(t, acts, slot.scores[: k * c].reshape(k, c), slot.best[:c],
+                                slot.mask[:c], self._codes[out])
+        self._gains(pts, codes, slot, self.gains[out])
+        u = np.take(acts, codes, axis=0, out=slot.u[: c * n].reshape(c, n))
+        # the targets are spent: m - u takes their buffer, and the squares take u's
+        _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
+
+    def _gains(self, pts: np.ndarray, codes: np.ndarray, slot: SimpleNamespace,
+               out: np.ndarray) -> None:
+        """Each row's cost reduction available by reporting another action,
+        into ``out``: its assigned score less its least, each action scored
+        as -2 (m - b).u + ||u||^2 against the bias the check is given."""
+        acts = self.policy.action_set.actions
+        (c, n), k = pts.shape, acts.shape[0]
+        q = np.subtract(pts, self.b, out=slot.u[: c * n].reshape(c, n))
+        q *= -2.0
+        scores = np.matmul(q, acts.T, out=slot.scores[: c * k].reshape(c, k))
+        scores += np.sum(acts * acts, axis=1)
+        at = np.add(self.row_starts[:c], codes, out=slot.at[:c])
+        np.take(scores.reshape(-1), at, out=out)
+        out -= scores.min(axis=1, out=slot.best[:c])
+
+    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
+        pass
+
+    def codes(self) -> np.ndarray:
+        return self._codes[:-1]
+
+    def realized(self, rows: np.ndarray) -> np.ndarray:
+        return self.policy.decode(self.m[rows])[0]
+
+    def centroids(self, uniq, counts):
+        """(residual, stderr) of each of the heaviest joint bins."""
+        acts = self.policy.action_set.actions
+        order = np.lexsort((uniq, -counts))
+        for row in order[: min(_CENTROID_BINS, order.shape[0])]:
+            cnt = int(counts[row])
+            if cnt < _MIN_BIN_COUNT:
+                continue
+            sel = self.m[:-1][self.codes() == uniq[row]]
+            resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
+            yield resid, math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / cnt)
+
+
 def verify_equilibrium(
     policy: EncoderPolicy,
     model: SourceModel,
@@ -1080,56 +1396,44 @@ def verify_equilibrium(
     error, (c) the encoder's best deviation within the policy's message set,
     and (d) estimates both players' expected costs.  Every check reads the
     encoder bias ``b`` given here, not the bias the policy was built for.
-    The standard errors need at least two samples; fewer raise
-    ``ValueError``.
+
+    The sample, ``model.sample(samples, seed)``, is streamed one chunk of
+    ``SourceModel.sample`` at a time on up to as many threads as the
+    process has CPUs available; the certificate has the same bits whatever
+    the number of threads.  A reveal policy's verify holds no (N, n)
+    array, a quantizer's only its sample, which its centroid check groups
+    by bin.  ``samples`` must be a whole number of at least 2 (the
+    standard errors need two) and ``seed`` a nonnegative whole number;
+    anything else raises ``ValueError`` naming it.
     """
-    if samples < 2:
-        raise ValueError(f"verification needs at least 2 samples, got {samples}")
+    if not _is_whole(samples) or samples < 2:
+        raise ValueError(
+            f"samples must be a whole number (verification needs at least 2 samples), "
+            f"got {samples!r}"
+        )
+    if not _is_whole(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
+    samples, seed = int(samples), int(seed)
     b = as_point(b, dim=model.dim)
-    m = model.sample(samples, seed)
-    if isinstance(policy, QuantizerPolicy):
-        u, codes = policy.decode(m)
-        x = cells = gains = None
-    else:
-        # transform, index and decode once, coordinate-major; the centroid
-        # check reuses x and the cell indices, and the deviation scan, the
-        # last reader of y, runs before the cost step so that y is freed.
-        # The bias is transformed by its matrix, not by apply: the sample's
-        # forward and the decode's inverse are the verify's only two applies
-        x = policy.transformed_coordinates(m)
-        cells = policy._cells(x)
-        y, codes = policy.decode_transformed(x, cells)
-        gains = _reveal_deviation_gains(policy, x, y, policy.transform.forward @ b)
-        u = policy.transform.apply(y, "inverse")
-        del y
+    kind = _QuantizerStream if isinstance(policy, QuantizerPolicy) else _RevealStream
+    stream = kind(policy, b, samples)
+    _stream_chunks(stream, model, samples, seed)
 
-    # m - u - b evaluates as (m - u) - b; the second square reuses the first's buffer
-    d = m - u
-    sq = d * d
-    cd = np.sum(sq, axis=1)
-    d -= b
-    ce = np.sum(np.multiply(d, d, out=sq), axis=1)
-    del d, sq
-    je, jd = _estimate(ce), _estimate(cd)
+    je, jd = _estimate(stream.ce[:samples]), _estimate(stream.cd[:samples])
+    deviation = _estimate(stream.gains[:samples])
+    stream.ce = stream.cd = stream.gains = None  # nothing reads them below
+    # the epsilon term absorbs float dust when the gains are identically zero
+    pass_deviation = deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value)
 
-    uniq, first_idx, counts = _code_groups(codes)
+    uniq, first_idx, counts = _code_groups(stream.codes())
     if uniq.size == 0:
         raise BinDeathError(0, "policy induced no realized actions")
 
-    min_slack = _pairwise_min_slack(u, first_idx, counts, b, seed + 1)
+    min_slack = _pairwise_min_slack(stream.realized, first_idx, counts, b, seed + 1)
     pass_geometry = min_slack >= -_GEO_TOLERANCE
-    del u  # nothing reads it below
 
-    max_resid, max_resid_se, max_z, evaluated = _centroid_check(
-        policy, m, x, cells, codes, uniq, counts
-    )
+    max_resid, max_resid_se, max_z, evaluated = _worst_centroid(stream.centroids(uniq, counts))
     pass_centroid = max_z <= 3.0
-
-    if gains is None:
-        gains = _quantizer_deviation_gains(policy, m, codes, b)
-    deviation = _estimate(gains)
-    # the epsilon term absorbs float dust when the gains are identically zero
-    pass_deviation = deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value)
 
     return EquilibriumCertificate(
         min_pairwise_geo_slack=min_slack,
@@ -1150,11 +1454,9 @@ def verify_equilibrium(
     )
 
 
-def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
-    """Per-bin counts, means, and mean standard errors along one coordinate."""
-    counts = np.bincount(idx, minlength=length)
-    sums = np.bincount(idx, weights=values, minlength=length)
-    sumsq = np.bincount(idx, weights=values**2, minlength=length)
+def _bin_summary(counts: np.ndarray, sums: np.ndarray, sumsq: np.ndarray):
+    """Per-bin counts, means, and mean standard errors from each bin's
+    count, sum and sum of squares."""
     safe = np.maximum(counts, 1)
     means = sums / safe
     var = np.maximum(sumsq / safe - means**2, 0.0)
@@ -1162,69 +1464,30 @@ def _bin_stats(values: np.ndarray, idx: np.ndarray, length: int):
     return counts, means, se
 
 
-def _centroid_check(policy, m, x, cells, codes, uniq, counts):
-    """Largest centroid residual (value, stderr, z) over well-populated bins.
+def _worst_centroid(checks):
+    """Largest centroid residual (value, stderr, z) over the checked bins,
+    and their number; ``checks`` yields each bin's (residual, stderr).
 
     Finite quantizers are checked on their heaviest joint bins.  Continuum
     approximations are checked per transformed coordinate on marginal bins:
     joint cells become too fragmented to estimate in higher dimension, while
     every marginal condition remains a consequence of the decoupled centroid
-    conditions.
+    conditions.  Bins with fewer than ``_MIN_BIN_COUNT`` samples are not
+    checked; a bin with a zero stderr counts, but yields no z.
     """
     max_z, max_resid, max_resid_se, evaluated = 0.0, 0.0, math.inf, 0
-
-    def consider(resid, se):
-        nonlocal max_z, max_resid, max_resid_se, evaluated
+    for resid, se in checks:
         evaluated += 1
         if se <= 0.0:
-            return
+            continue
         z = resid / se
         if z >= max_z:
             max_z, max_resid, max_resid_se = z, resid, se
-
-    if isinstance(policy, QuantizerPolicy):
-        acts = policy.action_set.actions
-        order = np.lexsort((uniq, -counts))
-        for row in order[: min(_CENTROID_BINS, order.shape[0])]:
-            cnt = int(counts[row])
-            if cnt < _MIN_BIN_COUNT:
-                continue
-            sel = m[codes == uniq[row]]
-            resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
-            se = math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / cnt)
-            consider(resid, se)
-        return max_resid, max_resid_se, max_z, evaluated
-
-    idx, j = cells
-    rows = x.T
-    n_coords = policy.n_revealed + 1
-    per_coord = max(2, _CENTROID_BINS // n_coords)
-    for r in range(policy.n_revealed):
-        levels = policy.cell_values[r].shape[0]
-        cnts, means, ses = _bin_stats(rows[r], idx[r], levels)
-        top = np.argsort(-cnts, kind="stable")[:per_coord]
-        for c in top:
-            if cnts[c] < _MIN_BIN_COUNT:
-                continue
-            consider(abs(float(policy.cell_values[r][c] - means[c])), float(ses[c]))
-    cnts, means, ses = _bin_stats(rows[-1], j, policy.k_last)
-    for jj in range(policy.k_last):
-        if cnts[jj] < _MIN_BIN_COUNT:
-            continue
-        consider(abs(float(policy.last_actions[jj] - means[jj])), float(ses[jj]))
     return max_resid, max_resid_se, max_z, evaluated
 
 
-def _quantizer_deviation_gains(policy: QuantizerPolicy, m, codes, b) -> np.ndarray:
-    """Per-sample cost reduction available by reporting another action."""
-    acts = policy.action_set.actions
-    target = m - b
-    scores = -2.0 * target @ acts.T + np.sum(acts * acts, axis=1)
-    assigned = scores[np.arange(m.shape[0]), codes]
-    return assigned - scores.min(axis=1)
-
-
-def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t) -> np.ndarray:
+def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t, out=None,
+                            work=None) -> np.ndarray:
     """Per-sample cost reduction available by re-reporting within the policy.
 
     ``x`` and ``y`` are the transformed sample and its decoded values, both
@@ -1235,20 +1498,30 @@ def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t) -> np.ndarr
     that holds t_r, on the last the action nearest t_r.  The own and the
     best terms sum in coordinate order; where b_t[r] = 0 the two terms are
     the same expression, so a sample with nothing to gain scores exactly 0.
+    The gains are written into ``out`` when given.  ``work`` is the tuple
+    of buffers (t, best, g, cell, f, below, inside), each as long as the
+    sample: float but for the intp ``cell`` and the bool ``below`` and
+    ``inside``; the last three serve the cell searches too.  Without it
+    they are allocated.
     """
     rows, yrows = x.T, y.T
     n = rows.shape[1]
-    # the scan runs while the sample, x and y are all live, so it keeps few
-    # (N,) buffers: t holds a coordinate's target, then its own cost, and
-    # each gather is freed before the next cell search
-    assigned, best, t = np.zeros(n), np.zeros(n), np.empty(n)
+    if work is None:
+        work = (*(np.empty(n) for _ in range(3)), np.empty(n, dtype=np.intp), np.empty(n),
+                np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    # t holds a coordinate's target, then its own cost; f and g the best
+    # report's costs
+    t, best, g, cell, *search = work
+    f = search[0]
+    assigned = np.empty(n) if out is None else out
+    assigned.fill(0.0)
+    best.fill(0.0)
     for r in range(policy.n_revealed):
         np.subtract(rows[r], b_t[r], out=t)
-        alt = np.take(policy.cell_values[r], policy._cell(t, r), mode="clip")
+        alt = np.take(policy.cell_values[r], policy._cell(t, r, cell, search), mode="clip", out=f)
         alt -= t
         alt *= alt
         best += alt
-        del alt
         t -= yrows[r]
         t *= t
         assigned += t
@@ -1256,16 +1529,15 @@ def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t) -> np.ndarr
     acts = policy.last_actions
     np.subtract(rows[-1], b_t[-1], out=t)
     pos = np.searchsorted(acts, t)
-    hi = np.take(acts, pos, mode="clip")
+    hi = np.take(acts, pos, mode="clip", out=f)
     pos -= 1
-    lo = np.take(acts, pos, mode="clip")
+    lo = np.take(acts, pos, mode="clip", out=g)
     del pos
     hi -= t
     hi *= hi
     lo -= t
     lo *= lo
     best += np.minimum(lo, hi, out=hi)
-    del lo, hi
     t -= yrows[-1]
     t *= t
     assigned += t

@@ -19,14 +19,12 @@ scalar quantizer distortion.
 from __future__ import annotations
 
 import math
-import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleDistortionError
-from .equilibrium import solve_scalar_biased
+from .equilibrium import _available_cpus, _is_whole, solve_scalar_biased
 from .sources import iid_gaussian
 
 __all__ = [
@@ -132,15 +130,6 @@ class AsymptoticRow:
                 self.je_emp, self.je_stderr, self.jd_exact)
 
 
-def _is_whole(x) -> bool:
-    """An integer or an integral float; booleans, fractions, nan and inf are not."""
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, numbers.Integral):
-        return True
-    return isinstance(x, numbers.Real) and float(x).is_integer()
-
-
 # Values drawn per chunk; each chunk of an ``n`` has its own seeded stream.
 _CHUNK_VALUES = 1 << 22
 # Values a job streams through its block buffers at a time, a size that stays in cache.
@@ -148,14 +137,6 @@ _BLOCK_VALUES = 1 << 15
 # Bytes the jobs in flight may hold together: 25 B for each of a chunk's
 # values (a draw, a cell index, a comparison flag and an error).
 _MEMORY_BUDGET = 25 * _CHUNK_VALUES
-
-
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _chunk_sums(seed, idx, part, m, n, sd, first, rest, actions, shift):

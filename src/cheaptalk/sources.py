@@ -63,6 +63,8 @@ TABULATED = "tabulated-density"
 _FAMILIES = (GAUSSIAN, CORRELATED_GAUSSIAN_2D, UNIFORM, EXPONENTIAL, LAPLACE, TABULATED)
 
 _SAMPLE_CHUNK = 1 << 16
+# values an i.i.d. chunk drawn into a buffer takes from its generator at a time
+_DRAW_BLOCK = 1 << 13
 
 # unbounded supports are cut at the eps and 1 - eps quantiles
 _TRUNCATION_EPS = 1e-6
@@ -481,10 +483,32 @@ class SourceModel:
         for chunk_index in range(0, (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK):
             start = chunk_index * _SAMPLE_CHUNK
             m = min(_SAMPLE_CHUNK, count - start)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-            # full chunks are always drawn so that shorter requests are exact
-            # prefixes of longer ones, whatever the family consumes internally
-            out[start : start + m] = self._draw(rng, _SAMPLE_CHUNK)[:m]
+            self._sample_chunk(seed, chunk_index, out[start : start + m])
+        return out
+
+    def _sample_chunk(self, seed: int, chunk_index: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """All ``_SAMPLE_CHUNK`` rows of chunk ``chunk_index`` of the stream
+        seeded by ``seed``, or as many of its first rows as a C-contiguous
+        ``out`` holds, written into it.
+
+        A chunk's rows are those of one full draw, so that shorter requests
+        are exact prefixes of longer ones, whatever the family consumes
+        internally.  An i.i.d. family fills ``out`` ``_DRAW_BLOCK`` values
+        at a time: a generator's consecutive draws give the values of one
+        draw of their total size, so the bits are the same, and no
+        chunk-sized array is allocated.
+        """
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+        if out is None:
+            return self._draw(rng, _SAMPLE_CHUNK)
+        if self.cov is not None or self.table is not None:
+            out[...] = self._draw(rng, _SAMPLE_CHUNK)[: out.shape[0]]
+            return out
+        flat = out.reshape(-1)
+        for lo in range(0, flat.shape[0], _DRAW_BLOCK):
+            block = flat[lo : lo + _DRAW_BLOCK]
+            block[...] = self.marginals[0].draw(rng, block.shape[0])
         return out
 
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:

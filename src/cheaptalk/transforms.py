@@ -96,7 +96,7 @@ class LinearTransform:
                 raise DimensionMismatchError(
                     f"points have dimension {arr.shape[1]}, transform is {self.dim}-dimensional"
                 )
-            return (mat @ arr.T).T
+            return _apply_batch(mat, arr)
         raise DimensionMismatchError(f"expected a vector or a 2-D batch, got shape {arr.shape}")
 
 
@@ -183,3 +183,14 @@ def _householder_to_last_axis(b_hat: np.ndarray) -> np.ndarray:
     if vsq < 1e-24:
         return np.eye(n)
     return np.eye(n) - 2.0 * np.outer(v, v) / vsq
+
+
+def _apply_batch(mat: np.ndarray, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``mat`` applied to every row of the (N, n) batch ``arr``, as the
+    transposed view of the (n, N) product ``mat @ arr.T`` (written into
+    ``out`` when given).
+
+    Each column of the product rounds the same in any batch of two or more
+    rows: numpy hands a lone column to gemv, which rounds differently.
+    """
+    return np.matmul(mat, arr.T, out=out).T

@@ -1,11 +1,14 @@
 import collections
 import dataclasses
+import functools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cheaptalk import equilibrium, sources, transforms
+from cheaptalk import equilibrium, geometry, sources, transforms
 from cheaptalk.equilibrium import (
     ActionSet,
     QuantizerPolicy,
@@ -614,36 +617,82 @@ class TestVerifyEquilibrium:
             2.0, abs=3 * math.hypot(cert.je.stderr, cert.jd.stderr)
         )
 
-    def test_reveal_verify_transforms_once(self, monkeypatch):
+    def test_reveal_verify_transforms_each_row_once(self, monkeypatch):
+        # three chunks on two threads: each sample row goes forward once and
+        # back once; the rows the pairwise check reads go back on their own
         model = iid_gaussian(3)
         b = [0.5, -0.3, 0.2]
         policy = construct_reveal_plus_quantize(model, b, 2, grid_levels=64)
-        directions = []
-        apply = transforms.LinearTransform.apply
-
-        def counted(self, p, direction="forward"):
-            directions.append(direction)
-            return apply(self, p, direction)
-
-        monkeypatch.setattr(transforms.LinearTransform, "apply", counted)
-        verify_equilibrium(policy, model, b, samples=20_000, seed=3)
-        assert directions == ["forward", "inverse"]
-
-    def test_reveal_verify_indexes_each_coordinate_once(self, monkeypatch):
-        model = iid_gaussian(3)
-        b = [0.5, -0.3, 0.2]
-        policy = construct_reveal_plus_quantize(model, b, 2, grid_levels=64)
+        samples = 150_000
+        _, codes = policy.decode(model.sample(samples, 3))
+        _, _, counts = equilibrium._code_groups(codes)
+        pair_rows = np.unique(np.concatenate(equilibrium._checked_pairs(counts, 4))).size
         calls = []
+        apply_batch = equilibrium._apply_batch
+
+        def counted(mat, arr, out=None):
+            direction = "forward" if mat is policy.transform.forward else "inverse"
+            main = threading.current_thread() is threading.main_thread()
+            calls.append((direction, arr.shape[0], main))
+            return apply_batch(mat, arr, out)
+
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(equilibrium, "_apply_batch", counted)  # the chunk jobs
+        monkeypatch.setattr(transforms, "_apply_batch", counted)  # LinearTransform.apply
+        verify_equilibrium(policy, model, b, samples=samples, seed=3)
+        chunk_rows = [18_928, 65_536, 65_536]
+        assert sorted(rows for d, rows, main in calls if d == "forward" and not main) == chunk_rows
+        assert sorted(rows for d, rows, main in calls if d == "inverse" and not main) == chunk_rows
+        assert [(d, rows) for d, rows, main in calls if main] == [("inverse", pair_rows)]
+
+    def test_reveal_verify_indexes_each_row_once_per_coordinate(self, monkeypatch):
+        model = iid_gaussian(3)
+        b = [0.5, -0.3, 0.2]
+        policy = construct_reveal_plus_quantize(model, b, 2, grid_levels=64)
+        rows = collections.Counter()
         cell = RevealQuantizePolicy._cell
 
-        def counted(self, row, r):
-            calls.append(r)
-            return cell(self, row, r)
+        def counted(self, row, r, *buffers):
+            rows[r] += row.shape[0]
+            return cell(self, row, r, *buffers)
 
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
         monkeypatch.setattr(RevealQuantizePolicy, "_cell", counted)
-        verify_equilibrium(policy, model, b, samples=20_000, seed=3)
-        # the sample's cells for the decode, then the targets' for the deviation scan
-        assert calls == 2 * list(range(policy.n_revealed))
+        verify_equilibrium(policy, model, b, samples=150_000, seed=3)
+        # each row's cell for the decode, and its target's for the deviation scan
+        assert rows == {r: 2 * 150_000 for r in range(policy.n_revealed)}
+
+    def test_no_traced_callable_runs_off_the_main_thread(self, monkeypatch):
+        # a profiler that wraps these keeps an unsynchronised span stack;
+        # the chunk jobs must not enter them
+        off_main = set()
+
+        def watch(owner, name):
+            original = getattr(owner, name)
+
+            @functools.wraps(original)
+            def wrapper(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.add(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in [
+            (transforms.LinearTransform, "apply"), (sources.SourceModel, "sample"),
+            (QuantizerPolicy, "decode"), (RevealQuantizePolicy, "decode"),
+            (RevealQuantizePolicy, "decode_transformed"), (geometry, "assign_actions_batch"),
+            (equilibrium, "assign_actions_batch"),
+            (sources.SourceModel, "_sample_chunk"),  # the chunk jobs' draw, off the main thread
+        ]:
+            watch(owner, name)
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
+        g2, b = iid_gaussian(2), [1.0, 0.5]
+        quantizer = QuantizerPolicy(ActionSet(np.array([[0.0, 0.0], [1.0, 0.5]])), b)
+        verify_equilibrium(quantizer, g2, b, samples=150_000, seed=3)
+        policy = construct_reveal_plus_quantize(iid_gaussian(8), B8, 3, grid_levels=64)
+        verify_equilibrium(policy, iid_gaussian(8), B8, samples=150_000, seed=3)
+        assert off_main == {"_sample_chunk"}
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_too_few_samples_rejected(self, samples):
@@ -651,6 +700,32 @@ class TestVerifyEquilibrium:
         policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
         with pytest.raises(ValueError, match="at least 2 samples"):
             verify_equilibrium(policy, model, [1.0, 1.0], samples=samples)
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", True), ("samples", 4.5), ("samples", math.nan), ("samples", math.inf),
+        ("samples", "4000"), ("samples", -3), ("seed", 1.5), ("seed", -1), ("seed", False),
+        ("seed", math.inf), ("seed", None),
+    ])
+    def test_bad_samples_or_seed_named_before_any_thread(self, monkeypatch, field, value):
+        import concurrent.futures
+
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        model = iid_gaussian(2)
+        policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
+        args = {"samples": 4_000, "seed": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            verify_equilibrium(policy, model, [1.0, 1.0], **args)
+
+    def test_integral_floats_are_whole_numbers(self):
+        model = iid_gaussian(2)
+        policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
+        cert = verify_equilibrium(policy, model, [1.0, 1.0], samples=4e3, seed=3.0)
+        want = verify_equilibrium(policy, model, [1.0, 1.0], samples=4_000, seed=np.int64(3))
+        assert repr(cert.to_dict()) == repr(want.to_dict())
+        assert type(cert.samples) is int and type(cert.seed) is int
 
     def test_solved_quantizer_passes(self):
         model = iid_uniform(1)
@@ -1074,6 +1149,16 @@ def reference_deviation_gains(policy, x, y, b):
     return assigned - best
 
 
+def reference_bin_stats(values, idx, length):
+    """Per-bin counts, means and mean standard errors, each bin's sums
+    taken by one ``np.bincount`` over the whole sample."""
+    return equilibrium._bin_summary(
+        np.bincount(idx, minlength=length),
+        np.bincount(idx, weights=values, minlength=length),
+        np.bincount(idx, weights=values**2, minlength=length),
+    )
+
+
 def reference_reveal_certificate(policy, model, b, samples, seed) -> dict:
     """``verify_equilibrium(policy, ...).to_dict()`` for a reveal policy,
     computed row-major: the (N, n) transformed sample read by columns, the
@@ -1095,10 +1180,10 @@ def reference_reveal_certificate(policy, model, b, samples, seed) -> dict:
     per_coord = max(2, equilibrium._CENTROID_BINS // (policy.n_revealed + 1))
     checks = []
     for r in range(policy.n_revealed):
-        cnts, means, ses = equilibrium._bin_stats(x[:, r], idx[r], policy.cell_values[r].shape[0])
+        cnts, means, ses = reference_bin_stats(x[:, r], idx[r], policy.cell_values[r].shape[0])
         checks += [(cnts[c], policy.cell_values[r][c], means[c], ses[c])
                    for c in np.argsort(-cnts, kind="stable")[:per_coord]]
-    cnts, means, ses = equilibrium._bin_stats(x[:, -1], j, policy.k_last)
+    cnts, means, ses = reference_bin_stats(x[:, -1], j, policy.k_last)
     checks += [(cnts[c], policy.last_actions[c], means[c], ses[c]) for c in range(policy.k_last)]
     for cnt, value, mean, se in checks:
         if cnt < equilibrium._MIN_BIN_COUNT:
@@ -1200,8 +1285,160 @@ class TestRevealCertificateOracle:
         u[21, 0] = u[105, 0] + 1.0
         u[22, 0] = u[205, 0] + 0.5
         first, b = np.arange(300), np.zeros(2)
-        got = equilibrium._pairwise_min_slack(u, first, counts, b, seed=5)
+        got = equilibrium._pairwise_min_slack(u.__getitem__, first, counts, b, seed=5)
         assert got == reference_min_slack(u, counts, b, seed=5) == 1.0
+
+
+def reference_quantizer_certificate(policy, model, b, samples, seed) -> dict:
+    """``verify_equilibrium(policy, ...).to_dict()`` for a quantizer, computed
+    on the whole sample at once: one decode, one cost and one gain array."""
+    b = np.asarray(b, dtype=float)
+    m = model.sample(samples, seed)
+    u, codes = policy.decode(m)
+    d = m - u
+    cd = np.sum(d * d, axis=1)
+    d -= b
+    ce = np.sum(d * d, axis=1)
+    je, jd = equilibrium._estimate(ce), equilibrium._estimate(cd)
+
+    uniq, first, counts = equilibrium._code_groups(codes)
+    slack = reference_min_slack(u[first], counts, b, seed + 1)
+
+    max_z, max_resid, max_se, evaluated = 0.0, 0.0, math.inf, 0
+    acts = policy.action_set.actions
+    for row in np.lexsort((uniq, -counts))[: equilibrium._CENTROID_BINS]:
+        if counts[row] < equilibrium._MIN_BIN_COUNT:
+            continue
+        evaluated += 1
+        sel = m[codes == uniq[row]]
+        resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
+        se = math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / int(counts[row]))
+        if se > 0.0 and resid / se >= max_z:
+            max_z, max_resid, max_se = resid / se, resid, se
+
+    scores = -2.0 * (m - b) @ acts.T + np.sum(acts * acts, axis=1)
+    deviation = equilibrium._estimate(scores[np.arange(samples), codes] - scores.min(axis=1))
+
+    return equilibrium.EquilibriumCertificate(
+        min_pairwise_geo_slack=slack, max_centroid_residual=max_resid,
+        centroid_residual_stderr=max_se, centroid_max_z=max_z, deviation_gain=deviation,
+        je=je, jd=jd, pass_geometry=slack >= -equilibrium._GEO_TOLERANCE,
+        pass_centroid=max_z <= 3.0,
+        pass_deviation=deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value),
+        samples=samples, seed=seed, realized_actions=int(uniq.size), evaluated_bins=evaluated,
+    ).to_dict()
+
+
+@functools.cache
+def lloyd_3d_policy():
+    model, b = iid_gaussian(3), np.array([0.3, 0.2, 0.1])
+    result = solve_fixed_point(model, b, 4, SolverConfig(samples=20_000, seed=42))
+    return QuantizerPolicy(result.actions, b), model, b
+
+
+class TestStreamedCertificate:
+    """The chunked certificate has the bits of a whole-sample computation,
+    whatever the sample size and the number of threads."""
+
+    # one row short of a chunk, one chunk, a chunk and a lone row, and so on
+    SIZES = [2, 3, 65_535, 65_536, 65_537, 131_073, 200_000]
+
+    @staticmethod
+    def certificates(monkeypatch, policy, model, b, samples, seed):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(equilibrium, "_available_cpus", lambda: workers)
+            yield verify_equilibrium(policy, model, b, samples=samples, seed=seed).to_dict()
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_8d_reveal_against_twice_its_bias(self, monkeypatch, samples):
+        # codes past 2**62, re-ranked; a bias the policy was not built for
+        model = iid_gaussian(8)
+        policy = construct_reveal_plus_quantize(model, B8, 3)
+        want = reference_reveal_certificate(policy, model, 2 * B8, samples, 41)
+        for got in self.certificates(monkeypatch, policy, model, 2 * B8, samples, 41):
+            assert got == want
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_2d_reveal(self, monkeypatch, samples):
+        model, b = iid_exponential(2), [0.0, 3.0]
+        policy = construct_reveal_plus_quantize(model, b, 1, grid_levels=256)
+        want = reference_reveal_certificate(policy, model, b, samples, 42)
+        for got in self.certificates(monkeypatch, policy, model, b, samples, 42):
+            assert got == want
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_planted_violation(self, monkeypatch, samples):
+        model, b = iid_gaussian(2), [1.0, 0.0]
+        policy = QuantizerPolicy(ActionSet(np.array([[0.0, 0.0], [1.0, 0.0]])), b)
+        want = reference_quantizer_certificate(policy, model, b, samples, 43)
+        for got in self.certificates(monkeypatch, policy, model, b, samples, 43):
+            assert got == want
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_3d_lloyd_quantizer(self, monkeypatch, samples):
+        policy, model, b = lloyd_3d_policy()
+        want = reference_quantizer_certificate(policy, model, b, samples, 44)
+        for got in self.certificates(monkeypatch, policy, model, b, samples, 44):
+            assert got == want
+
+    def test_threads_never_exceed_the_cpus_the_chunks_or_the_budget(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(workers):
+            started.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        g2, b2 = iid_gaussian(2), [1.0, 1.0]
+        reveal2 = construct_reveal_plus_quantize(g2, b2, 2, grid_levels=64)
+        g8 = iid_gaussian(8)
+        reveal8 = construct_reveal_plus_quantize(g8, B8, 3, grid_levels=64)
+        for cpus, policy, model, b, samples in [
+            (2, reveal2, g2, b2, 150_001),  # three chunks
+            (8, reveal2, g2, b2, 1_000),  # one chunk
+            (8, reveal2, g2, b2, 150_001),
+            (8, reveal8, g8, B8, 400_000),  # seven chunks; six slots of 8-D buffers fit
+        ]:
+            monkeypatch.setattr(equilibrium, "_available_cpus", lambda: cpus)
+            verify_equilibrium(policy, model, b, samples=samples, seed=1)
+        assert started == [2, 1, 3, 6]
+
+    def test_a_failing_chunk_raises_in_the_caller_and_joins_the_pool(self, monkeypatch):
+        real = sources.SourceModel._sample_chunk
+
+        def failing(self, seed, chunk_index, out=None):
+            if chunk_index == 1:
+                raise RuntimeError("chunk failed")
+            return real(self, seed, chunk_index, out)
+
+        monkeypatch.setattr(sources.SourceModel, "_sample_chunk", failing)
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
+        model = iid_gaussian(2)
+        threads = threading.active_count()
+        for policy in (construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=64),
+                       QuantizerPolicy(ActionSet(np.array([[0.0, 0.0], [1.0, 0.0]])), [1.0, 1.0])):
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                verify_equilibrium(policy, model, [1.0, 1.0], samples=300_000, seed=0)
+            assert threading.active_count() == threads
+
+    def test_8d_verify_memory_grows_by_under_96_bytes_a_row(self, monkeypatch):
+        # the sample is never held: the whole-sample certificate grew by 416 B
+        # a row, the streamed one by the (N,) costs, gains and cell digits
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
+        model = iid_gaussian(8)
+        policy = construct_reveal_plus_quantize(model, B8, 3)
+        peaks = []
+        for samples in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                verify_equilibrium(policy, model, B8, samples=samples, seed=99)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 600_000 < 96
 
 
 class TestDecodeContract:

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 import cheaptalk
+from cheaptalk import sources
 from cheaptalk.geometry import Hyperplane
 from cheaptalk.sources import (
     EstimateWithError,
@@ -118,6 +119,21 @@ class TestSampling:
             long = model.sample(70_000, seed=3)
             short = model.sample(1_000, seed=3)
             assert np.array_equal(long[:1_000], short)
+
+    @pytest.mark.parametrize("model", [
+        iid_gaussian(3, mean=0.5, sigma_sq=2.0), iid_uniform(2, lo=-1.0, hi=3.0),
+        iid_exponential(1, rate=2.0), iid_laplace(8, mean=-0.2, scale=0.7),
+        correlated_gaussian_2d(1.0, 2.0, 0.8), _TABLE_1D, _TABLE_2D,
+    ], ids=lambda m: f"{m.family}-{m.dim}d")
+    def test_chunk_drawn_into_a_buffer_has_the_same_bits(self, model):
+        # an i.i.d. chunk is drawn into the buffer in blocks; every other law at once
+        whole = model._sample_chunk(5, 1)
+        assert whole.shape == (sources._SAMPLE_CHUNK, model.dim)
+        assert np.array_equal(whole[:10], model.sample(sources._SAMPLE_CHUNK + 10, 5)[-10:])
+        for rows in (sources._SAMPLE_CHUNK, 4_097, 1):
+            out = np.full((rows, model.dim), np.nan)
+            assert model._sample_chunk(5, 1, out) is out
+            assert np.array_equal(out, whole[:rows])
 
     def test_uniform_moments(self):
         pts = iid_uniform(2).sample(1_000_000, seed=0)
