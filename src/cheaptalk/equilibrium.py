@@ -807,16 +807,26 @@ class RevealQuantizePolicy:
         i += np.logical_and(below, np.less(i, levels - 1, out=inside), out=below)
         return i
 
-    def _cells(self, x: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
-        """Cell indices of the revealed coordinates, one row each, and the
-        last coordinate's bin: the rows of ``out``, an (n, N) intp array,
-        allocated unless given (``work`` as for ``_cell``)."""
+    @property
+    def _digit_values(self) -> list[np.ndarray]:
+        """Per transformed coordinate, the decoded value of each digit: each
+        revealed cell's, then each last-coordinate bin's."""
+        return self.cell_values + [self.last_actions]
+
+    @property
+    def _radices(self) -> list[int]:
+        return [values.shape[0] for values in self._digit_values]
+
+    def _cells(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
+        """The digits of x, each revealed coordinate's cell index and the last
+        one's bin, as the rows of ``out``: an (n, N) intp array, allocated
+        unless given (``work`` as for ``_cell``)."""
         rows = x.T
         out = np.empty(rows.shape, dtype=np.intp) if out is None else out
         for r in range(self.n_revealed):
             self._cell(rows[r], r, out[r], work)
         out[-1] = np.searchsorted(self.last_boundaries[1:-1], rows[-1], side="left")
-        return out[:-1], out[-1]
+        return out
 
     def decode_transformed(self, x: np.ndarray):
         """(y, codes) for pre-transformed observations x; codes sort like the cell tuples.
@@ -825,22 +835,15 @@ class RevealQuantizePolicy:
         (see ``_cell``).  Like x from ``transformed_coordinates``, y is held
         coordinate-major.
         """
-        idx, j = cells = self._cells(x)
-        y = self._values(cells, np.empty((x.shape[1], x.shape[0])))
-        codes = np.zeros(x.shape[0], dtype=np.int64)
-        bound = 1
-        for r in range(self.n_revealed):
-            codes, bound = _push_digit(codes, bound, idx[r], self.cell_values[r].shape[0])
-        codes, _ = _push_digit(codes, bound, j, self.k_last)
-        return y, codes
+        digits = self._cells(x)
+        return self._values(digits, np.empty(digits.shape)), _joint_codes(digits, self._radices)
 
-    def _values(self, cells, yt: np.ndarray) -> np.ndarray:
-        """The decoded value of each cell index in ``cells``, written into
-        the coordinate-major (n, N) ``yt``; returns its (N, n) view."""
-        idx, j = cells
-        for r in range(self.n_revealed):
-            np.take(self.cell_values[r], idx[r], out=yt[r], mode="clip")
-        np.take(self.last_actions, j, out=yt[-1], mode="clip")
+    def _values(self, digits, yt: np.ndarray) -> np.ndarray:
+        """The decoded value of each row of ``digits`` (one per transformed
+        coordinate), written into the coordinate-major (n, N) ``yt``;
+        returns its (N, n) view."""
+        for r, (values, digit) in enumerate(zip(self._digit_values, digits)):
+            np.take(values, digit, out=yt[r], mode="clip")
         return yt.T
 
     def decode(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -852,23 +855,27 @@ class RevealQuantizePolicy:
 EncoderPolicy = QuantizerPolicy | RevealQuantizePolicy
 
 
-def _push_digit(codes: np.ndarray, bound: int, digit: np.ndarray, radix: int):
-    """Append one mixed-radix digit, in place, to ``codes`` in ``[0, bound)``.
-
-    Codes that could pass 2**62 are first replaced by their dense ranks (order
-    kept); ``np.unique(return_inverse=True)`` would do it with ~45 MB more peak
-    memory on an 8-D verify at 1e6 samples."""
-    if bound * radix > 1 << 62 and codes.size:
-        order = np.argsort(codes)
-        ranks = codes[order]
-        is_new = ranks[1:] != ranks[:-1]
-        ranks[0] = 0
-        np.cumsum(is_new, out=ranks[1:])
-        codes[order] = ranks
-        bound = int(ranks[-1]) + 1
-    codes *= radix
-    codes += digit
-    return codes, bound * radix
+def _joint_codes(digits, radices) -> np.ndarray:
+    """The mixed-radix codes of the digit rows ``digits``, row r in
+    ``[0, radices[r])``: one code per column, sorting like its digit tuple.
+    Codes that could pass 2**62 are first replaced by their dense ranks
+    (order kept), with ~45 MB less peak than ``np.unique`` on an 8-D verify
+    at 1e6 samples."""
+    codes = np.zeros(digits.shape[1], dtype=np.int64)
+    bound = 1
+    for digit, radix in zip(digits, radices):
+        if bound * radix > 1 << 62 and codes.size:
+            order = np.argsort(codes)
+            ranks = codes[order]
+            is_new = ranks[1:] != ranks[:-1]
+            ranks[0] = 0
+            np.cumsum(is_new, out=ranks[1:])
+            codes[order] = ranks
+            bound = int(ranks[-1]) + 1
+        codes *= radix
+        codes += digit
+        bound *= radix
+    return codes
 
 
 def construct_reveal_plus_quantize(
@@ -1111,12 +1118,44 @@ def _is_whole(x) -> bool:
     return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
+def _sample_and_seed(samples, seed) -> tuple[int, int]:
+    """``samples`` and ``seed`` as ints: a whole number of at least 2 (the
+    standard errors need two) and a nonnegative whole number; anything else
+    raises ``ValueError`` naming it."""
+    if not _is_whole(samples) or samples < 2:
+        raise ValueError(f"samples must be a whole number (at least 2 samples), got {samples!r}")
+    if not _is_whole(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
+    return int(samples), int(seed)
+
+
 def _available_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def _run_in_order(job, count: int, threads: int, ahead: int, take) -> None:
+    """Run ``job(0)``, ..., ``job(count - 1)`` on ``threads`` threads, and
+    ``take(i, result)`` on the calling thread in job order.  Job i + ahead
+    is submitted once ``take(i, ...)`` has returned, so it may reuse what
+    job i held.  A failing job's exception is raised here; before this
+    returns or raises, pending jobs are cancelled and every thread joined.
+    """
+    # imported here, so that `import cheaptalk` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        pending = collections.deque(pool.submit(job, i) for i in range(min(ahead, count)))
+        for i in range(count):
+            take(i, pending.popleft().result())
+            if i + ahead < count:
+                pending.append(pool.submit(job, i + ahead))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # The job buffers of the chunks a verify has in flight stay within this many
@@ -1137,8 +1176,7 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
     ``_STREAM_BUDGET`` (two always fit).  A job gets the chunk's rows, or
     two rows when the chunk holds only one: a lone row would go through
     gemv, which rounds differently from the gemm every other row goes
-    through.  A failing job's exception is raised here, after every thread
-    has stopped.
+    through.
     """
     chunks = -(-samples // _SAMPLE_CHUNK)
     cpus = _available_cpus()
@@ -1155,19 +1193,8 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
         pts = model._sample_chunk(seed, i, stream.draw_buffer(slot, lo, max(hi - lo, 2)))
         stream.job(pts, lo, hi, slot)
 
-    # imported here, so that `import cheaptalk` does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(min(cpus, depth))
-    try:
-        pending = collections.deque(pool.submit(run, i) for i in range(depth))
-        for i in range(chunks):
-            pending.popleft().result()
-            stream.fold(*bounds(i), slots[i % depth])
-            if i + depth < chunks:  # the slot just folded takes the next chunk
-                pending.append(pool.submit(run, i + depth))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    _run_in_order(run, chunks, min(cpus, depth), depth,
+                  lambda i, _: stream.fold(*bounds(i), slots[i % depth]))
 
 
 def _costs(pts: np.ndarray, u: np.ndarray, b: np.ndarray, d: np.ndarray, sq: np.ndarray,
@@ -1192,11 +1219,18 @@ class _Stream:
     decoder cost and its deviation gain, which jobs write in place.
 
     They hold one row more than the sample: a chunk of one row is computed
-    as two (see ``_stream_chunks``), and its second row lands there.
+    as two (see ``_stream_chunks``), and its second row lands there.  A
+    stream that does not fold adds nothing on the calling thread.
     """
 
-    def __init__(self, samples: int):
+    folds = False
+
+    def __init__(self, policy: EncoderPolicy, b: np.ndarray, samples: int):
+        self.policy, self.b = policy, b
         self.ce, self.cd, self.gains = (np.empty(samples + 1) for _ in range(3))
+
+    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
+        pass
 
 
 class _RevealStream(_Stream):
@@ -1212,16 +1246,14 @@ class _RevealStream(_Stream):
     folds = True
 
     def __init__(self, policy: RevealQuantizePolicy, b: np.ndarray, samples: int):
-        super().__init__(samples)
-        self.policy, self.b = policy, b
+        super().__init__(policy, b, samples)
         self.b_t = policy.transform.forward @ b
-        self.radices = [v.shape[0] for v in policy.cell_values] + [policy.k_last]
-        self.values = policy.cell_values + [policy.last_actions]
+        radices = policy._radices
         n = policy.dim
-        self.digits = np.empty((n, samples), dtype=np.min_scalar_type(max(self.radices) - 1))
-        self.counts = [np.zeros(k, dtype=np.intp) for k in self.radices]
-        self.sums = [np.zeros(k) for k in self.radices]
-        self.sumsq = [np.zeros(k) for k in self.radices]
+        self.digits = np.empty((n, samples), dtype=np.min_scalar_type(max(radices) - 1))
+        self.counts = [np.zeros(k, dtype=np.intp) for k in radices]
+        self.sums = [np.zeros(k) for k in radices]
+        self.sumsq = [np.zeros(k) for k in radices]
         self.square = np.empty(_SAMPLE_CHUNK)
         # the draw, x, y and u, and the (N,) buffers
         self.slot_bytes = 8 * _SAMPLE_CHUNK * (4 * n + 6)
@@ -1258,34 +1290,28 @@ class _RevealStream(_Stream):
         m = hi - lo
         for r, cell in enumerate(self.digits[:, lo:hi]):
             row = slot.rows[r, :m]
-            self.counts[r] += np.bincount(cell, minlength=self.radices[r])
+            self.counts[r] += np.bincount(cell, minlength=self.counts[r].shape[0])
             np.add.at(self.sums[r], cell, row)
             np.add.at(self.sumsq[r], cell, np.multiply(row, row, out=self.square[:m]))
         slot.rows = None
 
     def codes(self) -> np.ndarray:
         """The codes ``decode`` gives the sample, from the stored digits."""
-        codes = np.zeros(self.digits.shape[1], dtype=np.int64)
-        bound = 1
-        for digit, radix in zip(self.digits, self.radices):
-            codes, bound = _push_digit(codes, bound, digit, radix)
-        return codes
+        return _joint_codes(self.digits, self.policy._radices)
 
     def realized(self, rows: np.ndarray) -> np.ndarray:
         """The decoded actions of sample ``rows`` (two or more), from their
         digits, with the bits of the whole sample's decode."""
         digits = self.digits[:, rows]
-        yt = np.empty(digits.shape)
-        for r, values in enumerate(self.values):
-            np.take(values, digits[r], out=yt[r], mode="clip")
-        return self.policy.transform.apply(yt.T, "inverse")
+        y = self.policy._values(digits, np.empty(digits.shape))
+        return self.policy.transform.apply(y, "inverse")
 
     def centroids(self, uniq, counts):
         """(residual, stderr) of each checked bin: per transformed coordinate,
         on marginal bins (see ``_worst_centroid``)."""
         policy = self.policy
         per_coord = max(2, _CENTROID_BINS // (policy.n_revealed + 1))
-        for r, values in enumerate(self.values):
+        for r, values in enumerate(policy._digit_values):
             cnts, means, ses = _bin_summary(self.counts[r], self.sums[r], self.sumsq[r])
             # the last coordinate's bins are all checked
             top = (np.argsort(-cnts, kind="stable")[:per_coord] if r < policy.n_revealed
@@ -1300,15 +1326,12 @@ class _QuantizerStream(_Stream):
 
     Each job draws its rows into the sample, which the centroid check
     groups by bin, assigns them their cheapest action, and scores the
-    deviation gains and both costs.  The fold has nothing to add.  Like
-    the costs, the sample and the codes hold one row more than the sample.
+    deviation gains and both costs.  Like the costs, the sample and the
+    codes hold one row more than the sample.
     """
 
-    folds = False
-
     def __init__(self, policy: QuantizerPolicy, b: np.ndarray, samples: int):
-        super().__init__(samples)
-        self.policy, self.b = policy, b
+        super().__init__(policy, b, samples)
         self.m = np.empty((samples + 1, policy.dim))
         self._codes = np.empty(samples + 1, dtype=np.intp)
         k, n = policy.action_set.actions.shape
@@ -1338,28 +1361,18 @@ class _QuantizerStream(_Stream):
         t *= -2.0
         codes = _assign_targets(t, acts, slot.scores[: k * c].reshape(k, c), slot.best[:c],
                                 slot.mask[:c], self._codes[out])
-        self._gains(pts, codes, slot, self.gains[out])
-        u = np.take(acts, codes, axis=0, out=slot.u[: c * n].reshape(c, n))
-        # the targets are spent: m - u takes their buffer, and the squares take u's
-        _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
-
-    def _gains(self, pts: np.ndarray, codes: np.ndarray, slot: SimpleNamespace,
-               out: np.ndarray) -> None:
-        """Each row's cost reduction available by reporting another action,
-        into ``out``: its assigned score less its least, each action scored
-        as -2 (m - b).u + ||u||^2 against the bias the check is given."""
-        acts = self.policy.action_set.actions
-        (c, n), k = pts.shape, acts.shape[0]
+        # each row's deviation gain: its assigned score less its least, each
+        # action scored as -2 (m - b).u + ||u||^2 against the bias checked
         q = np.subtract(pts, self.b, out=slot.u[: c * n].reshape(c, n))
         q *= -2.0
         scores = np.matmul(q, acts.T, out=slot.scores[: c * k].reshape(c, k))
         scores += np.sum(acts * acts, axis=1)
-        at = np.add(self.row_starts[:c], codes, out=slot.at[:c])
-        np.take(scores.reshape(-1), at, out=out)
-        out -= scores.min(axis=1, out=slot.best[:c])
-
-    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
-        pass
+        gains = self.gains[out]
+        np.take(scores.reshape(-1), np.add(self.row_starts[:c], codes, out=slot.at[:c]), out=gains)
+        gains -= scores.min(axis=1, out=slot.best[:c])
+        u = np.take(acts, codes, axis=0, out=slot.u[: c * n].reshape(c, n))
+        # the targets are spent: m - u takes their buffer, and the squares take u's
+        _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
 
     def codes(self) -> np.ndarray:
         return self._codes[:-1]
@@ -1378,6 +1391,16 @@ class _QuantizerStream(_Stream):
             sel = self.m[:-1][self.codes() == uniq[row]]
             resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
             yield resid, math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / cnt)
+
+
+def _streamed_sample(policy: EncoderPolicy, model: SourceModel, b, samples, seed):
+    """The policy's stream (see ``_Stream``) run over ``model.sample(samples,
+    seed)``, with ``samples`` and ``seed`` as ints (see ``_sample_and_seed``)."""
+    samples, seed = _sample_and_seed(samples, seed)
+    kind = _QuantizerStream if isinstance(policy, QuantizerPolicy) else _RevealStream
+    stream = kind(policy, as_point(b, dim=model.dim), samples)
+    _stream_chunks(stream, model, samples, seed)
+    return stream, samples, seed
 
 
 def verify_equilibrium(
@@ -1406,18 +1429,8 @@ def verify_equilibrium(
     standard errors need two) and ``seed`` a nonnegative whole number;
     anything else raises ``ValueError`` naming it.
     """
-    if not _is_whole(samples) or samples < 2:
-        raise ValueError(
-            f"samples must be a whole number (verification needs at least 2 samples), "
-            f"got {samples!r}"
-        )
-    if not _is_whole(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
-    samples, seed = int(samples), int(seed)
-    b = as_point(b, dim=model.dim)
-    kind = _QuantizerStream if isinstance(policy, QuantizerPolicy) else _RevealStream
-    stream = kind(policy, b, samples)
-    _stream_chunks(stream, model, samples, seed)
+    stream, samples, seed = _streamed_sample(policy, model, b, samples, seed)
+    b = stream.b
 
     je, jd = _estimate(stream.ce[:samples]), _estimate(stream.cd[:samples])
     deviation = _estimate(stream.gains[:samples])
@@ -1553,14 +1566,12 @@ def expected_distortions(
     samples: int = 1_000_000,
     seed: int = 99,
 ) -> tuple[EstimateWithError, EstimateWithError]:
-    """Per-dimension expected costs (encoder, decoder) of a policy."""
-    b = as_point(b, dim=model.dim)
-    m = model.sample(samples, seed)
-    u, _ = policy.decode(m)
+    """Per-dimension expected costs (encoder, decoder) of a policy: the two
+    costs ``verify_equilibrium`` estimates, from the same stream and with
+    the same bits, divided by the dimension; checked as there."""
+    stream, samples, _ = _streamed_sample(policy, model, b, samples, seed)
     n = model.dim
-    ce = np.sum((m - u - b) ** 2, axis=1) / n
-    cd = np.sum((m - u) ** 2, axis=1) / n
-    return _estimate(ce), _estimate(cd)
+    return _estimate(stream.ce[:samples] / n), _estimate(stream.cd[:samples] / n)
 
 
 # -- linear (continuum) equilibrium verification -----------------------------------

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDistortionError
-from .equilibrium import _available_cpus, _is_whole, solve_scalar_biased
+from .equilibrium import (_available_cpus, _is_whole, _run_in_order, _sample_and_seed,
+                          solve_scalar_biased)
 from .sources import iid_gaussian
 
 __all__ = [
@@ -218,11 +219,7 @@ def asymptotic_experiment(
     n_list = [int(n) for n in n_list]
     if any(n < 2 for n in n_list):
         raise ValueError("each n must be at least 2")
-    if not _is_whole(samples) or samples < 2:
-        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
-    if not _is_whole(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    samples, seed = int(samples), int(seed)
+    samples, seed = _sample_and_seed(samples, seed)
 
     levels = 2 ** int(rate_bits)
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)
@@ -234,36 +231,27 @@ def asymptotic_experiment(
     sd = math.sqrt(sigma_sq)
 
     chunks = [max(1, min(samples, _CHUNK_VALUES // n)) for n in n_list]
-    starts = [range(0, samples, chunk) for chunk in chunks]  # each chunk's first row
+    # the arguments of every chunk's _chunk_sums, in order; b sits wholly on coordinate n
+    jobs = [(seed, idx, part, min(chunk, samples - done), n, sd, first, rest, actions,
+             math.sqrt(n) * b)
+            for idx, (n, chunk) in enumerate(zip(n_list, chunks))
+            for part, done in enumerate(range(0, samples, chunk))]
     # a job holds jd and gap for its chunk, and block buffers of 25 B a value
     job_bytes = max(16 * chunk + 25 * max(n, _BLOCK_VALUES) for n, chunk in zip(n_list, chunks))
-    jobs = sum(len(first_rows) for first_rows in starts)
-    workers = max(1, min(_available_cpus(), jobs, _MEMORY_BUDGET // job_bytes))
-    # imported here, so that `import cheaptalk` does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
+    workers = max(1, min(_available_cpus(), len(jobs), _MEMORY_BUDGET // job_bytes))
+    # each n's sums of jd, jd**2, gap and gap**2, its chunks added in order
+    totals = [[0.0] * 4 for _ in n_list]
 
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [
-            [
-                pool.submit(_chunk_sums, seed, idx, part, min(chunk, samples - done), n, sd,
-                            first, rest, actions, math.sqrt(n) * b)  # b sits wholly on coordinate n
-                for part, done in enumerate(first_rows)
-            ]
-            for idx, (n, chunk, first_rows) in enumerate(zip(n_list, chunks, starts))
-        ]
-        sums = [[future.result() for future in parts] for parts in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def take(i, sums):
+        total = totals[jobs[i][1]]
+        for k, part in enumerate(sums):
+            total[k] += part
+
+    # every job is submitted at once: its result is four floats
+    _run_in_order(lambda i: _chunk_sums(*jobs[i]), len(jobs), workers, len(jobs), take)
 
     rows = []
-    for n, parts in zip(n_list, sums):
-        sum_jd = sum_jd2 = sum_gap = sum_gap2 = 0.0
-        for part_jd, part_jd2, part_gap, part_gap2 in parts:
-            sum_jd += part_jd
-            sum_jd2 += part_jd2
-            sum_gap += part_gap
-            sum_gap2 += part_gap2
+    for n, (sum_jd, sum_jd2, sum_gap, sum_gap2) in zip(n_list, totals):
         jd_mean = sum_jd / samples
         jd_var = max(sum_jd2 / samples - jd_mean**2, 0.0)
         gap_mean = sum_gap / samples

@@ -486,11 +486,10 @@ class SourceModel:
             self._sample_chunk(seed, chunk_index, out[start : start + m])
         return out
 
-    def _sample_chunk(self, seed: int, chunk_index: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """All ``_SAMPLE_CHUNK`` rows of chunk ``chunk_index`` of the stream
-        seeded by ``seed``, or as many of its first rows as a C-contiguous
-        ``out`` holds, written into it.
+    def _sample_chunk(self, seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
+        """As many of the first rows of chunk ``chunk_index`` of the stream
+        seeded by ``seed`` as the C-contiguous ``out`` holds, written into it;
+        a chunk holds ``_SAMPLE_CHUNK`` rows.
 
         A chunk's rows are those of one full draw, so that shorter requests
         are exact prefixes of longer ones, whatever the family consumes
@@ -500,8 +499,6 @@ class SourceModel:
         chunk-sized array is allocated.
         """
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        if out is None:
-            return self._draw(rng, _SAMPLE_CHUNK)
         if self.cov is not None or self.table is not None:
             out[...] = self._draw(rng, _SAMPLE_CHUNK)[: out.shape[0]]
             return out

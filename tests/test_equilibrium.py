@@ -935,6 +935,34 @@ class TestExpectedDistortions:
         assert gap == pytest.approx(2.0, abs=3 * model.dim * math.hypot(je.stderr, jd.stderr))
 
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("samples", 1, "at least 2 samples"),  # one sample has no standard error
+        ("samples", True, "^samples must be a"),
+        ("seed", 1.5, "^seed must be a"),  # not read as seed 1
+    ])
+    def test_bad_samples_or_seed_named_before_any_thread(self, monkeypatch, field, value,
+                                                         match):
+        import concurrent.futures
+
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        model = iid_gaussian(2)
+        policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
+        args = {"samples": 4_000, "seed": 3, field: value}
+        with pytest.raises(ValueError, match=match):
+            expected_distortions(policy, model, [1.0, 1.0], **args)
+
+    def test_integral_float_samples_are_whole_numbers(self):
+        model = iid_gaussian(2)
+        policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
+        got = expected_distortions(policy, model, [1.0, 1.0], samples=4e3, seed=3.0)
+        want = expected_distortions(policy, model, [1.0, 1.0], samples=4_000, seed=3)
+        assert estimate_bits(got) == estimate_bits(want)
+        assert all(type(est.sample_count) is int for est in got)
+
+
 class TestVerifyLinearEquilibrium:
     def test_gaussian_generic_bias_passes(self):
         report = verify_linear_equilibrium(iid_gaussian(2), [1.0, 2.0], samples=300_000, seed=31)
@@ -1098,13 +1126,11 @@ def reference_decode(policy, points):
     x = points @ t.forward.T
     idx, j = cells = reference_cells(policy, x)
     y = np.empty_like(x)
-    codes = np.zeros(x.shape[0], dtype=np.int64)
-    bound = 1
     for r in range(policy.n_revealed):
         y[:, r] = policy.cell_values[r][idx[r]]
-        codes, bound = equilibrium._push_digit(codes, bound, idx[r], policy.cell_values[r].shape[0])
     y[:, -1] = policy.last_actions[j]
-    codes, _ = equilibrium._push_digit(codes, bound, j, policy.k_last)
+    radices = [v.shape[0] for v in policy.cell_values] + [policy.k_last]
+    codes = equilibrium._joint_codes(np.array([*idx, j]), radices)
     return x, y @ t.inverse.T, y, codes, cells
 
 
@@ -1409,7 +1435,7 @@ class TestStreamedCertificate:
     def test_a_failing_chunk_raises_in_the_caller_and_joins_the_pool(self, monkeypatch):
         real = sources.SourceModel._sample_chunk
 
-        def failing(self, seed, chunk_index, out=None):
+        def failing(self, seed, chunk_index, out):
             if chunk_index == 1:
                 raise RuntimeError("chunk failed")
             return real(self, seed, chunk_index, out)
@@ -1435,6 +1461,70 @@ class TestStreamedCertificate:
             tracemalloc.start()
             try:
                 verify_equilibrium(policy, model, B8, samples=samples, seed=99)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 600_000 < 96
+
+
+def estimate_bits(estimates) -> str:
+    """The fields of each ``EstimateWithError``, one repr for every bit."""
+    return repr([dataclasses.astuple(est) for est in estimates])
+
+
+def reference_expected_distortions(policy, model, b, samples, seed):
+    """``expected_distortions`` on the whole sample at once: one draw, one
+    decode and the per-row costs (m - u - b)**2 and (m - u)**2."""
+    b = np.asarray(b, dtype=float)
+    m = model.sample(samples, seed)
+    u, _ = policy.decode(m)
+    n = model.dim
+    ce = np.sum((m - u - b) ** 2, axis=1) / n
+    cd = np.sum((m - u) ** 2, axis=1) / n
+    return equilibrium._estimate(ce), equilibrium._estimate(cd)
+
+
+@functools.cache
+def distortion_policy(name):
+    """(policy, model, b) of each policy the streamed costs are checked on."""
+    if name == "gaussian-2d":
+        model, b = iid_gaussian(2), np.array([1.0, 1.0])
+        return construct_reveal_plus_quantize(model, b, 2), model, b
+    if name == "gaussian-8d":
+        return construct_reveal_plus_quantize(iid_gaussian(8), B8, 3), iid_gaussian(8), B8
+    if name == "exponential-2d":
+        model, b = iid_exponential(2), np.array([0.0, 3.0])
+        return construct_reveal_plus_quantize(model, b, 1, grid_levels=256), model, b
+    b = np.array([1.0, 0.0])  # the planted violation
+    return QuantizerPolicy(ActionSet(np.array([[0.0, 0.0], [1.0, 0.0]])), b), iid_gaussian(2), b
+
+
+class TestStreamedDistortions:
+    """``expected_distortions`` runs the certificate's chunk stream, with the
+    bits of the whole-sample costs."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["b", "2b"])
+    @pytest.mark.parametrize("name", ["gaussian-2d", "gaussian-8d", "exponential-2d", "planted"])
+    @pytest.mark.parametrize("samples", [2, 3, 65_535, 65_537, 200_000])
+    def test_equals_the_whole_sample_costs(self, monkeypatch, samples, name, scale):
+        policy, model, b = distortion_policy(name)
+        want = estimate_bits(reference_expected_distortions(policy, model, scale * b,
+                                                            samples, 45))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(equilibrium, "_available_cpus", lambda: workers)
+            got = expected_distortions(policy, model, scale * b, samples=samples, seed=45)
+            assert estimate_bits(got) == want
+
+    def test_8d_memory_grows_by_under_96_bytes_a_row(self, monkeypatch):
+        # the whole-sample costs held the (N, 8) sample, its decode and their
+        # differences; the stream holds the (N,) costs, gains and cell digits
+        monkeypatch.setattr(equilibrium, "_available_cpus", lambda: 2)
+        policy, model, b = distortion_policy("gaussian-8d")
+        peaks = []
+        for samples in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                expected_distortions(policy, model, b, samples=samples, seed=99)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

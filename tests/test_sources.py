@@ -127,8 +127,9 @@ class TestSampling:
     ], ids=lambda m: f"{m.family}-{m.dim}d")
     def test_chunk_drawn_into_a_buffer_has_the_same_bits(self, model):
         # an i.i.d. chunk is drawn into the buffer in blocks; every other law at once
-        whole = model._sample_chunk(5, 1)
-        assert whole.shape == (sources._SAMPLE_CHUNK, model.dim)
+        # the plain draw: the whole chunk at once from its own seeded stream
+        rng = np.random.default_rng(np.random.SeedSequence([5, 1]))
+        whole = model._draw(rng, sources._SAMPLE_CHUNK)
         assert np.array_equal(whole[:10], model.sample(sources._SAMPLE_CHUNK + 10, 5)[-10:])
         for rows in (sources._SAMPLE_CHUNK, 4_097, 1):
             out = np.full((rows, model.dim), np.nan)
