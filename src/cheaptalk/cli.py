@@ -43,6 +43,7 @@ from .equilibrium import (
 from .errors import CheapTalkError, InfeasibleDistortionError
 from .sources import (
     SourceModel,
+    _is_whole,
     correlated_gaussian_2d,
     iid_exponential,
     iid_gaussian,
@@ -166,7 +167,7 @@ def _bad(leaf: str, what: str, value) -> ConfigError:
 
 def _int(value, leaf: str) -> int:
     """An integer: booleans, fractions and non-numbers are errors, not truncations."""
-    if not ratedist._is_whole(value):
+    if not _is_whole(value):
         raise _bad(leaf, "an integer", value)
     return int(value)
 

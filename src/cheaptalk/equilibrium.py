@@ -30,7 +30,6 @@ import bisect
 import collections
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -45,6 +44,7 @@ from .sources import (
     GAUSSIAN,
     EstimateWithError,
     SourceModel,
+    _is_whole,
     _pair_values,
     _sorted_pairs,
     _special,
@@ -123,7 +123,9 @@ class SolverConfig:
     movement is below ``tolerance``.  A sweep that leaves the assignment
     unchanged reproduces the actions bit for bit, so the movement drops to
     exactly 0.0 and "converged" means an exact fixed point of the
-    evaluation measure.  Error messages start with the name of the
+    evaluation measure.  ``max_iterations`` and ``samples`` must be whole
+    numbers of at least 1 and ``seed`` a nonnegative whole number (integral
+    floats read as ints).  Error messages start with the name of the
     offending field.
     """
 
@@ -135,10 +137,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for name in ("max_iterations", "samples"):
+            value = getattr(self, name)
+            if not _is_whole(value) or value < 1:
+                raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+            setattr(self, name, int(value))
+        if not _is_whole(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative whole number, got {self.seed!r}")
+        self.seed = int(self.seed)
 
 
 @dataclass(eq=False)
@@ -778,33 +784,21 @@ class RevealQuantizePolicy:
         transpose is coordinate r, contiguous (see ``LinearTransform.apply``)."""
         return self.transform.apply(np.asarray(points, dtype=float), "forward")
 
-    def _cell(self, row: np.ndarray, r: int, out=None, work=None) -> np.ndarray:
+    def _cell(self, row: np.ndarray, r: int) -> np.ndarray:
         """Cell index of every value in ``row`` along revealed coordinate r.
 
         Equal to ``clip(searchsorted(edges, row, "right") - 1, 0,
         levels - 1)``.  The edges are finite, strictly increasing and uniform
         (``__post_init__`` checks it), so the arithmetic index
         ``floor((row - lo) / w)`` is at most one cell off, and one correction
-        step against the stored edges makes it exact.  The indices go into
-        ``out`` (intp, like ``row``) when given, and ``work`` holds a float
-        and two bool buffers like ``row``; without them they are allocated.
+        step against the stored edges makes it exact.
         """
         edges = self.cell_edges[r]
         levels = edges.shape[0] - 1
-        n = row.shape[0]
-        i = np.empty(n, dtype=np.intp) if out is None else out
-        if work is None:
-            work = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        f, below, inside = work
-        np.subtract(row, edges[0], out=f)
-        f /= (edges[-1] - edges[0]) / levels
-        np.floor(f, out=f)
-        np.clip(f, 0, levels - 1, out=f)
-        np.copyto(i, f, casting="unsafe")
-        np.less(row, np.take(edges, i, out=f), out=below)
-        i -= np.logical_and(below, np.greater(i, 0, out=inside), out=below)
-        np.greater_equal(row, np.take(edges[1:], i, out=f), out=below)
-        i += np.logical_and(below, np.less(i, levels - 1, out=inside), out=below)
+        f = np.floor((row - edges[0]) / ((edges[-1] - edges[0]) / levels))
+        i = np.clip(f, 0, levels - 1).astype(np.intp)
+        i -= (row < edges[i]) & (i > 0)
+        i += (row >= edges[i + 1]) & (i < levels - 1)
         return i
 
     @property
@@ -817,14 +811,12 @@ class RevealQuantizePolicy:
     def _radices(self) -> list[int]:
         return [values.shape[0] for values in self._digit_values]
 
-    def _cells(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
+    def _cells(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The digits of x, each revealed coordinate's cell index and the last
-        one's bin, as the rows of ``out``: an (n, N) intp array, allocated
-        unless given (``work`` as for ``_cell``)."""
+        one's bin, written into the rows of the (n, N) intp ``out``."""
         rows = x.T
-        out = np.empty(rows.shape, dtype=np.intp) if out is None else out
         for r in range(self.n_revealed):
-            self._cell(rows[r], r, out[r], work)
+            out[r] = self._cell(rows[r], r)
         out[-1] = np.searchsorted(self.last_boundaries[1:-1], rows[-1], side="left")
         return out
 
@@ -835,7 +827,7 @@ class RevealQuantizePolicy:
         (see ``_cell``).  Like x from ``transformed_coordinates``, y is held
         coordinate-major.
         """
-        digits = self._cells(x)
+        digits = self._cells(x, np.empty(x.T.shape, dtype=np.intp))
         return self._values(digits, np.empty(digits.shape)), _joint_codes(digits, self._radices)
 
     def _values(self, digits, yt: np.ndarray) -> np.ndarray:
@@ -1109,15 +1101,6 @@ def _estimate(values: np.ndarray) -> EstimateWithError:
     return EstimateWithError(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
 
 
-def _is_whole(x) -> bool:
-    """An integer or an integral float; booleans, fractions, nan and inf are not."""
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, numbers.Integral):
-        return True
-    return isinstance(x, numbers.Real) and float(x).is_integer()
-
-
 def _sample_and_seed(samples, seed) -> tuple[int, int]:
     """``samples`` and ``seed`` as ints: a whole number of at least 2 (the
     standard errors need two) and a nonnegative whole number; anything else
@@ -1170,17 +1153,22 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
     Chunk i is the i-th ``_SAMPLE_CHUNK`` rows of the sample, drawn by
     ``SourceModel._sample_chunk`` into ``stream.draw_buffer``.  The jobs
     run on min(available CPUs, chunks) threads.  Each chunk in flight has
-    its own slot of buffers, made once per call by ``stream.new_slot``; a
-    stream that folds keeps one more chunk in flight than threads, so that
-    the threads work on while a chunk is folded, and the slots stay within
-    ``_STREAM_BUDGET`` (two always fit).  A job gets the chunk's rows, or
-    two rows when the chunk holds only one: a lone row would go through
-    gemv, which rounds differently from the gemm every other row goes
-    through.
+    its own slot of (n, chunk) buffers, made once per call by
+    ``stream.new_slot``; a job allocates only chunk-length temporaries, and
+    ``stream.fold`` takes what it returns.  A stream that folds keeps one
+    more chunk in flight than threads, so that the threads work on while a
+    chunk is folded, and the slots stay within ``_STREAM_BUDGET`` (two
+    always fit).  A job gets the chunk's rows, or two rows when the chunk
+    holds only one: a lone row would go through gemv, which rounds
+    differently from the gemm every other row goes through.
     """
     chunks = -(-samples // _SAMPLE_CHUNK)
     cpus = _available_cpus()
     depth = min(chunks, cpus + stream.folds, max(2, _STREAM_BUDGET // stream.slot_bytes))
+    # made here and reused: (n, chunk) arrays that pool threads allocated and
+    # freed would stay in glibc's per-thread arenas; on a 2-vCPU x86 host that
+    # raised the peak RSS of seven 8-D verifies at 1e6 samples from 151 to
+    # 171-175 MB (138 MB with MALLOC_ARENA_MAX=1)
     slots = [stream.new_slot() for _ in range(depth)]
 
     def bounds(i):
@@ -1191,10 +1179,10 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
         lo, hi = bounds(i)
         slot = slots[i % depth]
         pts = model._sample_chunk(seed, i, stream.draw_buffer(slot, lo, max(hi - lo, 2)))
-        stream.job(pts, lo, hi, slot)
+        return stream.job(pts, lo, hi, slot)
 
     _run_in_order(run, chunks, min(cpus, depth), depth,
-                  lambda i, _: stream.fold(*bounds(i), slots[i % depth]))
+                  lambda i, result: stream.fold(*bounds(i), result))
 
 
 def _costs(pts: np.ndarray, u: np.ndarray, b: np.ndarray, d: np.ndarray, sq: np.ndarray,
@@ -1229,7 +1217,7 @@ class _Stream:
         self.policy, self.b = policy, b
         self.ce, self.cd, self.gains = (np.empty(samples + 1) for _ in range(3))
 
-    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
+    def fold(self, lo: int, hi: int, result) -> None:
         pass
 
 
@@ -1254,46 +1242,39 @@ class _RevealStream(_Stream):
         self.counts = [np.zeros(k, dtype=np.intp) for k in radices]
         self.sums = [np.zeros(k) for k in radices]
         self.sumsq = [np.zeros(k) for k in radices]
-        self.square = np.empty(_SAMPLE_CHUNK)
-        # the draw, x, y and u, and the (N,) buffers
+        # the draw, x, y and u, and the job's (N,) temporaries
         self.slot_bytes = 8 * _SAMPLE_CHUNK * (4 * n + 6)
 
     def new_slot(self) -> SimpleNamespace:
-        size, c = self.policy.dim * _SAMPLE_CHUNK, _SAMPLE_CHUNK
+        size = self.policy.dim * _SAMPLE_CHUNK
         return SimpleNamespace(draw=np.empty(size), x=np.empty(size), y=np.empty(size),
-                               u=np.empty(size),
-                               t=np.empty(c), best=np.empty(c), f=np.empty(c), g=np.empty(c),
-                               below=np.empty(c, dtype=bool), inside=np.empty(c, dtype=bool),
-                               rows=None)
+                               u=np.empty(size))
 
     def draw_buffer(self, slot: SimpleNamespace, lo: int, count: int) -> np.ndarray:
         return slot.draw[: count * self.policy.dim].reshape(count, -1)
 
-    def job(self, pts: np.ndarray, lo: int, hi: int, slot: SimpleNamespace) -> None:
+    def job(self, pts: np.ndarray, lo: int, hi: int, slot: SimpleNamespace) -> np.ndarray:
+        """Score the chunk; returns its transformed rows, which the fold reads."""
         policy = self.policy
         c, n = pts.shape
         out = slice(lo, lo + c)
         x = _apply_batch(policy.transform.forward, pts, out=slot.x[: n * c].reshape(n, c))
-        slot.rows = x.T  # the fold reads them
         # u's buffer holds the cell indices until u is computed
-        cells = slot.u[: n * c].view(np.intp).reshape(n, c)
-        work = slot.f[:c], slot.below[:c], slot.inside[:c]
-        y = policy._values(policy._cells(x, cells, work), slot.y[: n * c].reshape(n, c))
+        cells = policy._cells(x, slot.u[: n * c].view(np.intp).reshape(n, c))
+        y = policy._values(cells, slot.y[: n * c].reshape(n, c))
         self.digits[:, lo:hi] = cells[:, : hi - lo]
-        _reveal_deviation_gains(policy, x, y, self.b_t, out=self.gains[out],
-                                work=(slot.t[:c], slot.best[:c], slot.g[:c], cells[0], *work))
+        self.gains[out] = _reveal_deviation_gains(policy, x, y, self.b_t)
         u = _apply_batch(policy.transform.inverse, y, out=slot.u[: n * c].reshape(n, c))
         # y is spent: m - u takes its buffer, and the squares take u's
         _costs(pts, u, self.b, slot.y, slot.u, self.ce[out], self.cd[out])
+        return x.T
 
-    def fold(self, lo: int, hi: int, slot: SimpleNamespace) -> None:
-        m = hi - lo
+    def fold(self, lo: int, hi: int, rows: np.ndarray) -> None:
         for r, cell in enumerate(self.digits[:, lo:hi]):
-            row = slot.rows[r, :m]
+            row = rows[r, : hi - lo]
             self.counts[r] += np.bincount(cell, minlength=self.counts[r].shape[0])
             np.add.at(self.sums[r], cell, row)
-            np.add.at(self.sumsq[r], cell, np.multiply(row, row, out=self.square[:m]))
-        slot.rows = None
+            np.add.at(self.sumsq[r], cell, row * row)
 
     def codes(self) -> np.ndarray:
         """The codes ``decode`` gives the sample, from the stored digits."""
@@ -1335,17 +1316,13 @@ class _QuantizerStream(_Stream):
         self.m = np.empty((samples + 1, policy.dim))
         self._codes = np.empty(samples + 1, dtype=np.intp)
         k, n = policy.action_set.actions.shape
-        # each row's first score in the (N, K) scores of the deviation scan
-        self.row_starts = k * np.arange(_SAMPLE_CHUNK)
-        # t and u, the scores, and the (N,) buffers
+        # t and u, the scores, and the job's (N,) temporaries
         self.slot_bytes = 8 * _SAMPLE_CHUNK * (2 * n + k + 3)
 
     def new_slot(self) -> SimpleNamespace:
         k, n = self.policy.action_set.actions.shape
         c = _SAMPLE_CHUNK
-        return SimpleNamespace(t=np.empty(n * c), u=np.empty(n * c), scores=np.empty(k * c),
-                               best=np.empty(c), mask=np.empty(c, dtype=bool),
-                               at=np.empty(c, dtype=np.intp))
+        return SimpleNamespace(t=np.empty(n * c), u=np.empty(n * c), scores=np.empty(k * c))
 
     def draw_buffer(self, slot: SimpleNamespace, lo: int, count: int) -> np.ndarray:
         return self.m[lo : lo + count]
@@ -1359,17 +1336,15 @@ class _QuantizerStream(_Stream):
         # the targets -2 (pts - bias), transposed, as assign_actions_batch scores them
         t = np.subtract(pts.T, policy.bias[:, None], out=slot.t[: n * c].reshape(n, c))
         t *= -2.0
-        codes = _assign_targets(t, acts, slot.scores[: k * c].reshape(k, c), slot.best[:c],
-                                slot.mask[:c], self._codes[out])
+        codes = _assign_targets(t, acts, slot.scores[: k * c].reshape(k, c), np.empty(c),
+                                np.empty(c, dtype=bool), self._codes[out])
         # each row's deviation gain: its assigned score less its least, each
         # action scored as -2 (m - b).u + ||u||^2 against the bias checked
         q = np.subtract(pts, self.b, out=slot.u[: c * n].reshape(c, n))
         q *= -2.0
         scores = np.matmul(q, acts.T, out=slot.scores[: c * k].reshape(c, k))
         scores += np.sum(acts * acts, axis=1)
-        gains = self.gains[out]
-        np.take(scores.reshape(-1), np.add(self.row_starts[:c], codes, out=slot.at[:c]), out=gains)
-        gains -= scores.min(axis=1, out=slot.best[:c])
+        self.gains[out] = scores[np.arange(c), codes] - scores.min(axis=1)
         u = np.take(acts, codes, axis=0, out=slot.u[: c * n].reshape(c, n))
         # the targets are spent: m - u takes their buffer, and the squares take u's
         _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
@@ -1499,8 +1474,7 @@ def _worst_centroid(checks):
     return max_resid, max_resid_se, max_z, evaluated
 
 
-def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t, out=None,
-                            work=None) -> np.ndarray:
+def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t) -> np.ndarray:
     """Per-sample cost reduction available by re-reporting within the policy.
 
     ``x`` and ``y`` are the transformed sample and its decoded values, both
@@ -1511,51 +1485,22 @@ def _reveal_deviation_gains(policy: RevealQuantizePolicy, x, y, b_t, out=None,
     that holds t_r, on the last the action nearest t_r.  The own and the
     best terms sum in coordinate order; where b_t[r] = 0 the two terms are
     the same expression, so a sample with nothing to gain scores exactly 0.
-    The gains are written into ``out`` when given.  ``work`` is the tuple
-    of buffers (t, best, g, cell, f, below, inside), each as long as the
-    sample: float but for the intp ``cell`` and the bool ``below`` and
-    ``inside``; the last three serve the cell searches too.  Without it
-    they are allocated.
     """
     rows, yrows = x.T, y.T
-    n = rows.shape[1]
-    if work is None:
-        work = (*(np.empty(n) for _ in range(3)), np.empty(n, dtype=np.intp), np.empty(n),
-                np.empty(n, dtype=bool), np.empty(n, dtype=bool))
-    # t holds a coordinate's target, then its own cost; f and g the best
-    # report's costs
-    t, best, g, cell, *search = work
-    f = search[0]
-    assigned = np.empty(n) if out is None else out
-    assigned.fill(0.0)
-    best.fill(0.0)
+    assigned, best = np.zeros(rows.shape[1]), np.zeros(rows.shape[1])
     for r in range(policy.n_revealed):
-        np.subtract(rows[r], b_t[r], out=t)
-        alt = np.take(policy.cell_values[r], policy._cell(t, r, cell, search), mode="clip", out=f)
-        alt -= t
-        alt *= alt
-        best += alt
-        t -= yrows[r]
-        t *= t
-        assigned += t
+        t = rows[r] - b_t[r]
+        best += (policy.cell_values[r][policy._cell(t, r)] - t) ** 2
+        assigned += (t - yrows[r]) ** 2
     # the last coordinate: the nearest action is on one side of the target
     acts = policy.last_actions
-    np.subtract(rows[-1], b_t[-1], out=t)
+    t = rows[-1] - b_t[-1]
     pos = np.searchsorted(acts, t)
-    hi = np.take(acts, pos, mode="clip", out=f)
-    pos -= 1
-    lo = np.take(acts, pos, mode="clip", out=g)
-    del pos
-    hi -= t
-    hi *= hi
-    lo -= t
-    lo *= lo
-    best += np.minimum(lo, hi, out=hi)
-    t -= yrows[-1]
-    t *= t
-    assigned += t
-    assigned -= best
-    return assigned
+    hi = (np.take(acts, pos, mode="clip") - t) ** 2
+    lo = (np.take(acts, pos - 1, mode="clip") - t) ** 2
+    best += np.minimum(lo, hi)
+    assigned += (t - yrows[-1]) ** 2
+    return assigned - best
 
 
 def expected_distortions(

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDistortionError
-from .equilibrium import (_available_cpus, _is_whole, _run_in_order, _sample_and_seed,
-                          solve_scalar_biased)
-from .sources import iid_gaussian
+from .equilibrium import _available_cpus, _run_in_order, _sample_and_seed, solve_scalar_biased
+from .sources import _finite_parameters, _is_whole, _positive_parameters, iid_gaussian
 
 __all__ = [
     "RDTuple",
@@ -56,20 +55,10 @@ class RDTuple:
             raise ValueError("encoder distortion cannot be below decoder distortion")
 
 
-def _require_finite(**values) -> None:
-    """Raise a ``ValueError`` naming the first argument that is nan or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def team_rate_distortion(sigma_sq: float, d: float) -> float:
     """Team rate-distortion function ``max(0, log2(sigma^2/D)/2)``."""
-    _require_finite(sigma_sq=sigma_sq, d=d)
-    if sigma_sq <= 0.0:
-        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
-    if d <= 0.0:
-        raise ValueError(f"d must be positive, got {d}")
+    _finite_parameters(sigma_sq=sigma_sq, d=d)
+    _positive_parameters(sigma_sq=sigma_sq, d=d)
     if d >= sigma_sq:
         return 0.0
     return 0.5 * math.log2(sigma_sq / d)
@@ -91,9 +80,8 @@ def game_rate_bound(sigma_sq: float, b: float, de: float, dd: float) -> float:
     encoder distortion below ``b^2`` cannot be met, since centroid decoders
     force ``de = dd + b^2``.
     """
-    _require_finite(sigma_sq=sigma_sq, b=b, de=de, dd=dd)
-    if sigma_sq <= 0.0:
-        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
+    _finite_parameters(sigma_sq=sigma_sq, b=b, de=de, dd=dd)
+    _positive_parameters(sigma_sq=sigma_sq)
     if de <= 0.0 or dd <= 0.0:
         raise ValueError(f"de and dd must be positive, got de={de}, dd={dd}")
     effective = min(dd, de - b * b)
@@ -209,9 +197,8 @@ def asymptotic_experiment(
     memory budget.  Their sums are added in chunk order, so the rows do
     not depend on the thread count.
     """
-    _require_finite(sigma_sq=sigma_sq, b=b)
-    if sigma_sq <= 0.0:
-        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
+    _finite_parameters(sigma_sq=sigma_sq, b=b)
+    _positive_parameters(sigma_sq=sigma_sq)
     if not _is_whole(rate_bits) or rate_bits < 0:
         raise ValueError("rate must be a nonnegative integer bit count")
     if not all(_is_whole(n) for n in n_list):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 import numpy as np
 
@@ -472,13 +473,15 @@ class SourceModel:
         """Draw ``count`` observations, shape (count, dim), deterministically.
 
         The stream is chunked so that ``sample(n1, s)`` is a prefix of
-        ``sample(n2, s)`` whenever ``n1 <= n2``.
+        ``sample(n2, s)`` whenever ``n1 <= n2``.  ``count`` must be a whole
+        number of at least 1 and ``seed`` a nonnegative whole number;
+        anything else raises ``ValueError`` naming it.
         """
-        if count <= 0:
-            raise ValueError("sample count must be positive")
-        seed = int(seed)
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not _is_whole(count) or count < 1:
+            raise ValueError(f"count must be a whole number of at least 1, got {count!r}")
+        if not _is_whole(seed) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
+        count, seed = int(count), int(seed)
         out = np.empty((count, self.dim))
         for chunk_index in range(0, (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK):
             start = chunk_index * _SAMPLE_CHUNK
@@ -601,6 +604,15 @@ def iid_model(family: str, marginal, n: int) -> SourceModel:
         family=family, dim=n, mean=np.full(n, marginal.mean), marginals=(marginal,) * n,
         symmetric=marginal.symmetric,
     )
+
+
+def _is_whole(x) -> bool:
+    """An integer or an integral float; booleans, fractions, nan and inf are not."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
 def _finite_parameters(**values) -> None:

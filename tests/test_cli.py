@@ -139,6 +139,7 @@ class TestExitCodes:
         ("--solver.samples=1000.9", "samples"),
         ("--solver.grid_levels=16.5", "grid_levels"),
         ("--solver.seed=3.9", "seed"),
+        ("--solver.seed=-1", "seed"),
     ])
     def test_solve_with_bad_solver_value_is_two(self, override, field):
         config = str(ROOT / "configs" / "solve_uniform_k3.json")

@@ -1040,10 +1040,22 @@ class TestSolverConfig:
         ("tolerance", -1e-8),
         ("samples", 0),
         ("samples", -5),
+        ("samples", True),
+        ("samples", 1.5),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", float("nan")),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
     ])
     def test_rejected_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             SolverConfig(**{field: value})
+
+    def test_integral_floats_read_as_ints(self):
+        config = SolverConfig(max_iterations=50.0, samples=4e3, seed=7.0)
+        assert (config.max_iterations, config.samples, config.seed) == (50, 4000, 7)
+        assert all(type(v) is int for v in (config.max_iterations, config.samples, config.seed))
 
     def test_damping_is_not_a_field(self):
         # every sweep is the plain best response: there is no step size to set

@@ -157,6 +157,23 @@ class TestSampling:
         cov = np.cov(pts.T)
         assert np.allclose(cov, [[1.0, 0.8], [0.8, 2.0]], atol=0.03)
 
+    @pytest.mark.parametrize("count, seed, name", [
+        (0, 1, "count"),
+        (2.5, 1, "count"),
+        (True, 1, "count"),
+        (10, -1, "seed"),
+        (10, 1.5, "seed"),
+        (10, float("nan"), "seed"),
+        (10, True, "seed"),
+    ])
+    def test_sample_rejects_a_bad_count_or_seed_by_name(self, count, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            iid_gaussian(2).sample(count, seed)
+
+    def test_sample_reads_integral_floats_as_ints(self):
+        model = iid_gaussian(2)
+        assert np.array_equal(model.sample(10.0, 1.0), model.sample(10, 1))
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             iid_gaussian(2).sample(0, seed=1)
