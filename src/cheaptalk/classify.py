@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_point
+from .geometry import _whole, as_point
 from .sources import (
+    _MIN_WINDOW_COUNT,
     CORRELATED_GAUSSIAN_2D,
     GAUSSIAN,
     SourceModel,
@@ -84,7 +85,9 @@ def _curve_evidence(model: SourceModel, b, samples: int, seed: int) -> dict:
 def classify_linear_existence(
     model: SourceModel, b, *, samples: int = 200_000, seed: int = 0
 ) -> ClassificationVerdict:
-    """Decide the four-case table above for an i.i.d. 2-D source."""
+    """Decide the four-case table above for an i.i.d. 2-D source; ``samples``
+    and ``seed``, checked on every path, feed a tabulated source's curve."""
+    samples, seed = _whole(samples, "samples", _MIN_WINDOW_COUNT), _whole(seed, "seed")
     if model.dim != 2:
         raise ValueError("classification is defined for 2-D sources")
     if model.family == CORRELATED_GAUSSIAN_2D:

@@ -41,9 +41,9 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import CheapTalkError, InfeasibleDistortionError
+from .geometry import _is_whole
 from .sources import (
     SourceModel,
-    _is_whole,
     correlated_gaussian_2d,
     iid_exponential,
     iid_gaussian,
@@ -409,9 +409,11 @@ def _cmd_classify(cfg: dict):
             float(model.cov[0, 0]), float(model.cov[1, 1]), float(model.cov[0, 1]), bias
         )
     else:
-        verdict = classify_mod.classify_linear_existence(
-            model, bias, samples=min(s["samples"], 400_000), seed=s["seed"]
-        )
+        samples, seed = s["samples"], s["seed"]
+        with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
+            verdict = classify_mod.classify_linear_existence(
+                model, bias, samples=min(samples, 400_000), seed=seed
+            )
     return verdict.to_dict(), (1 if verdict.exists == "no" else 0), None
 
 

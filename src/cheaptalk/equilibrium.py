@@ -37,14 +37,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
-from .geometry import _assign_columns, _assign_targets, as_point, assign_actions_batch
+from .geometry import _assign_columns, _assign_targets, _whole, as_point, assign_actions_batch
 from .sources import (
     _SAMPLE_CHUNK,
     _TRUNCATION_EPS,
     GAUSSIAN,
     EstimateWithError,
     SourceModel,
-    _is_whole,
+    _finite_parameters,
     _pair_values,
     _sorted_pairs,
     _special,
@@ -124,9 +124,7 @@ class SolverConfig:
     unchanged reproduces the actions bit for bit, so the movement drops to
     exactly 0.0 and "converged" means an exact fixed point of the
     evaluation measure.  ``max_iterations`` and ``samples`` must be whole
-    numbers of at least 1 and ``seed`` a nonnegative whole number (integral
-    floats read as ints).  Error messages start with the name of the
-    offending field.
+    numbers of at least 1 and ``seed`` of at least 0.
     """
 
     tolerance: float = 1e-8
@@ -137,14 +135,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        for name in ("max_iterations", "samples"):
-            value = getattr(self, name)
-            if not _is_whole(value) or value < 1:
-                raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
-            setattr(self, name, int(value))
-        if not _is_whole(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative whole number, got {self.seed!r}")
-        self.seed = int(self.seed)
+        self.max_iterations = _whole(self.max_iterations, "max_iterations", 1)
+        self.samples = _whole(self.samples, "samples", 1)
+        self.seed = _whole(self.seed, "seed")
 
 
 @dataclass(eq=False)
@@ -176,6 +169,7 @@ def _evaluation_measure(model: SourceModel, samples: int, seed: int):
     once per solve so the Lloyd iteration is deterministic and converges
     exactly on it.
     """
+    samples, seed = _whole(samples, "samples", 1), _whole(seed, "seed")
     if model.dim <= 2:
         return model.quadrature_cells(samples)
     pts = model.sample(samples, seed)
@@ -388,8 +382,7 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
     """
     config = config or SolverConfig()
     b = as_point(b, dim=model.dim)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _whole(k, "k", 1)
     pts, w = _evaluation_measure(model, config.samples, config.seed)
     measure = _SweepMeasure(pts, w, b)
 
@@ -634,8 +627,8 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
     """
     if model.dim != 1:
         raise DimensionMismatchError("the scalar solver needs a 1-D source model")
-    if k < 1:
-        raise ValueError("need at least one bin")
+    k = _whole(k, "k", 1)
+    _finite_parameters(beta=beta)
     lo, hi = model.marginals[0].lo, model.marginals[0].hi
     _, mean, _ = truncated_moments_1d(model, lo, hi)
     if k == 1:
@@ -896,8 +889,7 @@ def construct_reveal_plus_quantize(
     n = model.dim
     if n < 2:
         raise ValueError("reveal-and-quantize needs at least two dimensions")
-    if k_last < 1:
-        raise ValueError("the last coordinate needs at least one bin")
+    k_last, grid_levels = _whole(k_last, "k_last", 1), _whole(grid_levels, "grid_levels", 1)
     if model.cov is not None or model.table is not None:  # not i.i.d.
         raise ValueError(
             f"reveal-and-quantize is not supported for the {model.family!r} family"
@@ -1099,17 +1091,6 @@ def _estimate(values: np.ndarray) -> EstimateWithError:
     """The sample mean of ``values`` with its standard error."""
     n = values.shape[0]
     return EstimateWithError(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
-
-
-def _sample_and_seed(samples, seed) -> tuple[int, int]:
-    """``samples`` and ``seed`` as ints: a whole number of at least 2 (the
-    standard errors need two) and a nonnegative whole number; anything else
-    raises ``ValueError`` naming it."""
-    if not _is_whole(samples) or samples < 2:
-        raise ValueError(f"samples must be a whole number (at least 2 samples), got {samples!r}")
-    if not _is_whole(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
-    return int(samples), int(seed)
 
 
 def _available_cpus() -> int:
@@ -1370,8 +1351,8 @@ class _QuantizerStream(_Stream):
 
 def _streamed_sample(policy: EncoderPolicy, model: SourceModel, b, samples, seed):
     """The policy's stream (see ``_Stream``) run over ``model.sample(samples,
-    seed)``, with ``samples`` and ``seed`` as ints (see ``_sample_and_seed``)."""
-    samples, seed = _sample_and_seed(samples, seed)
+    seed)``, with ``samples`` and ``seed`` read as ints (see ``verify_equilibrium``)."""
+    samples, seed = _whole(samples, "samples", 2), _whole(seed, "seed")
     kind = _QuantizerStream if isinstance(policy, QuantizerPolicy) else _RevealStream
     stream = kind(policy, as_point(b, dim=model.dim), samples)
     _stream_chunks(stream, model, samples, seed)
@@ -1401,8 +1382,7 @@ def verify_equilibrium(
     the number of threads.  A reveal policy's verify holds no (N, n)
     array, a quantizer's only its sample, which its centroid check groups
     by bin.  ``samples`` must be a whole number of at least 2 (the
-    standard errors need two) and ``seed`` a nonnegative whole number;
-    anything else raises ``ValueError`` naming it.
+    standard errors need two) and ``seed`` of at least 0.
     """
     stream, samples, seed = _streamed_sample(policy, model, b, samples, seed)
     b = stream.b
@@ -1591,6 +1571,7 @@ def verify_linear_equilibrium(
     if model.dim != 2:
         raise DimensionMismatchError("linear-equilibrium verification needs a 2-D source")
     pairs = _sorted_pairs(model, b, samples, seed)
+    samples = pairs.pts.shape[0]  # checked and read as an int there
     pilot = pairs.pts[: min(samples, 200_000)]
     x1_pilot, _ = _pair_values(pairs.pair, pilot)
     grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))

@@ -16,6 +16,7 @@ difference identity ``cost(m, u_second) - cost(m, u_first) = 2 h``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,24 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("vector entries must be finite")
     return p
+
+
+def _is_whole(x) -> bool:
+    """An integer or an integral float; booleans, fractions, nan and inf are not."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
+def _whole(value, name: str, least: int = 0) -> int:
+    """``value``, a whole number (numpy's too) of at least ``least``, as an int;
+    the one rule for every count, size and seed the package takes.  Anything
+    else raises ``ValueError`` whose message starts with ``name``."""
+    if not _is_whole(value) or value < least:
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDistortionError
-from .equilibrium import _available_cpus, _run_in_order, _sample_and_seed, solve_scalar_biased
-from .sources import _finite_parameters, _is_whole, _positive_parameters, iid_gaussian
+from .equilibrium import _available_cpus, _run_in_order, solve_scalar_biased
+from .geometry import _whole
+from .sources import _finite_parameters, _positive_parameters, iid_gaussian
 
 __all__ = [
     "RDTuple",
@@ -94,6 +95,7 @@ def game_rate_bound(sigma_sq: float, b: float, de: float, dd: float) -> float:
 
 def lloyd_max_quantizer(sigma_sq: float, levels: int):
     """Team-optimal scalar quantizer of a centered gaussian; (quantizer, distortion)."""
+    levels = _whole(levels, "levels", 1)
     quant = solve_scalar_biased(iid_gaussian(1, mean=0.0, sigma_sq=sigma_sq), 0.0, levels)
     return quant, quant.distortion()
 
@@ -199,16 +201,11 @@ def asymptotic_experiment(
     """
     _finite_parameters(sigma_sq=sigma_sq, b=b)
     _positive_parameters(sigma_sq=sigma_sq)
-    if not _is_whole(rate_bits) or rate_bits < 0:
-        raise ValueError("rate must be a nonnegative integer bit count")
-    if not all(_is_whole(n) for n in n_list):
-        raise ValueError(f"each n must be an integer, got {list(n_list)}")
-    n_list = [int(n) for n in n_list]
-    if any(n < 2 for n in n_list):
-        raise ValueError("each n must be at least 2")
-    samples, seed = _sample_and_seed(samples, seed)
+    rate_bits = _whole(rate_bits, "rate_bits")
+    n_list = [_whole(n, f"n_list[{i}]", 2) for i, n in enumerate(n_list)]
+    samples, seed = _whole(samples, "samples", 2), _whole(seed, "seed")
 
-    levels = 2 ** int(rate_bits)
+    levels = 2**rate_bits
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)
     inner = quant.boundaries[1:-1]
     # the first comparison writes the cell index, the rest add to it; with

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .geometry import _whole
 from .transforms import LinearTransform, pair_transform_2d
 
 __all__ = [
@@ -437,8 +437,7 @@ class SourceModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unsupported source family {self.family!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        self.dim = _whole(self.dim, "dim", 1)
         self.mean = np.asarray(self.mean, dtype=float)
 
     # -- marginal structure ------------------------------------------------
@@ -474,14 +473,9 @@ class SourceModel:
 
         The stream is chunked so that ``sample(n1, s)`` is a prefix of
         ``sample(n2, s)`` whenever ``n1 <= n2``.  ``count`` must be a whole
-        number of at least 1 and ``seed`` a nonnegative whole number;
-        anything else raises ``ValueError`` naming it.
+        number of at least 1 and ``seed`` of at least 0.
         """
-        if not _is_whole(count) or count < 1:
-            raise ValueError(f"count must be a whole number of at least 1, got {count!r}")
-        if not _is_whole(seed) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative whole number, got {seed!r}")
-        count, seed = int(count), int(seed)
+        count, seed = _whole(count, "count", 1), _whole(seed, "seed")
         out = np.empty((count, self.dim))
         for chunk_index in range(0, (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK):
             start = chunk_index * _SAMPLE_CHUNK
@@ -600,19 +594,11 @@ class SourceModel:
 
 def iid_model(family: str, marginal, n: int) -> SourceModel:
     """n i.i.d. coordinates that share one marginal law."""
+    n = _whole(n, "n", 1)
     return SourceModel(
         family=family, dim=n, mean=np.full(n, marginal.mean), marginals=(marginal,) * n,
         symmetric=marginal.symmetric,
     )
-
-
-def _is_whole(x) -> bool:
-    """An integer or an integral float; booleans, fractions, nan and inf are not."""
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, numbers.Integral):
-        return True
-    return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
 def _finite_parameters(**values) -> None:
@@ -762,8 +748,8 @@ def truncated_moments_1d(model: SourceModel, a: float, b: float):
     """
     if model.dim != 1:
         raise DimensionMismatchError("truncated moments require a 1-D source model")
-    if b < a:
-        raise ValueError("interval is empty")
+    if not a <= b:  # also a nan end
+        raise ValueError(f"a must be at most b, got a={a!r}, b={b!r}")
     return model.marginals[0].truncated_moments(a, b)
 
 
@@ -813,8 +799,9 @@ def conditional_mean_curve(
     estimated by an adaptive-width window around ``t`` aiming for
     ``max(100, samples / 200)`` samples.  The window width is capped at a
     quarter of the observed range; capturing fewer than 100 samples there
-    is an error.
+    is an error, and so is a ``samples`` below 100.
     """
+    _finite_parameters(grid=grid)
     return _window_curve(_sorted_pairs(model, b, samples, seed), grid)
 
 
@@ -849,9 +836,11 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPairs:
-    """Draw ``samples`` points once, sort them by ``X1`` and build the prefix sums."""
+    """Draw ``samples`` points once, sort them by ``X1`` and build the prefix
+    sums; ``samples`` must be at least the ``_MIN_WINDOW_COUNT`` a window needs."""
     if model.dim != 2:
         raise DimensionMismatchError("conditional mean curves require a 2-D source")
+    samples, seed = _whole(samples, "samples", _MIN_WINDOW_COUNT), _whole(seed, "seed")
     pair = pair_transform_2d(b)
     pts = model.sample(samples, seed)
     x1, x2 = _pair_values(pair, pts)
@@ -941,6 +930,7 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
     pair = pair_transform_2d(b)
     fwd = pair.forward
     x2 = float(x2)
+    _finite_parameters(x2=x2)
     lo2, hi2 = _support_box_range(model, fwd[1])
     if x2 < lo2 - 1e-12 or x2 > hi2 + 1e-12:
         raise ValueError(f"x2={x2:g} lies outside the support of X2 [{lo2:g}, {hi2:g}]")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import as_point
+from .geometry import _whole, as_point
 
 __all__ = [
     "LinearTransform",
@@ -102,9 +102,9 @@ class LinearTransform:
 
 def permutation_transform(order, bias=None) -> LinearTransform:
     """Coordinate permutation sending original axis ``order[k]`` to axis ``k``."""
-    order = np.asarray(order, dtype=int)
-    n = order.shape[0]
-    if sorted(order.tolist()) != list(range(n)):
+    order = [_whole(j, f"order[{k}]") for k, j in enumerate(order)]
+    n = len(order)
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
     fwd = np.eye(n)[order]
     tb = np.zeros(n) if bias is None else fwd @ as_point(bias, dim=n)
@@ -139,8 +139,7 @@ def helmert_transform(n: int, bias: float = 0.0) -> LinearTransform:
     normalized all-ones vector.  ``bias`` is the common per-coordinate bias
     ``c`` of an equal-bias vector, whose image is ``(0, ..., 0, sqrt(n) c)``.
     """
-    if n < 2:
-        raise ValueError("the Helmert transform needs n >= 2")
+    n = _whole(n, "n", 2)
     fwd = np.zeros((n, n))
     for k in range(1, n):
         fwd[k - 1, :k] = 1.0 / np.sqrt(k * (k + 1))

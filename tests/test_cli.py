@@ -149,6 +149,31 @@ class TestExitCodes:
         assert f"solver.{field} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config, override, field", [
+        ("tabulated", "--solver.seed=-1", "seed"),
+        ("tabulated", "--solver.samples=1", "samples"),
+        ("classify_uniform_antisym.json", "--solver.seed=-1", "seed"),  # an analytic verdict
+        ("classify_uniform_antisym.json", "--solver.samples=1", "samples"),
+    ])
+    def test_classify_with_bad_solver_value_is_two(self, tmp_path, config, override, field):
+        if config == "tabulated":
+            # bias components nonzero and unequal: the verdict reads a sample
+            csv_path = tmp_path / "table.csv"
+            cells = [f"{(i + 0.5) / 10},{(j + 0.5) / 10},1.0" for i in range(10) for j in range(10)]
+            csv_path.write_text("x1,x2,density\n" + "\n".join(cells) + "\n")
+            config = write_config(tmp_path, "tab.json", {
+                "source": {"family": "tabulated-density", "csv": str(csv_path)},
+                "bias": [0.3, 0.1],
+            })
+            assert run_cli("classify", "--config", config)[0] == 0
+        else:
+            config = str(ROOT / "configs" / config)
+        code, record, err = run_cli("classify", "--config", config, override)
+        assert code == 2
+        assert record is None
+        assert f") {field} must be a whole number" in err
+        assert "Traceback" not in err
+
     def test_solve_with_replaced_solver_block(self):
         # an override may replace the whole block: one that is not an object
         # is a config error, a partial one takes the defaults it leaves out

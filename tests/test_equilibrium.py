@@ -698,13 +698,14 @@ class TestVerifyEquilibrium:
     def test_too_few_samples_rejected(self, samples):
         model = iid_gaussian(2)
         policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
-        with pytest.raises(ValueError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match="^samples must be a whole number of at least 2"):
             verify_equilibrium(policy, model, [1.0, 1.0], samples=samples)
 
     @pytest.mark.parametrize("field,value", [
         ("samples", True), ("samples", 4.5), ("samples", math.nan), ("samples", math.inf),
         ("samples", "4000"), ("samples", -3), ("seed", 1.5), ("seed", -1), ("seed", False),
-        ("seed", math.inf), ("seed", None),
+        ("seed", math.inf), ("seed", None), ("samples", None), ("samples", np.float64(4.5)),
+        ("seed", "3"), ("seed", np.int64(-1)),
     ])
     def test_bad_samples_or_seed_named_before_any_thread(self, monkeypatch, field, value):
         import concurrent.futures
@@ -716,7 +717,7 @@ class TestVerifyEquilibrium:
         model = iid_gaussian(2)
         policy = construct_reveal_plus_quantize(model, [1.0, 1.0], 2, grid_levels=16)
         args = {"samples": 4_000, "seed": 3, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be a"):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number of at least"):
             verify_equilibrium(policy, model, [1.0, 1.0], **args)
 
     def test_integral_floats_are_whole_numbers(self):
@@ -936,9 +937,14 @@ class TestExpectedDistortions:
 
 
     @pytest.mark.parametrize("field,value,match", [
-        ("samples", 1, "at least 2 samples"),  # one sample has no standard error
+        ("samples", 1, "^samples must be a whole number of at least 2"),  # no standard error
         ("samples", True, "^samples must be a"),
         ("seed", 1.5, "^seed must be a"),  # not read as seed 1
+        ("samples", 0, "^samples must be a whole number of at least 2"),
+        ("samples", 4.5, "^samples must be a whole number"),
+        ("samples", "4000", "^samples must be a whole number"),
+        ("seed", -1, "^seed must be a whole number of at least 0"),
+        ("seed", None, "^seed must be a whole number"),
     ])
     def test_bad_samples_or_seed_named_before_any_thread(self, monkeypatch, field, value,
                                                          match):
@@ -1047,15 +1053,24 @@ class TestSolverConfig:
         ("seed", float("nan")),
         ("max_iterations", 2.5),
         ("max_iterations", True),
+        ("max_iterations", math.inf),
+        ("samples", "4000"),
+        ("samples", np.float64(1.5)),
+        ("seed", None),
+        ("seed", np.int64(-1)),
     ])
     def test_rejected_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             SolverConfig(**{field: value})
 
     def test_integral_floats_read_as_ints(self):
-        config = SolverConfig(max_iterations=50.0, samples=4e3, seed=7.0)
-        assert (config.max_iterations, config.samples, config.seed) == (50, 4000, 7)
-        assert all(type(v) is int for v in (config.max_iterations, config.samples, config.seed))
+        for kwargs in ({"max_iterations": 50.0, "samples": 4e3, "seed": 7.0},
+                       {"max_iterations": np.int32(50), "samples": np.float64(4e3),
+                        "seed": np.uint8(7)}):
+            config = SolverConfig(**kwargs)
+            assert (config.max_iterations, config.samples, config.seed) == (50, 4000, 7)
+            assert all(type(v) is int
+                       for v in (config.max_iterations, config.samples, config.seed))
 
     def test_damping_is_not_a_field(self):
         # every sweep is the plain best response: there is no step size to set

@@ -265,6 +265,14 @@ class TestAsymptoticExperiment:
         ((1.0, 1.0, 1, [4]), {"samples": math.inf}, "samples"),
         ((1.0, 1.0, 1, [4]), {"seed": 1.5}, "seed"),
         ((1.0, 1.0, 1, [4]), {"seed": math.nan}, "seed"),
+        ((1.0, 1.0, 1, [4]), {"samples": 1}, "samples"),
+        ((1.0, 1.0, 1.5, [4]), {}, "rate_bits"),
+        ((1.0, 1.0, True, [4]), {}, "rate_bits"),
+        ((1.0, 1.0, -1, [4]), {}, "rate_bits"),
+        ((1.0, 1.0, 1, [4.7]), {}, r"n_list\[0\]"),
+        ((1.0, 1.0, 1, [4, True]), {}, r"n_list\[1\]"),
+        ((1.0, 1.0, 1, [4, "4"]), {}, r"n_list\[1\]"),
+        ((1.0, 1.0, 1, [4, 1]), {}, r"n_list\[1\]"),
     ])
     def test_rejects_non_finite_and_non_integer_input_by_name(self, args, kwargs, name):
         kwargs = {"samples": 1000, "seed": 0} | kwargs

@@ -165,9 +165,16 @@ class TestSampling:
         (10, 1.5, "seed"),
         (10, float("nan"), "seed"),
         (10, True, "seed"),
+        (None, 1, "count"),
+        ("10", 1, "count"),
+        (math.inf, 1, "count"),
+        (np.float64(2.5), 1, "count"),
+        (10, None, "seed"),
+        (10, "1", "seed"),
+        (10, np.int64(-1), "seed"),
     ])
     def test_sample_rejects_a_bad_count_or_seed_by_name(self, count, seed, name):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number of at least"):
             iid_gaussian(2).sample(count, seed)
 
     def test_sample_reads_integral_floats_as_ints(self):
@@ -513,8 +520,14 @@ class TestConditionalMeanCurve:
 
     def test_starved_window_rejected(self):
         # a window needs 100 samples, more than the whole sample here
-        with pytest.raises(ValueError, match=r"samples \(< 100\)"):
+        with pytest.raises(ValueError, match="^samples must be a whole number of at least 100"):
             conditional_mean_curve(iid_gaussian(2), [1.0, 1.0], [0.0], samples=99, seed=0)
+
+    def test_capped_window_short_of_100_rejected(self):
+        # the 100 nearest samples are the whole sample, wider than the width
+        # cap of half its range, and the capped window holds fewer
+        with pytest.raises(ValueError, match=r"^window at t=0 captured \d+ samples \(< 100\)"):
+            conditional_mean_curve(iid_gaussian(2), [1.0, 1.0], [0.0], samples=100, seed=0)
 
 
 class TestSymmetryDeviation:
