@@ -41,8 +41,9 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import CheapTalkError, InfeasibleDistortionError
-from .geometry import _is_whole
+from .geometry import _is_whole, _whole
 from .sources import (
+    _MIN_WINDOW_COUNT,
     SourceModel,
     correlated_gaussian_2d,
     iid_exponential,
@@ -381,14 +382,18 @@ def _cmd_solve(cfg: dict):
     fields = {f.name: s[f.name] for f in dataclasses.fields(SolverConfig)}
     with _invalid("solver", "solver."):  # the messages start with the offending field's name
         result = solve_fixed_point(model, bias, s["k"], SolverConfig(**fields))
+    final_movement = result.movements[-1] if result.movements else 0.0
     payload = {
         "actions": result.actions.actions,
         "converged": result.converged,
         "iterations": result.iterations,
-        "final_movement": result.movements[-1] if result.movements else 0.0,
+        "final_movement": final_movement,
         "restarts": result.restarts,
         "k": result.actions.k,
     }
+    if not result.converged:
+        print(f"solve did not converge: stop reason {result.stop_reason!r} after "
+              f"{result.iterations} sweeps, last movement {final_movement:.6g}", file=sys.stderr)
     return payload, (0 if result.converged else 3), None
 
 
@@ -404,13 +409,20 @@ def _cmd_verify(cfg: dict):
 
 def _cmd_classify(cfg: dict):
     model, bias, s = _problem(cfg)
+    if model.dim != 2:
+        raise ConfigError("invalid source block: classification is defined for 2-D sources, "
+                          f"got a {model.dim}-D source")
+    samples, seed = s["samples"], s["seed"]
+    lead = f"(solver.samples={samples}, solver.seed={seed}) "
+    with _invalid("solver", lead):  # read on every family, though only a table's curve samples
+        _whole(samples, "samples", _MIN_WINDOW_COUNT)
+        _whole(seed, "seed")
     if model.family == "correlated-gaussian-2d":
         verdict = classify_mod.classify_correlated_gaussian(
             float(model.cov[0, 0]), float(model.cov[1, 1]), float(model.cov[0, 1]), bias
         )
     else:
-        samples, seed = s["samples"], s["seed"]
-        with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
+        with _invalid("solver", lead):
             verdict = classify_mod.classify_linear_existence(
                 model, bias, samples=min(samples, 400_000), seed=seed
             )

@@ -119,12 +119,11 @@ class SolverConfig:
     """Knobs for the fixed-point iteration.
 
     Every sweep moves each action to its bin's conditional mean, the
-    decoder's best response.  The solve stops once the largest action
-    movement is below ``tolerance``.  A sweep that leaves the assignment
-    unchanged reproduces the actions bit for bit, so the movement drops to
-    exactly 0.0 and "converged" means an exact fixed point of the
-    evaluation measure.  ``max_iterations`` and ``samples`` must be whole
-    numbers of at least 1 and ``seed`` of at least 0.
+    decoder's best response.  The solve stops on an exact fixed point of the
+    evaluation measure (movement 0.0), once the largest action movement is
+    below ``tolerance``, or after ``max_iterations`` sweeps.
+    ``max_iterations`` and ``samples`` must be whole numbers of at least 1
+    and ``seed`` of at least 0.
     """
 
     tolerance: float = 1e-8
@@ -144,18 +143,27 @@ class SolverConfig:
 class FixedPointResult:
     """A Lloyd solve's last actions and what its sweeps did.
 
-    ``movements``, ``rescored`` and ``changed`` hold one entry per sweep of
-    the last (re)start: the largest action movement, the points whose
-    action was scored, and the points whose action changed.
+    ``stop_reason`` is "fixed point" (the actions are the exact means of
+    their bins and assign every point as before; movement 0.0),
+    "tolerance" (the exact means of the last assignment moved by less than
+    ``tolerance``) or "cap" (``max_iterations`` sweeps; the last sweep's
+    means, exact to within rounding).  ``movements``, ``rescored`` and
+    ``changed`` hold one entry per sweep of the last (re)start: the largest
+    action movement, the points whose action was scored, and the points
+    whose action changed.
     """
 
     actions: ActionSet
-    converged: bool
     iterations: int
     movements: list[float]
+    stop_reason: str
     restarts: int = 0
     rescored: list[int] = field(default_factory=list)
     changed: list[int] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
 
 
 # -- evaluation measures --------------------------------------------------------
@@ -211,6 +219,27 @@ _EPS = float(np.finfo(float).eps)
 # A sweep scores every point when more than this share of them is due for a
 # rescore: gathering the columns makes a bounded rescore dearer per point.
 _FULL_SWEEP_SHARE = 0.3
+# An action's bin dies when its mass is at most this.
+_DEAD_MASS = 1e-15
+
+# Bin sums.  A ``_SweepMeasure`` also keeps, per action, the sums of ``wx``
+# (each point's weight, then its weighted coordinates) over the points
+# assigned to it: the bin mass and the dim coordinate sums the means divide.
+# A sweep that scored every point sums them in full (one ``bincount`` a row,
+# bit for bit those of an unprepared sweep); a bounded sweep moves only its
+# changed points' columns from the old bin to the new one, which rounds, so
+# its means are exact only to within rounding.  Three rules keep every
+# answer the solve stops on the exact means of its last assignment:
+#  * a sweep that changed no point sums in full, and its means count as a
+#    fixed point only if a bounded assignment of them changes no point;
+#  * a bin is judged dead on full sums.  Let W be the total weight and u
+#    the unit roundoff.  To first order a full sum of a mass is off from the
+#    exact one by at most N u W, and an update of m points by at most
+#    2 m u W (two sums of at most m terms, their difference, the add into
+#    the bin), so an updated mass is off from the full sum it stands for by
+#    at most ``drift`` = N eps W plus (m + 2) eps W per update, and a mass
+#    above _DEAD_MASS + drift is alive on full sums too;
+#  * a solve that stops on ``tolerance`` reports the means of full sums.
 
 
 def _distance_gaps(second: np.ndarray, best: np.ndarray, sq: np.ndarray) -> None:
@@ -223,40 +252,82 @@ def _distance_gaps(second: np.ndarray, best: np.ndarray, sq: np.ndarray) -> None
     second -= best
 
 
+def _bin_sums(idx: np.ndarray, wx: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k): each row of ``wx`` summed over the points ``idx`` assigns to each action."""
+    return np.stack([np.bincount(idx, weights=row, minlength=k) for row in wx])
+
+
 class _SweepMeasure:
     """What a Lloyd solve keeps from sweep to sweep on one measure and bias.
 
     Fixed: the assignment targets ``-2 (pts - b)`` transposed to (dim, N),
-    the squared norms ``||pts - b||^2``, the weighted coordinates
-    ``w * pts.T`` for the centroid sums, and the weights.  Carried: each
-    point's action index, the lower bound on its gap (see the note above),
-    the actions they refer to, and the buffers every sweep reuses.
-    ``rescored`` and ``changed`` count the points the last sweep scored and
-    the points whose action it changed (all N on the first sweep and after
-    a change of K).
+    the squared norms ``||pts - b||^2``, and ``wx``, the weights over the
+    weighted coordinates ``w * pts.T``, (dim + 1, N).  Carried: each point's
+    action index, the lower bound on its gap, the actions they refer to, the
+    bin sums ``sums`` (dim + 1, K) of that assignment and their rounding
+    bound ``drift`` (see the notes above), and the buffers every sweep
+    reuses.  ``exact`` says the sums are full sums of the assignment.
+    After a sweep, ``rescored`` and ``changed`` count the points it scored
+    and the points whose action it changed (all N on the first sweep and
+    after a change of K), and ``fixed`` says its means are a confirmed
+    fixed point.
     """
 
     def __init__(self, pts: np.ndarray, w: np.ndarray, b: np.ndarray):
-        n = pts.shape[0]
+        n, dim = pts.shape
         self.t = np.ascontiguousarray((-2.0 * (pts - b)).T)
         self.sq = np.einsum("ij,ij->j", self.t, self.t) * 0.25
         self.radius = math.sqrt(float(np.max(self.sq)))
-        self.wpts = np.multiply(w, pts.T, order="C")  # row-contiguous for bincount
-        self.w = w
+        self.wx = np.empty((dim + 1, n))  # row-contiguous for bincount
+        self.wx[0] = w
+        np.multiply(w, pts.T, out=self.wx[1:])
+        self.total = float(np.sum(w))
         self.scores = np.empty((0, n))
         self.best = np.empty(n)
         self.gap = np.empty(n)
         self.mask = np.empty(n, dtype=bool)
         self.idx = np.empty(n, dtype=np.intp)
-        self.acts = None
-        self.scale = 0.0
+        self.acts = self.sums = None
+        self.scale = self.drift = 0.0
+        self.exact = self.fixed = False
         self.rescored = self.changed = 0
+
+    def sweep(self, acts: np.ndarray) -> np.ndarray:
+        """The decoder's best response to ``acts``: each bin's weighted mean, (K, dim).
+
+        Raises :class:`BinDeathError` with the lowest dead index.
+        """
+        k = acts.shape[0]
+        self.fixed = False
+        self.assign(acts)
+        if not self.exact and (
+            self.changed == 0 or np.min(self.sums[0]) <= _DEAD_MASS + self.drift
+        ):
+            self.sum_all(k)
+        dead = np.flatnonzero(self.sums[0] <= _DEAD_MASS)
+        if dead.size:
+            raise BinDeathError(int(dead[0]))
+        means = self.means()
+        if self.changed == 0:
+            # exact means of an unchanged assignment: a fixed point if they keep it
+            rescored = self.rescored
+            self.assign(means)
+            self.rescored += rescored
+            self.fixed = self.changed == 0
+            if not self.exact:
+                self.sum_all(k)  # so that ``exact`` vouches for the means returned
+        return means
+
+    def means(self) -> np.ndarray:
+        """The bin means of the carried sums, (K, dim)."""
+        return np.ascontiguousarray((self.sums[1:] / self.sums[0]).T)
 
     def assign(self, acts: np.ndarray) -> np.ndarray:
         """Index of each point's cheapest action; valid until the next call.
 
         Equal, bit for bit, to ``_assign_targets`` over all points: only the
         points whose gap bound no longer clears the margin are scored again.
+        The bin sums follow the assignment.
         """
         prev, self.acts = self.acts, None  # no carried state if this sweep stops midway
         k, dim = acts.shape
@@ -285,6 +356,12 @@ class _SweepMeasure:
         self.acts = acts.copy()
         return self.idx
 
+    def sum_all(self, k: int) -> None:
+        """Sum the bins of the assignment in full."""
+        self.sums = _bin_sums(self.idx, self.wx, k)
+        self.drift = self.idx.shape[0] * _EPS * self.total
+        self.exact = True
+
     def _score_all(self, acts: np.ndarray, reach: float, compare: bool) -> None:
         n = self.idx.shape[0]
         if self.scores.shape[0] != acts.shape[0]:
@@ -295,6 +372,7 @@ class _SweepMeasure:
         self.scale = reach
         self.rescored = n
         self.changed = n if old is None else int(np.count_nonzero(old != self.idx))
+        self.sum_all(acts.shape[0])
 
     def _rescore(self, acts: np.ndarray, cand: np.ndarray) -> None:
         self.rescored, self.changed = cand.size, 0
@@ -302,7 +380,14 @@ class _SweepMeasure:
             return
         idx, best, second = _assign_columns(np.take(self.t, cand, axis=1), acts, second=True)
         _distance_gaps(second, best, self.sq[cand])
-        self.changed = int(np.count_nonzero(idx != self.idx[cand]))
+        moved = np.flatnonzero(idx != self.idx[cand])
+        self.changed = moved.size
+        if moved.size:
+            at, k = cand[moved], acts.shape[0]
+            cols = self.wx[:, at]
+            self.sums += _bin_sums(idx[moved], cols, k) - _bin_sums(self.idx[at], cols, k)
+            self.drift += (moved.size + 2) * _EPS * self.total
+            self.exact = False
         self.idx[cand] = idx
         self.gap[cand] = second
 
@@ -320,25 +405,20 @@ def best_response_step(
 
     Evaluation points are assigned to their cheapest action under the
     encoder cost (ties to the lowest index), then each action moves to its
-    bin's conditional mean.  A sweep from an exact fixed point returns
-    bitwise the same actions.  ``_measure`` is a ``_SweepMeasure`` prepared
+    bin's conditional mean.  ``_measure`` is a ``_SweepMeasure`` prepared
     for the same bias, or None to draw one from ``samples`` and ``seed``.
-    Raises :class:`BinDeathError` with the dying index when a bin receives
-    no mass.
+    On a fresh measure, and on a prepared one whenever the sweep scored
+    every point or changed none, the means are the exact means of the
+    bins; a prepared sweep that rescored part of the points and changed
+    some updates the bin sums from those points, so its means are exact
+    to within rounding.  A sweep from an exact fixed point returns bitwise
+    the same actions.  Raises :class:`BinDeathError` with the dying index
+    when a bin receives no mass.
     """
     b = as_point(b, dim=actions.dim)
     if _measure is None:
         _measure = _SweepMeasure(*_evaluation_measure(model, samples, seed), b)
-    idx = _measure.assign(actions.actions)
-    k = actions.k
-    mass = np.bincount(idx, weights=_measure.w, minlength=k)
-    dead = np.flatnonzero(mass <= 1e-15)
-    if dead.size:
-        raise BinDeathError(int(dead[0]))
-    new = np.empty_like(actions.actions)
-    for d in range(actions.dim):
-        new[:, d] = np.bincount(idx, weights=_measure.wpts[d], minlength=k) / mass
-    return ActionSet(new)
+    return ActionSet(_measure.sweep(actions.actions))
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -372,13 +452,15 @@ def _initial_actions(model: SourceModel, b: np.ndarray, k: int, pts: np.ndarray,
 def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None = None) -> FixedPointResult:
     """Iterate best-response sweeps until the actions stop moving.
 
-    The evaluation measure is drawn and prepared once per solve and the
-    solve stops when the largest movement is below ``config.tolerance``.  A
-    converged solve ends on a movement of 0.0 once the assignment stops
-    changing, so "converged" means an exact fixed point of the measure.
-    Returns a candidate equilibrium with its convergence status; bin death
-    triggers up to three jittered re-initializations before the error
-    propagates.  Non-convergence is reported in the result, not raised.
+    The evaluation measure is drawn and prepared once per solve.  The solve
+    stops on the first of: an exact fixed point of the measure (the bins'
+    exact means, which a fresh assignment leaves unchanged; movement 0.0),
+    a movement below ``config.tolerance`` (measured from the exact means of
+    the last assignment, which it returns), or ``config.max_iterations``
+    sweeps; ``stop_reason`` names which, and the first two count as
+    converged.  Returns a candidate equilibrium; bin death triggers up to
+    three jittered re-initializations before the error propagates.
+    Non-convergence is reported in the result, not raised.
     """
     config = config or SolverConfig()
     b = as_point(b, dim=model.dim)
@@ -395,23 +477,30 @@ def solve_fixed_point(model: SourceModel, b, k: int, config: SolverConfig | None
         rescored: list[int] = []
         changed: list[int] = []
         try:
-            converged = False
-            it = 0
+            reason = "cap"
             for it in range(1, config.max_iterations + 1):
                 new = best_response_step(actions, model, b, _measure=measure)
+                if measure.fixed:
+                    movement = 0.0
+                else:
+                    movement = float(np.max(np.abs(new.actions - actions.actions)))
+                    if movement < config.tolerance and not measure.exact:
+                        # a tolerance stop reports the exact means of the last assignment
+                        measure.sum_all(k)
+                        new = ActionSet(measure.means())
+                        movement = float(np.max(np.abs(new.actions - actions.actions)))
                 if new.k < actions.k:
                     raise BinDeathError(actions.k - 1, "actions merged during the sweep")
-                movement = float(np.max(np.abs(new.actions - actions.actions)))
                 movements.append(movement)
                 rescored.append(measure.rescored)
                 changed.append(measure.changed)
                 actions = new
-                if movement < config.tolerance:
-                    converged = True
+                if measure.fixed or movement < config.tolerance:
+                    reason = "fixed point" if measure.fixed else "tolerance"
                     break
             return FixedPointResult(
-                actions=actions, converged=converged, iterations=it,
-                movements=movements, restarts=restarts, rescored=rescored, changed=changed,
+                actions=actions, iterations=it, movements=movements, stop_reason=reason,
+                restarts=restarts, rescored=rescored, changed=changed,
             )
         except BinDeathError:
             restarts += 1

@@ -174,6 +174,48 @@ class TestExitCodes:
         assert f") {field} must be a whole number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("override, field", [
+        ("--solver.seed=-1", "seed"),
+        ("--solver.samples=1", "samples"),
+    ])
+    def test_classify_correlated_gaussian_with_bad_solver_value_is_two(self, override, field):
+        # the correlated verdict is closed-form, yet the leaves are read as on every family
+        config = str(ROOT / "configs" / "classify_uniform_antisym.json")
+        source = '--source={"family":"correlated-gaussian-2d","sigma1_sq":1,"sigma2_sq":2,"rho":0.5}'
+        assert run_cli("classify", "--config", config, source)[0] == 0
+        code, record, err = run_cli("classify", "--config", config, source, override)
+        assert code == 2
+        assert record is None
+        assert f") {field} must be a whole number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source, bias", [
+        ('--source={"family":"iid-gaussian","dim":3}', "--bias=[1,2,3]"),
+        ('--source={"family":"iid-uniform","dim":1}', "--bias=[1]"),
+    ])
+    def test_classify_of_a_source_not_2d_blames_the_source(self, source, bias):
+        config = str(ROOT / "configs" / "classify_uniform_antisym.json")
+        code, record, err = run_cli("classify", "--config", config, source, bias)
+        assert code == 2
+        assert record is None
+        assert "invalid source block: classification is defined for 2-D sources" in err
+        assert "solver" not in err
+        assert "Traceback" not in err
+
+    def test_solve_stopped_by_the_cap_says_why(self):
+        config = str(ROOT / "configs" / "solve_uniform_k3.json")
+        code, record, err = run_cli("solve", "--config", config, "--solver.max_iterations=2")
+        assert code == 3
+        payload = record["payload"]
+        assert payload["converged"] is False and payload["iterations"] == 2
+        assert "stop_reason" not in payload
+        assert err.splitlines() == [
+            f"solve did not converge: stop reason 'cap' after 2 sweeps, "
+            f"last movement {payload['final_movement']:.6g}"
+        ]
+        code, record, err = run_cli("solve", "--config", config)
+        assert code == 0 and err == ""
+
     def test_solve_with_replaced_solver_block(self):
         # an override may replace the whole block: one that is not an object
         # is a config error, a partial one takes the defaults it leaves out

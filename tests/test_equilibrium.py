@@ -508,24 +508,29 @@ class TestBoundedSweeps:
         n = pts.shape[0]
         measure = equilibrium._SweepMeasure(pts, w, b)
         bounded_assign = measure.assign
-        counts = []
+        passes = []  # per sweep, the (rescored, changed) of each assignment pass
 
         def checked_assign(acts):
             idx = bounded_assign(acts)
             assert np.array_equal(idx, assign_actions_batch(pts, acts, b))
-            counts.append((measure.rescored, measure.changed))
+            passes[-1].append((measure.rescored, measure.changed))
             return idx
 
         measure.assign = checked_assign
         actions = equilibrium._initial_actions(model, b, k, pts, w)
         for _ in range(result.iterations):
+            passes.append([])
             actions = best_response_step(actions, model, b, _measure=measure)
         assert np.array_equal(actions.actions, result.actions.actions)
-        assert counts == list(zip(result.rescored, result.changed))
+        # one pass a sweep, and a confirming second pass on the sweep that changed no point
+        assert [len(p) for p in passes] == [1] * (result.iterations - 1) + [2]
+        assert passes[-1][0][1] == 0
+        assert [tuple(map(sum, zip(*p))) for p in passes] == list(zip(result.rescored, result.changed))
         assert len(result.rescored) == len(result.movements) == result.iterations
         assert result.rescored[0] == result.changed[0] == n
         assert sum(r < n for r in result.rescored) > result.iterations // 2
         assert result.movements[-1] == 0.0 and result.changed[-1] == 0
+        assert result.stop_reason == "fixed point"
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_planted_ties_keep_the_lowest_index(self, first):
@@ -564,24 +569,194 @@ class TestBoundedSweeps:
     ])
     def test_reused_measure_matches_the_plain_sweep(self, model, b, k):
         # one measure across a jittered restart, an unrelated action set and
-        # changes of K, each followed by sweeps that carry the bounds
+        # changes of K, each followed by sweeps that carry the bounds and the
+        # bin sums.  Every assignment is exact.  A sweep that scored every
+        # point or changed none sums its bins in full, so its means are the
+        # plain sweep's bit for bit; any other sweep moved its changed
+        # points' columns between the carried sums, so its means are the
+        # plain ones to within the rounding bound derived in ``within``.
         b = np.asarray(b, dtype=float)
         pts, w = equilibrium._evaluation_measure(model, 20_000, 7)
+        n = pts.shape[0]
+        wx = np.vstack([w, w * pts.T])
         measure = equilibrium._SweepMeasure(pts, w, b)
+        bounded_assign = measure.assign
+        passes = []
+
+        def checked_assign(acts):
+            idx = bounded_assign(acts)
+            assert np.array_equal(idx, assign_actions_batch(pts, acts, b))
+            passes.append((measure.rescored, measure.changed))
+            return idx
+
+        def within(acts, prepared, plain, moved, updates):
+            # With u the unit roundoff and A_r the sum of |wx[r]|, a full bin
+            # sum of row r is off from the exact one by at most N u A_r, and
+            # an update of m points by at most (2 m + 2) u A_r (two sums of
+            # at most m terms, their difference, the add into the bin).  So
+            # the prepared and plain sums differ by at most
+            # e_r = eps A_r (N + moved + updates), to first order; twice that
+            # covers the rest.  A mean S / M is then off by at most
+            # (e_S + |S / M| e_M) / (M - e_M) plus one rounding of the quotient.
+            idx = assign_actions_batch(pts, acts.actions, b)
+            mass = np.bincount(idx, weights=w, minlength=acts.k)
+            e = 2.0 * np.finfo(float).eps * np.sum(np.abs(wx), axis=1) * (n + moved + updates)
+            mean = np.abs(plain.actions).T
+            bound = (e[1:, None] + mean * e[0]) / (mass - e[0]) + np.finfo(float).eps * mean
+            gap = np.abs(prepared.actions - plain.actions).T
+            assert np.all(gap <= bound)
+
         rng = np.random.default_rng(k)
         starts = [
             equilibrium._initial_actions(model, b, k, pts, w),
             equilibrium._initial_actions(model, b, k, pts, w, jitter_seed=3),
-            ActionSet(pts[rng.choice(pts.shape[0], size=k, replace=False)]),
+            ActionSet(pts[rng.choice(n, size=k, replace=False)]),
             equilibrium._initial_actions(model, b, 2, pts, w),
             equilibrium._initial_actions(model, b, k, pts, w),
         ]
+        measure.assign = checked_assign
+        moved = updates = 0  # since the bins were last summed in full
+        rounded = 0
         for acts in starts:
             for _ in range(5):
+                passes.clear()
                 prepared = best_response_step(acts, model, b, _measure=measure)
                 plain = best_response_step(acts, model, b, samples=20_000, seed=7)
-                assert np.array_equal(prepared.actions, plain.actions)
+                rescored, changed = passes[0]
+                if rescored == n or changed == 0:
+                    assert np.array_equal(prepared.actions, plain.actions)
+                    moved = updates = 0
+                else:
+                    moved, updates = moved + changed, updates + 1
+                    within(acts, prepared, plain, moved, updates)
+                    rounded += 1
+                if len(passes) == 2 and not measure.fixed:
+                    moved = updates = 0  # a confirming pass that changed points sums in full
                 acts = prepared
+        assert rounded > 0
+
+
+def full_sum_solve(model, b, k, cfg):
+    """A Lloyd solve with every sweep written out in full: an argmin over the
+    score matrix, then every bin summed in full (the oracle of
+    ``test_prepared_measure_matches_the_plain_sweep``), stopping once the
+    largest movement is below the tolerance.  Returns (actions, iterations,
+    converged, movements)."""
+    b = np.asarray(b, dtype=float)
+    pts, w = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
+    acts = equilibrium._initial_actions(model, b, k, pts, w).actions
+    t = -2.0 * (pts - b)
+    weighted = [w * pts[:, d] for d in range(pts.shape[1])]
+    movements = []
+    for it in range(1, cfg.max_iterations + 1):
+        idx = np.argmin(t @ acts.T + np.sum(acts ** 2, 1), axis=1)
+        mass = np.bincount(idx, weights=w, minlength=k)
+        new = np.stack([np.bincount(idx, weights=wd, minlength=k) / mass for wd in weighted], axis=1)
+        movements.append(float(np.max(np.abs(new - acts))))
+        acts = new
+        if movements[-1] < cfg.tolerance:
+            return acts, it, True, movements
+    return acts, cfg.max_iterations, False, movements
+
+
+class _RecordedMeasure(equilibrium._SweepMeasure):
+    """A ``_SweepMeasure`` that logs each sweep: (actions in, means out, fixed)."""
+
+    log: list = []
+
+    def sweep(self, acts):
+        means = super().sweep(acts)
+        self.log.append((acts.copy(), means, self.fixed))
+        return means
+
+
+class TestBinSums:
+    @pytest.mark.parametrize("model, b, k, cfg", [
+        *LLOYD_CASES,
+        pytest.param(iid_gaussian(3), [0.3, 0.2, 0.1], 4, SolverConfig(samples=50_000, seed=5),
+                     id="gauss3d-seed5"),
+        pytest.param(iid_gaussian(3), [0.3, 0.2, 0.1], 4,
+                     SolverConfig(samples=200_000, seed=12, max_iterations=600), id="gauss3d-seed12"),
+    ])
+    def test_converged_solve_equals_full_sums_every_sweep(self, model, b, k, cfg):
+        # carried sums must not change a converged solve: same sweeps, same
+        # verdict and the same action bits as summing every bin every sweep
+        result = solve_fixed_point(model, b, k, cfg)
+        acts, iterations, converged, movements = full_sum_solve(model, b, k, cfg)
+        assert result.restarts == 0
+        assert result.iterations == iterations
+        assert result.converged == converged is True
+        assert result.movements[-1] == movements[-1] == 0.0
+        assert result.stop_reason == "fixed point"
+        assert np.array_equal(result.actions.actions, acts)
+
+    def test_drifting_solve_reports_a_confirmed_fixed_point(self, monkeypatch):
+        # 271 sweeps, nearly all of them bounded: the carried sums drift, so
+        # the actions entering the last sweep are off from its exact means in
+        # their last bits; the solve reports those exact means, and a fresh
+        # measure's full sweep gives them back bit for bit
+        model, b, cfg = iid_gaussian(3), [0.3, 0.2, 0.1], SolverConfig(samples=50_000, seed=5)
+        monkeypatch.setattr(equilibrium, "_SweepMeasure", _RecordedMeasure)
+        monkeypatch.setattr(_RecordedMeasure, "log", [])
+        result = solve_fixed_point(model, b, 4, cfg)
+        entering, means, fixed = _RecordedMeasure.log[-1]
+        assert result.stop_reason == "fixed point" and fixed
+        assert np.array_equal(means, result.actions.actions)
+        assert not np.array_equal(entering, means)
+        assert np.max(np.abs(entering - means)) < 1e-11
+        pts, _ = equilibrium._evaluation_measure(model, cfg.samples, cfg.seed)
+        again = best_response_step(result.actions, model, b, samples=cfg.samples, seed=cfg.seed)
+        assert np.array_equal(again.actions, result.actions.actions)
+        assert np.array_equal(assign_actions_batch(pts, again.actions, b),
+                              assign_actions_batch(pts, entering, b))
+
+    def test_confirming_pass_that_moves_a_point_goes_on(self):
+        # five unit-spaced points: (0, 1.9) puts only x = 0 in bin 0, and the
+        # exact means (0, 2.5) of that split would take x = 1 over
+        pts = np.arange(5.0).reshape(-1, 1)
+        measure = equilibrium._SweepMeasure(pts, np.ones(5), np.zeros(1))
+        start = np.array([[0.0], [1.9]])
+        measure.sweep(start)
+        means = measure.sweep(start)  # no point changes: the sums are full, then confirmed
+        assert np.array_equal(means, [[0.0], [2.5]])
+        assert not measure.fixed and measure.changed == 1 and measure.exact
+        assert np.array_equal(measure.idx, [0, 0, 1, 1, 1])
+        means = measure.sweep(means)
+        assert np.array_equal(means, [[0.5], [3.0]])
+        assert measure.fixed and measure.changed == 0
+
+    def test_bin_emptied_by_a_bounded_sweep_dies_on_full_sums(self):
+        # 90 points on [0, 0.89] and 10 on [5.0, 5.9]: moving the last action
+        # from 5.95 to 7.0 empties its bin, and only the points near the
+        # bins' boundaries are due for a rescore
+        pts = np.concatenate([np.arange(90) / 100.0, 5.0 + np.arange(10) / 10.0]).reshape(-1, 1)
+        measure = equilibrium._SweepMeasure(pts, np.full(100, 0.01), np.zeros(1))
+        measure.sweep(np.array([[0.5], [5.0], [5.95]]))
+        with pytest.raises(BinDeathError) as info:
+            measure.sweep(np.array([[0.5], [5.0], [7.0]]))
+        assert info.value.index == 2
+        assert 0 < measure.rescored < 30 and measure.changed == 5
+        assert measure.exact
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
+    def test_tolerance_stop_reports_full_sum_means(self, monkeypatch, tolerance):
+        model, b = iid_gaussian(3), [0.3, 0.2, 0.1]
+        cfg = SolverConfig(samples=50_000, seed=5, tolerance=tolerance)
+        monkeypatch.setattr(equilibrium, "_SweepMeasure", _RecordedMeasure)
+        monkeypatch.setattr(_RecordedMeasure, "log", [])
+        result = solve_fixed_point(model, b, 4, cfg)
+        entering, rounded, fixed = _RecordedMeasure.log[-1]
+        assert result.stop_reason == "tolerance" and result.converged and not fixed
+        assert 0.0 < result.movements[-1] < tolerance
+        assert not np.array_equal(rounded, result.actions.actions)
+        plain = best_response_step(ActionSet(entering), model, b, samples=cfg.samples, seed=cfg.seed)
+        assert np.array_equal(plain.actions, result.actions.actions)
+
+    def test_cap_stop(self):
+        cfg = SolverConfig(samples=2_000, max_iterations=3)
+        result = solve_fixed_point(iid_gaussian(2), [1.0, 0.5], 2, cfg)
+        assert result.stop_reason == "cap" and not result.converged
+        assert result.iterations == len(result.movements) == 3
 
 
 def noninformative_policy(model, b):
