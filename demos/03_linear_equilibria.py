@@ -9,10 +9,10 @@ depends only on the bias pattern and the family:
 * b1 = b2                      -> iff the marginal density is symmetric
 * otherwise                    -> iff the source is gaussian
 
-The verifier measures three things: whether the conditional mean of the
-bias-aligned coordinate is flat in the revealed one, whether the continuum
-spans the conditional support, and whether any sampled observation would
-rather misreport.
+The verifier checks the one condition the paper gives: the conditional
+mean of the bias-aligned coordinate is flat in the revealed one.  On a flat
+curve truthful reporting follows, since misreporting the revealed value by
+d costs the encoder d^2 and changes nothing else.
 """
 
 import numpy as np
@@ -42,8 +42,7 @@ print("\nnumerical confirmation at 300k samples:")
 for model, b in fixtures[:4]:
     rep = verify_linear_equilibrium(model, b, samples=300_000, seed=1)
     print(
-        f"  {model.family:18s} b={b}: constancy max|z|={rep.constancy_max_z:7.2f}, "
-        f"coverage={rep.coverage_fraction:.3f}, truthful={rep.truthful_fraction:.3f} "
+        f"  {model.family:18s} b={b}: constancy max|z|={rep.constancy_max_z:7.2f} "
         f"-> {'equilibrium' if rep.passed else 'broken'}"
     )
 

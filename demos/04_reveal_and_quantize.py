@@ -28,8 +28,8 @@ for k_last in (1, 2, 3):
         f"Je={cert.je.value:.4f}, Jd={cert.jd.value:.4f}, gap={cert.je.value - cert.jd.value:.4f}"
     )
 
-print("\nthe same construction covers symmetric sources with equal bias")
-print("(single last-coordinate action) and any i.i.d. family with b1 = -b2:")
+print("\nin 2-D the same construction covers symmetric sources with equal bias")
+print("and any i.i.d. family with b1 = -b2 (single last-coordinate action):")
 for model, b in [(iid_uniform(2), [1.0, 1.0]), (iid_uniform(2), [1.0, -1.0])]:
     policy = construct_reveal_plus_quantize(model, b, 1)
     cert = verify_equilibrium(policy, model, b, samples=300_000, seed=0)

@@ -852,10 +852,8 @@ def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPair
     return _SortedPairs(model, pair, x2_mean, pts, x1s, csum, csq)
 
 
-def _window_curve(pairs: _SortedPairs, grid, *,
-                  target_count: int | None = None) -> list[EstimateWithError]:
-    """The windowed curve of ``conditional_mean_curve`` on one sorted sample;
-    ``target_count`` replaces its aim of ``max(100, samples / 200)`` samples."""
+def _window_curve(pairs: _SortedPairs, grid) -> list[EstimateWithError]:
+    """The windowed curve of ``conditional_mean_curve`` on one sorted sample."""
     x1s = pairs.x1s
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     lo, hi = _support_box_range(pairs.model, pairs.pair.forward[0])
@@ -863,8 +861,7 @@ def _window_curve(pairs: _SortedPairs, grid, *,
         raise ValueError("grid points must lie within the truncated support of X1")
 
     n = x1s.shape[0]
-    k = target_count if target_count is not None else max(_MIN_WINDOW_COUNT, n // 200)
-    k = min(max(k, _MIN_WINDOW_COUNT), n)
+    k = min(max(_MIN_WINDOW_COUNT, n // 200), n)
     window_sums = x1s[k - 1 :] + x1s[: n - k + 1]
     cap = 0.25 * (x1s[-1] - x1s[0])
 

@@ -96,6 +96,20 @@ class TestExitCodes:
         assert code == 1
         assert record["payload"]["min_pairwise_geo_slack"] < 0
 
+    def test_verification_failure_says_which_checks_failed(self):
+        # one line per failing check, with the statistic its verdict reads
+        config = str(ROOT / "configs" / "verify_planted_violation.json")
+        code, record, err = run_cli("verify", "--config", config)
+        assert code == 1
+        payload = record["payload"]
+        assert payload["pass_deviation"] is True
+        assert err.splitlines() == [
+            "verify failed the geometry check: min_pairwise_geo_slack "
+            f"{payload['min_pairwise_geo_slack']:.6g}",
+            f"verify failed the centroid check: centroid_max_z {payload['centroid_max_z']:.6g}",
+        ]
+        assert "deviation" not in err
+
     def test_malformed_source_is_two_without_output(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = write_config(tmp_path, "bad.json", {
@@ -514,10 +528,23 @@ class TestOutputs:
             "policy": {"kind": "reveal-quantize", "k_last": 2},
             "solver": {"samples": 150000},
         })
-        code, record, _ = run_cli("verify", "--config", cfg)
-        assert code == 0
+        code, record, err = run_cli("verify", "--config", cfg)
+        assert code == 0 and err == ""
         assert record["payload"]["passed"] is True
         assert record["payload"]["policy_kind"] == "linear-plus-quantizer"
+
+    def test_reveal_quantize_of_an_equal_bias_3d_uniform_source_is_two(self):
+        # revealing the contrasts and sending one action for the mean is no
+        # equilibrium here: the mean's conditional mean moves with the contrasts
+        config = str(ROOT / "configs" / "verify_reveal_quantize.json")
+        code, record, err = run_cli(
+            "verify", "--config", config,
+            '--source={"family":"iid-uniform","dim":3,"lo":-1,"hi":1}', "--bias=0.3",
+            "--policy.k_last=1")
+        assert code == 2
+        assert record is None
+        assert "invalid policy block: no supported construction" in err
+        assert "Traceback" not in err
 
 
 class TestExampleConfigs:

@@ -962,6 +962,29 @@ class TestConstructRevealPlusQuantize:
         with pytest.raises(ValueError):
             construct_reveal_plus_quantize(iid_uniform(2), [1.0, 1.0], 2)
 
+    @pytest.mark.parametrize("model,b", [
+        (iid_laplace(3), [0.7, 0.7, 0.7]),
+        (iid_uniform(3, -1.0, 1.0), [0.3, 0.3, 0.3]),
+        (iid_uniform(4, -1.0, 1.0), [0.3, 0.3, 0.3, 0.3]),
+    ])
+    def test_equal_bias_past_two_dimensions_rejected(self, model, b):
+        # revealing the Helmert contrasts and sending one action for the
+        # mean is no equilibrium of these sources: the mean's conditional
+        # mean moves with the contrasts
+        with pytest.raises(ValueError, match="^no supported construction"):
+            construct_reveal_plus_quantize(model, b, 1)
+
+    @pytest.mark.parametrize("model,b", [
+        (iid_uniform(2), [1.0, 1.0]), (iid_uniform(2), [-1.0, -1.0]),
+        (iid_laplace(2), [0.7, 0.7]), (iid_exponential(2), [0.5, -0.5]),
+    ])
+    def test_two_dimensional_cases_align_the_bias(self, model, b):
+        # the revealed row is orthogonal to b and the last row is b / ||b||
+        policy = construct_reveal_plus_quantize(model, b, 1)
+        fwd = policy.transform.forward
+        assert np.array_equal(fwd, transforms.bias_aligning_transform(b).forward)
+        assert fwd[0] @ np.asarray(b) == pytest.approx(0.0, abs=1e-15)
+
     @pytest.mark.parametrize(
         "model,b,k_last",
         [
@@ -969,7 +992,7 @@ class TestConstructRevealPlusQuantize:
             (iid_uniform(2), [1.0, -1.0], 1),
             (iid_exponential(2), [0.0, 3.0], 1),
             (iid_exponential(2), [0.5, -0.5], 1),
-            (iid_laplace(3), [0.7, 0.7, 0.7], 1),
+            (iid_laplace(2), [0.7, 0.7], 1),
             (iid_gaussian(4), [1.0, 1.0, 1.0, 1.0], 3),
         ],
     )
@@ -1147,7 +1170,7 @@ class TestExpectedDistortions:
 class TestVerifyLinearEquilibrium:
     def test_gaussian_generic_bias_passes(self):
         report = verify_linear_equilibrium(iid_gaussian(2), [1.0, 2.0], samples=300_000, seed=31)
-        assert report.pass_constancy and report.pass_coverage and report.pass_no_deviation
+        assert report.passed
 
     def test_exponential_equal_bias_fails_constancy(self):
         report = verify_linear_equilibrium(iid_exponential(2), [1.0, 1.0], samples=300_000, seed=32)
@@ -1168,7 +1191,21 @@ class TestVerifyLinearEquilibrium:
         with pytest.raises(ValueError):
             verify_linear_equilibrium(iid_gaussian(2), [0.0, 0.0], samples=10_000)
 
-    def test_one_sample_draw_serves_both_curves(self, monkeypatch):
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_decoupled_uniform_passes_at_every_seed(self, seed):
+        # b1 = 0 decouples the coordinates, so the curve is flat and the
+        # revealing policy is an equilibrium at any bias size and sample count
+        report = verify_linear_equilibrium(iid_uniform(2), [0.0, 5.0], samples=100_000, seed=seed)
+        assert report.passed
+
+    def test_report_is_the_constancy_check(self):
+        report = verify_linear_equilibrium(iid_exponential(2), [1.0, 2.0], samples=50_000, seed=37)
+        assert report.passed is report.pass_constancy is (report.constancy_max_z <= 3.0)
+        assert sorted(report.to_dict()) == sorted([
+            "passed", "constancy_max_z", "pass_constancy", "grid", "curve", "curve_stderr",
+            "kappa", "b_tilde"])
+
+    def test_one_sample_draw_serves_the_grid_and_the_curve(self, monkeypatch):
         model, b = iid_exponential(2), [1.0, 2.0]
         draws = []
         sample = sources.SourceModel.sample
@@ -1441,23 +1478,39 @@ class TestRevealCertificateOracle:
         *[(iid_gaussian(2), [1.0, 1.0], k, None) for k in (1, 2, 3, 4)],
         (iid_gaussian(8), B8, 3, None),
         (iid_gaussian(8), B8, 3, 2 * B8),               # a bias the policy was not built for
-        (iid_laplace(3), [0.7, 0.7, 0.7], 1, None),     # Helmert
+        (iid_laplace(3), [0.7, 0.7, 0.7], "helmert", None),  # built by hand
         (iid_exponential(2), [0.0, 3.0], 1, None),      # permutation
         (iid_gaussian(3), [0.0, 0.4, 0.0], 2, None),    # permutation, quantized last coordinate
     ]
     IDS = ["gauss2d-k1", "gauss2d-k2", "gauss2d-k3", "gauss2d-k4", "gauss8d-k3",
            "gauss8d-k3-double-bias", "laplace3d-helmert", "exp2d-permutation", "gauss3d-permutation"]
 
+    @staticmethod
+    def policy(model, b, k_last):
+        if k_last != "helmert":
+            return construct_reveal_plus_quantize(model, b, k_last)
+        # the constructor refuses this case (no equilibrium), but its bits
+        # still follow the reference: the Helmert contrasts revealed on the
+        # support box's ranges, one last action at the mean
+        transform = transforms.helmert_transform(model.dim, bias=b[0])
+        return equilibrium.RevealQuantizePolicy(
+            transform=transform,
+            cell_edges=[np.linspace(*sources._support_box_range(model, row), 1025)
+                        for row in transform.forward[:-1]],
+            last_boundaries=np.array([-math.inf, math.inf]),
+            last_actions=transform.apply(model.mean_vector, "forward")[-1:],
+        )
+
     @pytest.mark.parametrize("model,b,k_last,check_bias", CASES, ids=IDS)
     def test_certificate_equals_reference(self, model, b, k_last, check_bias):
-        policy = construct_reveal_plus_quantize(model, b, k_last)
+        policy = self.policy(model, b, k_last)
         b_check = b if check_bias is None else check_bias
         cert = verify_equilibrium(policy, model, b_check, samples=100_000, seed=31)
         assert cert.to_dict() == reference_reveal_certificate(policy, model, b_check, 100_000, 31)
 
     @pytest.mark.parametrize("model,b,k_last,check_bias", CASES, ids=IDS)
     def test_decode_equals_reference(self, model, b, k_last, check_bias):
-        policy = construct_reveal_plus_quantize(model, b, k_last)
+        policy = self.policy(model, b, k_last)
         m = model.sample(20_000, seed=32)
         u, codes = policy.decode(m)
         _, ref_u, ref_y, ref_codes, _ = reference_decode(policy, m)

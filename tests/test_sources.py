@@ -596,6 +596,25 @@ class TestConditionalSupport:
             want = _three_branch_support(model, b, x2)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        iid_gaussian(2), correlated_gaussian_2d(1.0, 2.0, 0.5), correlated_gaussian_2d(1.0, 2.0, -0.5),
+        iid_uniform(2), iid_exponential(2), iid_laplace(2),
+        tabulated_density([0.0, -1.0], [0.25, 0.5], np.array([
+            [1.0, 0.0, 2.0, 1.0], [2.0, 1.0, 0.0, 2.0], [3.0, 2.0, 1.0, 0.0], [0.0, 2.0, 1.0, 3.0],
+        ]) / (21.0 * 0.125)),
+    ], ids=["gaussian", "correlated+", "correlated-", "uniform", "exponential", "laplace",
+            "table-zero-cells"])
+    @pytest.mark.parametrize("b", [[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [1.0, 2.0]],
+                             ids=["b1=0", "b2=0", "equal", "antisymmetric", "generic"])
+    def test_support_at_the_mean_lies_in_the_revealed_range(self, model, b):
+        # the continuum of revealed values, X1's range over the support box,
+        # spans the conditional support at X2's mean, up to rounding
+        x2_mean = sources._pair_values(cheaptalk.pair_transform_2d(b), model.mean)[1]
+        lo, hi = conditional_support(model, b, x2_mean)
+        span_lo, span_hi = pair_coordinate_interval(model, b, 0)
+        tol = 1e-9 * (span_hi - span_lo)
+        assert span_lo - tol <= lo <= hi <= span_hi + tol
+
     @pytest.mark.parametrize("call", [
         lambda b: conditional_mean_curve(iid_uniform(2), b, [0.0], samples=1_000, seed=0),
         lambda b: conditional_support(iid_uniform(2), b, 0.0),
