@@ -24,7 +24,7 @@ known to rule an equilibrium out, so the verdict is never "no" there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,12 +65,7 @@ class ClassificationVerdict:
     evidence: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "exists": self.exists,
-            "theorem_case": self.theorem_case,
-            "confidence": self.confidence,
-            "evidence": dict(self.evidence),
-        }
+        return asdict(self)
 
 
 def _curve_evidence(model: SourceModel, b, samples: int, seed: int) -> dict:

@@ -397,26 +397,16 @@ def _cmd_solve(cfg: dict):
     return payload, (0 if result.converged else 3), None
 
 
-# each pass flag of a certificate and the statistic its verdict reads
-_VERIFY_CHECKS = (
-    ("geometry", "min_pairwise_geo_slack {min_pairwise_geo_slack:.6g}"),
-    ("centroid", "centroid_max_z {centroid_max_z:.6g}"),
-    ("deviation", "deviation_gain {deviation_gain:.6g} (stderr {deviation_gain_stderr:.3g})"),
-)
-
-
 def _cmd_verify(cfg: dict):
     model, bias, s = _problem(cfg)
     policy = _block(cfg, "policy", model, bias, s)
     samples, seed = s["samples"], s["seed"]
     with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
         cert = verify_equilibrium(policy, model, bias, samples=samples, seed=seed)
-    payload = {"policy_kind": policy.kind, **cert.to_dict()}
-    for check, statistic in _VERIFY_CHECKS:
-        if not payload[f"pass_{check}"]:
-            print(f"verify failed the {check} check: {statistic.format(**payload)}",
-                  file=sys.stderr)
-    return payload, (0 if cert.passed else 1), None
+    for check in cert.checks:
+        if not check.passed:
+            print(f"verify failed the {check}", file=sys.stderr)
+    return {"policy_kind": policy.kind, **cert.to_dict()}, (0 if cert.passed else 1), None
 
 
 def _cmd_classify(cfg: dict):
@@ -438,6 +428,10 @@ def _cmd_classify(cfg: dict):
             verdict = classify_mod.classify_linear_existence(
                 model, bias, samples=min(samples, 400_000), seed=seed
             )
+    if verdict.exists == "no":
+        evidence = "".join(f", {name} {value:.6g}" for name, value in verdict.evidence.items())
+        print(f"classify answered no: theorem_case {verdict.theorem_case}, source family "
+              f"{model.family} ({verdict.confidence}){evidence}", file=sys.stderr)
     return verdict.to_dict(), (1 if verdict.exists == "no" else 0), None
 
 

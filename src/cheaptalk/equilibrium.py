@@ -31,7 +31,7 @@ import collections
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +69,7 @@ __all__ = [
     "ScalarQuantizer",
     "QuantizerPolicy",
     "RevealQuantizePolicy",
+    "CertificateCheck",
     "EquilibriumCertificate",
     "LinearEquilibriumReport",
     "best_response_step",
@@ -1038,15 +1039,37 @@ def construct_reveal_plus_quantize(
 # -- verification ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CertificateCheck:
+    """One equilibrium condition's verdict: the certificate statistic it
+    reads, that statistic's value, and the threshold it must not cross
+    (``value <= threshold`` when ``at_most``, else ``value >= threshold``)."""
+
+    name: str
+    statistic: str
+    value: float
+    threshold: float
+    at_most: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.threshold if self.at_most else self.value >= self.threshold
+
+    def __str__(self) -> str:
+        bound = "<=" if self.at_most else ">="
+        return f"{self.name} check: {self.statistic} {self.value:.6g}, needs {bound} {self.threshold:.6g}"
+
+
 @dataclass(eq=False)
 class EquilibriumCertificate:
     """Slacks and residuals for the equilibrium conditions, with verdicts.
 
     ``max_centroid_residual`` and ``centroid_residual_stderr`` describe the
-    evaluated bin with the largest residual-to-error ratio; the pass rule is
-    residual <= 3 stderr.  ``deviation_gain`` is the mean cost reduction the
-    encoder could get by re-reporting within the policy's message set
-    (nonnegative by construction, zero at an equilibrium).
+    evaluated bin with the largest residual-to-error ratio.
+    ``deviation_gain`` is the mean cost reduction the encoder could get by
+    re-reporting within the policy's message set (nonnegative by
+    construction, zero at an equilibrium).  ``checks``, one per condition,
+    are derived from these fields on construction; ``passed`` is all of them.
     """
 
     min_pairwise_geo_slack: float
@@ -1056,41 +1079,40 @@ class EquilibriumCertificate:
     deviation_gain: EstimateWithError
     je: EstimateWithError
     jd: EstimateWithError
-    pass_geometry: bool
-    pass_centroid: bool
-    pass_deviation: bool
-    samples: int
-    seed: int
+    checks: tuple = field(init=False)
     realized_actions: int
     evaluated_bins: int
-    grid_levels: int | None = None  # continuum-approximation resolution, if any
+    grid_levels: int | None  # continuum-approximation resolution, if any
+    samples: int
+    seed: int
+
+    def __post_init__(self):
+        gain = self.deviation_gain  # its threshold's last term absorbs float dust on zero gains
+        self.checks = (
+            CertificateCheck("geometry", "min_pairwise_geo_slack", self.min_pairwise_geo_slack,
+                             -_GEO_TOLERANCE, at_most=False),
+            CertificateCheck("centroid", "centroid_max_z", self.centroid_max_z, 3.0),
+            CertificateCheck("deviation", "deviation_gain", gain.value,
+                             3.0 * gain.stderr + 1e-12 * max(1.0, self.je.value)),
+        )
 
     @property
     def passed(self) -> bool:
-        return self.pass_geometry and self.pass_centroid and self.pass_deviation
+        return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_pairwise_geo_slack": self.min_pairwise_geo_slack,
-            "max_centroid_residual": self.max_centroid_residual,
-            "centroid_residual_stderr": self.centroid_residual_stderr,
-            "centroid_max_z": self.centroid_max_z,
-            "deviation_gain": self.deviation_gain.value,
-            "deviation_gain_stderr": self.deviation_gain.stderr,
-            "je": self.je.value,
-            "je_stderr": self.je.stderr,
-            "jd": self.jd.value,
-            "jd_stderr": self.jd.stderr,
-            "pass_geometry": self.pass_geometry,
-            "pass_centroid": self.pass_centroid,
-            "pass_deviation": self.pass_deviation,
-            "realized_actions": self.realized_actions,
-            "evaluated_bins": self.evaluated_bins,
-            "grid_levels": self.grid_levels,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        """``passed``, then each field in order: an estimate as ``name`` and
+        ``name_stderr``, each check as ``pass_<name>``."""
+        out = {"passed": self.passed}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, EstimateWithError):
+                out[f.name], out[f"{f.name}_stderr"] = value.value, value.stderr
+            elif f.name == "checks":
+                out.update((f"pass_{check.name}", check.passed) for check in value)
+            else:
+                out[f.name] = value
+        return out
 
 
 # verify_equilibrium: the pairwise slack may dip this far below zero, at most
@@ -1478,35 +1500,18 @@ def verify_equilibrium(
     je, jd = _estimate(stream.ce[:samples]), _estimate(stream.cd[:samples])
     deviation = _estimate(stream.gains[:samples])
     stream.ce = stream.cd = stream.gains = None  # nothing reads them below
-    # the epsilon term absorbs float dust when the gains are identically zero
-    pass_deviation = deviation.value <= 3.0 * deviation.stderr + 1e-12 * max(1.0, je.value)
 
     uniq, first_idx, counts = _code_groups(stream.codes())
     if uniq.size == 0:
         raise BinDeathError(0, "policy induced no realized actions")
 
     min_slack = _pairwise_min_slack(stream.realized, first_idx, counts, b, seed + 1)
-    pass_geometry = min_slack >= -_GEO_TOLERANCE
-
     max_resid, max_resid_se, max_z, evaluated = _worst_centroid(stream.centroids(uniq, counts))
-    pass_centroid = max_z <= 3.0
-
     return EquilibriumCertificate(
-        min_pairwise_geo_slack=min_slack,
-        max_centroid_residual=max_resid,
-        centroid_residual_stderr=max_resid_se,
-        centroid_max_z=max_z,
-        deviation_gain=deviation,
-        je=je,
-        jd=jd,
-        pass_geometry=pass_geometry,
-        pass_centroid=pass_centroid,
-        pass_deviation=pass_deviation,
-        samples=samples,
-        seed=seed,
-        realized_actions=int(uniq.size),
-        evaluated_bins=evaluated,
-        grid_levels=getattr(policy, "grid_levels", None),
+        min_pairwise_geo_slack=min_slack, max_centroid_residual=max_resid,
+        centroid_residual_stderr=max_resid_se, centroid_max_z=max_z, deviation_gain=deviation,
+        je=je, jd=jd, realized_actions=int(uniq.size), evaluated_bins=evaluated,
+        grid_levels=getattr(policy, "grid_levels", None), samples=samples, seed=seed,
     )
 
 

@@ -170,7 +170,8 @@ def bias_aligning_transform(b) -> LinearTransform:
     else:
         fwd = _householder_to_last_axis(b_hat)
 
-    return LinearTransform(forward=fwd, inverse=fwd.T, transformed_bias=fwd @ b, scale=1.0)
+    tb = np.append(np.zeros(n - 1), (fwd @ b)[-1])  # fwd @ b rounds the revealed zeros off
+    return LinearTransform(forward=fwd, inverse=fwd.T, transformed_bias=tb, scale=1.0)
 
 
 def _householder_to_last_axis(b_hat: np.ndarray) -> np.ndarray:
@@ -189,7 +190,11 @@ def _apply_batch(mat: np.ndarray, arr: np.ndarray, out: np.ndarray | None = None
     transposed view of the (n, N) product ``mat @ arr.T`` (written into
     ``out`` when given).
 
-    Each column of the product rounds the same in any batch of two or more
-    rows: numpy hands a lone column to gemv, which rounds differently.
+    Each column of the product rounds the same in any batch: numpy hands a
+    lone column to gemv, which rounds differently, so a lone row goes twice.
     """
-    return np.matmul(mat, arr.T, out=out).T
+    if arr.shape[0] != 1:
+        return np.matmul(mat, arr.T, out=out).T
+    out = np.empty((mat.shape[0], 1)) if out is None else out
+    out[:] = np.matmul(mat, np.repeat(arr, 2, axis=0).T)[:, :1]
+    return out.T

@@ -18,7 +18,7 @@ def run_process(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "cheaptalk.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cheaptalk.cli", *args],
         capture_output=True, text=True, env=env,
     )
 
@@ -57,8 +57,8 @@ def planted_config(tmp_path):
 
 class TestExitCodes:
     def test_classify_exists_is_zero(self, classify_config):
-        code, record, _ = run_cli("classify", "--config", classify_config)
-        assert code == 0
+        code, record, err = run_cli("classify", "--config", classify_config)
+        assert code == 0 and err == ""
         assert record["payload"]["exists"] == "yes"
         assert record["payload"]["theorem_case"] == "antisymmetric-bias"
 
@@ -98,6 +98,7 @@ class TestExitCodes:
 
     def test_verification_failure_says_which_checks_failed(self):
         # one line per failing check, with the statistic its verdict reads
+        # and the threshold that statistic crossed
         config = str(ROOT / "configs" / "verify_planted_violation.json")
         code, record, err = run_cli("verify", "--config", config)
         assert code == 1
@@ -105,10 +106,25 @@ class TestExitCodes:
         assert payload["pass_deviation"] is True
         assert err.splitlines() == [
             "verify failed the geometry check: min_pairwise_geo_slack "
-            f"{payload['min_pairwise_geo_slack']:.6g}",
-            f"verify failed the centroid check: centroid_max_z {payload['centroid_max_z']:.6g}",
+            f"{payload['min_pairwise_geo_slack']:.6g}, needs >= -1e-06",
+            "verify failed the centroid check: centroid_max_z "
+            f"{payload['centroid_max_z']:.6g}, needs <= 3",
         ]
         assert "deviation" not in err
+
+    @pytest.mark.parametrize("bias, want", [
+        ("[1,1]", "theorem_case symmetry-required, source family iid-exponential (analytic), "
+                  "symmetry_deviation 0.864664"),
+        ("[1,2]", "theorem_case gaussian-required, source family iid-exponential (analytic)"),
+    ])
+    def test_classify_answering_no_says_why(self, bias, want):
+        config = str(ROOT / "configs" / "classify_uniform_antisym.json")
+        code, record, err = run_cli("classify", "--config", config,
+                                    '--source={"family":"iid-exponential","dim":2}', f"--bias={bias}")
+        assert code == 1 and record["payload"]["exists"] == "no"
+        assert err.splitlines() == [f"classify answered no: {want}"]
+        if "symmetry_deviation" in want:
+            assert want.endswith(f"{record['payload']['evidence']['symmetry_deviation']:.6g}")
 
     def test_malformed_source_is_two_without_output(self, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -149,6 +165,7 @@ class TestExitCodes:
         ("--solver.samples=0", "samples"),
         ("--solver.samples=-1", "samples"),
         ("--solver.k=2.7", "k"),
+        ("--solver.k=2.5", "k"),
         ("--solver.k=true", "k"),
         ("--solver.samples=1000.9", "samples"),
         ("--solver.grid_levels=16.5", "grid_levels"),
@@ -263,6 +280,7 @@ class TestExitCodes:
         ("rd", "rd_asymptotic.json", "--rd.sampels=5", "rd.sampels"),
         ("transform", "transform_helmert.json", "--transform.nn=4", "transform.nn"),
         ("verify", "verify_reveal_quantize.json", "--policy.k_lst=5", "policy.k_lst"),
+        ("verify", "verify_reveal_quantize.json", "--solver.k_last=2", "solver.k_last"),
         ("sweep", "sweep_bin_counts.json", "--sweep.valeus=[1]", "sweep.valeus"),
         ("classify", "classify_uniform_antisym.json", "--output.recrods=x", "output.recrods"),
     ])
@@ -564,6 +582,7 @@ class TestExampleConfigs:
         reference = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())[name]
         proc = run_process(reference["command"], "--config", str(ROOT / "configs" / name))
         assert proc.returncode == reference["exit"], proc.stderr
+        assert "Traceback" not in proc.stderr
         # the payload exactly as printed, between its key and the status field
         line = proc.stdout.strip().splitlines()[-1]
         payload = line[line.index('"payload":') + len('"payload":'):line.rindex(',"status":')]

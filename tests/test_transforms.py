@@ -118,6 +118,16 @@ class TestBiasAligning:
             expected[-1] = norm
             assert np.allclose(t.transformed_bias, expected, atol=1e-12 * max(1, norm))
 
+    @pytest.mark.parametrize("b", [
+        [0.7, 0.7], [0.3, -0.3], [1.0, 1.0], [0.9, -0.8, 0.7],
+        [0.9, -0.8, 0.7, -0.6, 0.5, -0.4, 0.3, -0.2],  # Householder in 8-D
+    ])
+    def test_revealed_entries_of_the_bias_image_are_exact_zeros(self, b):
+        t = bias_aligning_transform(b)
+        assert np.all(t.transformed_bias[:-1] == 0.0)
+        assert t.transformed_bias[-1] == (t.forward @ np.asarray(b))[-1]
+        assert t.transformed_bias[-1] == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
     def test_distance_preservation(self):
         rng = np.random.default_rng(7)
         b = rng.normal(size=5)
@@ -153,6 +163,19 @@ class TestApply:
         batch = t.apply(pts)
         rows = np.stack([t.apply(p) for p in pts])
         assert np.allclose(batch, rows, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_a_lone_row_rounds_as_in_any_batch(self, n):
+        from cheaptalk.transforms import _apply_batch
+
+        t = bias_aligning_transform(np.linspace(0.9, -0.2, n))
+        pts = np.random.default_rng(n).normal(size=(200, n))
+        batch = t.apply(pts)
+        for i in range(pts.shape[0]):
+            assert np.array_equal(t.apply(pts[i : i + 1])[0], batch[i]), i
+        out = np.empty((n, 1))
+        got = _apply_batch(t.forward, pts[:1], out=out)
+        assert np.shares_memory(got, out) and np.array_equal(got[0], batch[0])
 
     def test_bad_direction_and_dim(self):
         t = permutation_transform(range(2))
