@@ -36,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._ndtr import ndtri
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
 from .geometry import _assign_columns, _assign_targets, _whole, as_point, assign_actions_batch
 from .sources import (
@@ -47,7 +48,6 @@ from .sources import (
     _finite_parameters,
     _pair_values,
     _sorted_pairs,
-    _special,
     _stable_order,
     _support_box_range,
     _window_curve,
@@ -606,13 +606,26 @@ def _bin_moments(model: SourceModel, a: float, b: float):
     return truncated_moments_1d(model, a, b) if a <= b else truncated_moments_1d(model, b, a)
 
 
+def _moments_from(model: SourceModel, start: float):
+    """``x -> _bin_moments(model, start, x)`` for a fixed finite ``start`` and
+    a finite or infinite ``x``, straight from the marginal; one with
+    ``moments_from`` (the gaussian) evaluates its terms at ``start`` once."""
+    marginal = model.marginals[0]
+    if hasattr(marginal, "moments_from"):
+        return marginal.moments_from(start)
+    moments = marginal.truncated_moments
+    return lambda x: moments(start, x) if start <= x else moments(x, start)
+
+
 def _next_boundary(model: SourceModel, start: float, target: float, end: float, scale: float, s: float):
     """Nearest x past ``start`` in direction ``s`` (+1 up, -1 down) at which the
     bin between ``start`` and ``x`` has conditional mean ``target``; None when
     the target is out of reach before the support end ``end``."""
+    moments = _moments_from(model, start)
+
     @functools.cache  # brentq starts from g(near) and g(far), both already known
     def g(x):
-        mass, mean, _ = _bin_moments(model, start, x)
+        mass, mean, _ = moments(x)
         if mass <= 0.0 or not math.isfinite(mean):
             return -s
         return mean - target
@@ -680,6 +693,18 @@ _TAIL_SDS = np.array([7.0, 9.0, 12.0, 16.0, 21.0, 27.0, 34.0])
 _SCAN_POINTS = 257
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_quantiles(marginal, mean_sign: float) -> np.ndarray:
+    """The 1e-9 .. 1 - 1e-9 quantiles of ``_scan_grid``, computed once per
+    marginal and read-only.  Equal frozen marginals may differ in the sign of
+    a zero mean, which a laplace grid keeps at q = 1/2 (0.0 or -0.0), so
+    that sign is part of the key."""
+    eps = 1e-9
+    grid = np.asarray(marginal.ppf(np.linspace(eps, 1.0 - eps, _SCAN_POINTS)), dtype=float)
+    grid.setflags(write=False)
+    return grid
+
+
 def _scan_grid(model: SourceModel, beta: float) -> np.ndarray:
     """Strictly increasing grid points for the shooting variable.
 
@@ -688,9 +713,8 @@ def _scan_grid(model: SourceModel, beta: float) -> np.ndarray:
     grid).  Only tail points past the outermost quantile are kept: a heavy
     tail's extreme quantiles lie beyond 7 sd.
     """
-    eps = 1e-9
-    grid = np.asarray(model.marginal_ppf(0, np.linspace(eps, 1.0 - eps, _SCAN_POINTS)), dtype=float)
     marginal = model.marginals[0]
+    grid = _scan_quantiles(marginal, math.copysign(1.0, getattr(marginal, "mean", 1.0)))
     sd = math.sqrt(model.marginal_variance(0))
     s = -1.0 if beta >= 0.0 else 1.0  # the shooting direction; the tail lies at -s
     if not math.isfinite(marginal.hi if s < 0 else marginal.lo):
@@ -1001,7 +1025,7 @@ def construct_reveal_plus_quantize(
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
-        half = math.sqrt(sigma_sq) * float(-_special.ndtri(_TRUNCATION_EPS))
+        half = math.sqrt(sigma_sq) * -ndtri(_TRUNCATION_EPS)
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         last_law = iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=sigma_sq)
     else:

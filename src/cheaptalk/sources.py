@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from ._ndtr import ndtr, ndtri
 from .errors import DimensionMismatchError
 from .geometry import _whole
 from .transforms import LinearTransform, pair_transform_2d
@@ -77,34 +78,16 @@ _MIN_WINDOW_COUNT = 100
 _SYMMETRY_GRID_POINTS = 801
 
 
-class _LazySpecial:
-    """``scipy.special.ndtr`` and ``ndtri``, imported on first use.
-
-    Importing scipy.special takes about 0.3 s on a 2-vCPU x86 host, which a
-    process that never evaluates a gaussian cdf should not pay.  The first attribute lookup
-    binds both functions on the instance; later lookups are plain attribute
-    reads, as ``special.ndtr`` on the module was.
-    """
-
-    def __getattr__(self, name):
-        from scipy import special
-
-        self.ndtr, self.ndtri = special.ndtr, special.ndtri
-        return object.__getattribute__(self, name)
-
-
-_special = _LazySpecial()
-
 # scipy.stats.norm's constant and density formula, so that the gaussian
 # closed forms reproduce its values bit for bit without importing scipy.stats
 _NORM_PDF_C = math.sqrt(2.0 * math.pi)
 
 
 def _norm_pdf(z):
-    # an array, even 0-d, squares as scipy.stats does (z * z); a Python float
-    # would square with pow(), which differs in the last bit on ~7 in 10,000 inputs
-    z = np.asarray(z)
-    return np.exp(-z**2 / 2.0) / _NORM_PDF_C
+    # z * z, as scipy.stats squares: z**2 of a Python float would call pow(),
+    # which differs in the last bit on ~7 in 10,000 inputs; np.exp, as scipy.stats
+    # takes it, also for a Python float (libm's exp differs on ~5 in 100 inputs)
+    return np.exp(-(z * z) / 2.0) / _NORM_PDF_C
 
 
 def _exponential_bin(rate: float, d: float, w: float):
@@ -152,6 +135,26 @@ def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float):
     return mass, mean, mean * mean + var
 
 
+def _end_pdf(z: float):
+    """The standard normal pdf at a standardized bin end, 0 at an infinite one."""
+    return _norm_pdf(z) if math.isfinite(z) else 0.0
+
+
+def _gaussian_bin(mu: float, sd: float, alpha: float, beta: float, mass, pa, pb):
+    """Mass, mean and second moment of the gaussian bin between the
+    standardized ends ``alpha <= beta``, from its ``mass`` and the pdf values
+    ``pa``, ``pb`` at its ends."""
+    if mass <= 0.0:
+        return 0.0, math.nan, math.nan
+    z_mean = (pa - pb) / mass
+    apa = alpha * pa if math.isfinite(alpha) else 0.0
+    bpb = beta * pb if math.isfinite(beta) else 0.0
+    z_second = 1.0 + (apa - bpb) / mass
+    mean = mu + sd * z_mean
+    second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
+    return float(mass), float(mean), float(second)
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateWithError:
     """A numeric estimate with its standard error and the sample count used.
@@ -183,10 +186,10 @@ class GaussianMarginal:
         return _norm_pdf((np.asarray(x, dtype=float) - self.mean) / sd) / sd
 
     def cdf(self, x):
-        return _special.ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
+        return ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
 
     def ppf(self, q):
-        return _special.ndtri(np.asarray(q, dtype=float)) * math.sqrt(self.variance) + self.mean
+        return ndtri(np.asarray(q, dtype=float)) * math.sqrt(self.variance) + self.mean
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
@@ -198,20 +201,31 @@ class GaussianMarginal:
         alpha = (a - mu) / sd if math.isfinite(a) else -math.inf
         beta = (b - mu) / sd if math.isfinite(b) else math.inf
         if alpha > 0.0:
-            mass = _special.ndtr(-alpha) - _special.ndtr(-beta)
+            mass = ndtr(-alpha) - ndtr(-beta)
         else:
-            mass = _special.ndtr(beta) - _special.ndtr(alpha)
-        if mass <= 0.0:
-            return 0.0, math.nan, math.nan
-        pa = _norm_pdf(alpha) if math.isfinite(alpha) else 0.0
-        pb = _norm_pdf(beta) if math.isfinite(beta) else 0.0
-        z_mean = (pa - pb) / mass
-        apa = alpha * pa if math.isfinite(alpha) else 0.0
-        bpb = beta * pb if math.isfinite(beta) else 0.0
-        z_second = 1.0 + (apa - bpb) / mass
-        mean = mu + sd * z_mean
-        second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
-        return float(mass), float(mean), float(second)
+            mass = ndtr(beta) - ndtr(alpha)
+        return _gaussian_bin(mu, sd, alpha, beta, mass, _end_pdf(alpha), _end_pdf(beta))
+
+    def moments_from(self, start: float):
+        """``x -> truncated_moments`` of the bin between the finite ``start``
+        and ``x``, taken in either order, with the cdf and pdf values at
+        ``start`` computed once rather than once per ``x``."""
+        mu, sd = self.mean, math.sqrt(self.variance)
+        z0 = (start - mu) / sd
+        below, above, p0 = ndtr(z0), ndtr(-z0), _norm_pdf(z0)
+
+        def moments(x: float):
+            a, b = (start, x) if start <= x else (x, start)
+            if b - a < _NARROW_SDS * sd:
+                return _narrow_gaussian_bin(mu, sd, a, b)
+            z = (x - mu) / sd if math.isfinite(x) else x
+            if start <= x:  # as in truncated_moments, start as alpha
+                mass = above - ndtr(-z) if z0 > 0.0 else ndtr(z) - below
+                return _gaussian_bin(mu, sd, z0, z, mass, p0, _end_pdf(z))
+            mass = ndtr(-z) - above if z > 0.0 else below - ndtr(z)
+            return _gaussian_bin(mu, sd, z, z0, mass, _end_pdf(z), p0)
+
+        return moments
 
 
 @dataclass(frozen=True)
@@ -335,19 +349,30 @@ class LaplaceMarginal:
 
     def truncated_moments(self, a: float, b: float):
         # two exponential halves of rate 1/scale and weight 1/2, mirrored about
-        # the location (side +1 above it, -1 below); parts are (mass, mean, variance)
+        # the location; parts are (mass, mean, variance), the upper half first.
+        # The sums are plain loops from 0.0, as sum() adds them, at half the
+        # cost of generator sums in the shooting solver's inner loop
         mu, rate = self.mean, 1.0 / self.scale
         parts = []
-        for side, start, end in ((1.0, max(a, mu), b), (-1.0, min(b, mu), a)):
-            if side * (end - mu) > 0.0:
-                mass, offset, var = _exponential_bin(rate, side * (start - mu), side * (end - start))
-                parts.append((mass, start + side * offset, var))
-        total = sum(part[0] for part in parts)
+        if b - mu > 0.0:
+            start = max(a, mu)
+            mass, offset, var = _exponential_bin(rate, start - mu, b - start)
+            parts.append((mass, start + offset, var))
+        if a - mu < 0.0:
+            start = min(b, mu)
+            mass, offset, var = _exponential_bin(rate, -(start - mu), -(a - start))
+            parts.append((mass, start - offset, var))
+        total = mean = var = 0.0
+        for m, _, _ in parts:
+            total += m
         if not total > 0.0:
             return 0.0, math.nan, math.nan
-        mean = sum(m * u for m, u, _ in parts) / total
-        var = sum(m * (v + (u - mean) ** 2) for m, u, v in parts) / total
-        return 0.5 * total, mean, mean * mean + var
+        for m, u, _ in parts:
+            mean += m * u
+        mean /= total
+        for m, u, v in parts:
+            var += m * (v + (u - mean) ** 2)
+        return 0.5 * total, mean, mean * mean + var / total
 
 
 @dataclass(frozen=True, eq=False)

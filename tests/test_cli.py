@@ -587,3 +587,18 @@ class TestExampleConfigs:
         line = proc.stdout.strip().splitlines()[-1]
         payload = line[line.index('"payload":') + len('"payload":'):line.rindex(',"status":')]
         assert hashlib.sha256(payload.encode()).hexdigest() == reference["payload_sha256"]
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_cold_run_loads_no_scipy(self, name):
+        """A cold process of each example config imports no scipy module at all."""
+        command = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())[name]["command"]
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cheaptalk.cli", command,
+             "--config", str(ROOT / "configs" / name)],
+            capture_output=True, text=True, env=env,
+        )
+        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "cheaptalk.sources" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []

@@ -203,6 +203,22 @@ class TestScalarSolver:
         if model.family == "iid-gaussian":  # all seven tail points lie past the 1e-9 quantile
             assert grid.shape == (257 + 7,)
 
+    def test_scan_quantiles_are_computed_once_per_marginal(self):
+        qs = np.linspace(1e-9, 1.0 - 1e-9, 257)
+        for make in (iid_gaussian, iid_laplace, iid_exponential, iid_uniform):
+            first, second = make(1), make(1)
+            grid = equilibrium._scan_quantiles(first.marginals[0], 1.0)
+            assert np.array_equal(grid, first.marginal_ppf(0, qs))
+            assert not grid.flags.writeable
+            # an equal marginal of another model reads the same array
+            assert equilibrium._scan_quantiles(second.marginals[0], 1.0) is grid
+            assert np.isin(grid, equilibrium._scan_grid(second, 0.1)).all()
+        # a laplace grid holds its location at q = 1/2, so the sign of a zero one counts
+        for mean in (0.0, -0.0, 0.0):
+            model = iid_laplace(1, mean=mean)
+            grid = equilibrium._scan_grid(model, 0.0)[:257]  # the upper tail points follow
+            assert np.array_equal(np.signbit(grid), np.signbit(model.marginal_ppf(0, qs)))
+
     @pytest.mark.parametrize("model", [iid_gaussian(1), iid_laplace(1), iid_exponential(1),
                                        iid_uniform(1, -1.0, 1.0), triangle_table()],
                              ids=["gaussian", "laplace", "exponential", "uniform", "triangle"])

@@ -293,6 +293,22 @@ class TestTruncatedMoments:
         mass, _, _ = truncated_moments_1d(iid_uniform(1), 2.0, 3.0)
         assert mass == 0.0
 
+    @pytest.mark.parametrize("a, b, want", [
+        (-INF, INF, ("0x1.0000000000000p+0", "0x1.9999999999999p-2", "0x1.c7ae147ae1479p+0")),
+        (-0.5, 1.1, ("0x1.2c35b8de2030cp-1", "0x1.59f1eb79d13c9p-2", "0x1.212607ebc38d2p-2")),
+        (0.7, 2.0, ("0x1.185447566f07fp-2", "0x1.32de33bab62bap+0", "0x1.906d078085b00p+0")),
+        (-3.0, 0.1, ("0x1.63271f03780c6p-2", "-0x1.6543090fbf043p-1", "0x1.f06925781641cp-1")),
+        (-INF, -1.0, ("0x1.b04690114a154p-4", "-0x1.e666666666666p+0", "0x1.1ae147ae147aep+2")),
+        (2.5, INF, ("0x1.8d327a69b3be5p-5", "0x1.b333333333333p+1", "0x1.8bd70a3d70a3dp+3")),
+        (0.4, 0.4 + 1e-9, ("0x1.316b7ee0b5764p-31", "0x1.999999a2309f9p-2", "0x1.47ae14889fb7ap-3")),
+    ])
+    def test_laplace_moments_are_pinned(self, a, b, want):
+        """The laplace closed form keeps the bits that every pinned solve and
+        payload depends on: both halves, each half alone, infinite ends and a
+        sub-ulp-of-scale bin around the location."""
+        got = truncated_moments_1d(iid_laplace(1, mean=0.4, scale=0.9), a, b)
+        assert tuple(x.hex() for x in got) == want
+
 
 def _norm_truncated_moments(mu, sd, a, b):
     """The gaussian truncated moments written with scipy.stats.norm."""
@@ -360,10 +376,25 @@ class TestGaussianClosedForms:
         assert mean == 0.0
         assert second == pytest.approx(w * w / 12.0, rel=1e-12)
 
+    def test_moments_from_a_fixed_end_equal_truncated_moments(self):
+        """The shooting recursion's bins share one end; reusing its cdf and pdf
+        values changes no bit of the moments, in either order of the ends."""
+        rng = np.random.default_rng(2)
+        xs = list(rng.normal(0.0, 4.0, 200)) + [-INF, INF, -39.0, 39.0, 0.0]
+        for mu, sigma_sq in [(0.0, 1.0), (0.7, 2.25)]:
+            marginal = GaussianMarginal(mu, sigma_sq)
+            for start in [0.0, 0.3, -1.2, 2.5, -6.0, 9.0, 38.5]:
+                moments = marginal.moments_from(start)
+                # bins narrower than 1e-3 sd take the width series on both paths
+                near = [start + d for d in (1e-13, -1e-13, 1e-4, -1e-4, 0.0)]
+                for x in xs + near:
+                    want = marginal.truncated_moments(min(start, x), max(start, x))
+                    assert np.array_equal(moments(x), want, equal_nan=True), (mu, start, x)
+
 
 def test_import_leaves_out_scipy_stats_and_optimize():
-    """scipy.special loads on the first gaussian evaluation, scipy.stats only
-    for the correlated-gaussian joint pdf, and scipy.optimize never."""
+    """scipy.special and scipy.optimize never load, not even for a gaussian
+    solve; scipy.stats loads only for the correlated-gaussian joint pdf."""
     code = (
         "import sys, cheaptalk\n"
         "loaded = lambda: [name for name in ('special', 'optimize', 'stats')\n"
@@ -383,7 +414,7 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cheaptalk.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "['special']", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "True"]
 
 
 def halfspace_cells(model, planes):
