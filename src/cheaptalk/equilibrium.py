@@ -607,8 +607,8 @@ def _bin_moments(model: SourceModel, a: float, b: float):
 
 
 def _moments_from(model: SourceModel, start: float):
-    """``x -> _bin_moments(model, start, x)`` for a fixed finite ``start`` and
-    a finite or infinite ``x``, straight from the marginal; one with
+    """``x -> _bin_moments(model, start, x)`` for a fixed ``start`` and an
+    ``x``, either finite or infinite, straight from the marginal; one with
     ``moments_from`` (the gaussian) evaluates its terms at ``start`` once."""
     marginal = model.marginals[0]
     if hasattr(marginal, "moments_from"):

@@ -195,21 +195,12 @@ class GaussianMarginal:
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
     def truncated_moments(self, a: float, b: float):
-        mu, sd = self.mean, math.sqrt(self.variance)
-        if b - a < _NARROW_SDS * sd:
-            return _narrow_gaussian_bin(mu, sd, a, b)
-        alpha = (a - mu) / sd if math.isfinite(a) else -math.inf
-        beta = (b - mu) / sd if math.isfinite(b) else math.inf
-        if alpha > 0.0:
-            mass = ndtr(-alpha) - ndtr(-beta)
-        else:
-            mass = ndtr(beta) - ndtr(alpha)
-        return _gaussian_bin(mu, sd, alpha, beta, mass, _end_pdf(alpha), _end_pdf(beta))
+        return self.moments_from(a)(b)
 
     def moments_from(self, start: float):
-        """``x -> truncated_moments`` of the bin between the finite ``start``
-        and ``x``, taken in either order, with the cdf and pdf values at
-        ``start`` computed once rather than once per ``x``."""
+        """``x -> truncated_moments`` of the bin between ``start`` and ``x``,
+        taken in either order, with the cdf and pdf values at ``start``
+        computed once rather than once per ``x``; either may be infinite."""
         mu, sd = self.mean, math.sqrt(self.variance)
         z0 = (start - mu) / sd
         below, above, p0 = ndtr(z0), ndtr(-z0), _norm_pdf(z0)
@@ -219,7 +210,7 @@ class GaussianMarginal:
             if b - a < _NARROW_SDS * sd:
                 return _narrow_gaussian_bin(mu, sd, a, b)
             z = (x - mu) / sd if math.isfinite(x) else x
-            if start <= x:  # as in truncated_moments, start as alpha
+            if start <= x:  # start is the lower end; above the mean, masses are upper tails
                 mass = above - ndtr(-z) if z0 > 0.0 else ndtr(z) - below
                 return _gaussian_bin(mu, sd, z0, z, mass, p0, _end_pdf(z))
             mass = ndtr(-z) - above if z > 0.0 else below - ndtr(z)
@@ -425,6 +416,8 @@ class TableMarginal:
     def truncated_moments(self, a: float, b: float):
         dens, lo, step = self.density, self.lo, self.step
         edges = lo + step * np.arange(dens.shape[0] + 1)
+        if not (a < edges[-1] and b > edges[0]):  # off the table, [inf, inf] and [-inf, -inf] too
+            return 0.0, math.nan, math.nan
         left = np.clip(edges[:-1], a, b)
         right = np.clip(edges[1:], a, b)
         w = np.maximum(right - left, 0.0)
@@ -550,9 +543,12 @@ class SourceModel:
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dim)
         if self.cov is not None:
-            from scipy.stats import multivariate_normal  # the one scipy.stats user: import on demand
-
-            return multivariate_normal.pdf(pts, mean=self.mean, cov=self.cov)
+            # exp(-q/2) / (2 pi sqrt(det)), q = d' cov^-1 d with the 2x2 inverse written out
+            (s11, s12), (_, s22) = self.cov.tolist()
+            det = s11 * s22 - s12 * s12
+            d1, d2 = pts[:, 0] - self.mean[0], pts[:, 1] - self.mean[1]
+            q = (s22 * d1 * d1 - 2.0 * s12 * d1 * d2 + s11 * d2 * d2) / det
+            return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
         if self.table is not None:
             shape = self.table.shape
             dens = np.zeros(pts.shape[0])
@@ -658,8 +654,11 @@ def _check_covariance_2d(sigma1_sq: float, sigma2_sq: float, rho: float) -> None
 def correlated_gaussian_2d(
     sigma1_sq: float, sigma2_sq: float, rho: float, mean=(0.0, 0.0)
 ) -> SourceModel:
-    """2-D gaussian with per-coordinate variances and covariance ``rho``."""
+    """2-D gaussian with per-coordinate variances and covariance ``rho``;
+    the covariance must be nonsingular, ``rho^2 < sigma1_sq sigma2_sq``."""
     _check_covariance_2d(sigma1_sq, sigma2_sq, rho)
+    if not rho * rho < sigma1_sq * sigma2_sq:  # so that joint_pdf's det is positive
+        raise ValueError(f"rho must satisfy rho^2 < sigma1_sq * sigma2_sq, got rho={rho}")
     cov = np.array([[sigma1_sq, rho], [rho, sigma2_sq]], dtype=float)
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (2,):

@@ -233,6 +233,19 @@ class TestExitCodes:
         assert "solver" not in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config", [
+        ("solve", "solve_uniform_k3.json"),
+        ("verify", "verify_reveal_quantize.json"),
+    ])
+    def test_singular_correlated_gaussian_blames_rho(self, command, config):
+        # rho^2 = sigma1_sq sigma2_sq has no density: the source block is at fault
+        config = str(ROOT / "configs" / config)
+        source = '--source={"family":"correlated-gaussian-2d","sigma1_sq":1,"sigma2_sq":1,"rho":1}'
+        code, record, err = run_cli(command, "--config", config, source, "--bias=[0.5,0.2]")
+        assert code == 2 and record is None
+        assert err.startswith("config error: invalid source block: rho ")
+        assert "solver" not in err and "Traceback" not in err
+
     def test_solve_stopped_by_the_cap_says_why(self):
         config = str(ROOT / "configs" / "solve_uniform_k3.json")
         code, record, err = run_cli("solve", "--config", config, "--solver.max_iterations=2")
