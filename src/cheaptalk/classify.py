@@ -11,11 +11,12 @@ bias vector                         informative linear equilibrium exists
 both nonzero, ``|b1| != |b2|``      iff the source is gaussian
 ==================================  =========================================
 
-Gaussianity and symmetry are exact distributional characterizations, so a
-finite numerical test cannot certify them: analytic families carry exact
-flags, while tabulated densities get a numeric symmetry test (threshold
-1e-3) or an ``undetermined`` verdict with conditional-mean-curve evidence
-attached.
+Each equality holds to 1e-12 max(1, |b1|, |b2|), by the one rule the reveal
+constructor reads too.  Gaussianity and symmetry are exact distributional
+characterizations, so a finite numerical test cannot certify them: analytic
+families carry exact flags, while tabulated densities get a numeric
+symmetry test (threshold 1e-3) or an ``undetermined`` verdict with the
+paper's constancy statistic (``verify_linear_equilibrium``) attached.
 
 For correlated 2-D gaussian sources the sufficient condition is
 ``b1 b2 (sigma2^2 - sigma1^2) + (b1^2 - b2^2) rho = 0``; its failure is not
@@ -26,17 +27,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .geometry import _whole, as_point
+from .equilibrium import verify_linear_equilibrium
+from .geometry import _bias_case, _whole, as_point
 from .sources import (
     _MIN_WINDOW_COUNT,
     CORRELATED_GAUSSIAN_2D,
     GAUSSIAN,
     SourceModel,
     _check_covariance_2d,
-    conditional_mean_curve,
-    pair_coordinate_interval,
     symmetry_deviation,
 )
 
@@ -68,58 +66,41 @@ class ClassificationVerdict:
         return asdict(self)
 
 
-def _curve_evidence(model: SourceModel, b, samples: int, seed: int) -> dict:
-    lo, hi = pair_coordinate_interval(model, b, 0)
-    pad = 0.1 * (hi - lo)
-    grid = np.linspace(lo + pad, hi - pad, 9)
-    curve = conditional_mean_curve(model, b, grid, samples=samples, seed=seed)
-    z = max(abs(e.value) / max(e.stderr, 1e-15) for e in curve)
-    return {"curve_max_abs_z": float(z)}
-
-
 def classify_linear_existence(
     model: SourceModel, b, *, samples: int = 200_000, seed: int = 0
 ) -> ClassificationVerdict:
-    """Decide the four-case table above for an i.i.d. 2-D source; ``samples``
-    and ``seed``, checked on every path, feed a tabulated source's curve."""
+    """Decide the four-case table above for an i.i.d. 2-D source, and the
+    correlated-gaussian condition for a correlated one; ``samples`` and
+    ``seed``, checked on every path, feed a tabulated source's constancy."""
     samples, seed = _whole(samples, "samples", _MIN_WINDOW_COUNT), _whole(seed, "seed")
     if model.dim != 2:
         raise ValueError("classification is defined for 2-D sources")
     if model.family == CORRELATED_GAUSSIAN_2D:
-        raise ValueError(
-            "source is not i.i.d.; use correlated_gaussian_condition / "
-            "classify_correlated_gaussian for correlated gaussian sources"
-        )
+        (sigma1_sq, rho), (_, sigma2_sq) = model.cov.tolist()
+        return classify_correlated_gaussian(sigma1_sq, sigma2_sq, rho, b)
     b = as_point(b, dim=2)
-    tol = 1e-12 * max(1.0, abs(b[0]), abs(b[1]))
+    case = _bias_case(b)
+    if case in ("zero-bias", "antisymmetric-bias"):
+        return ClassificationVerdict("yes", case, "analytic")
 
-    if abs(b[0]) <= tol or abs(b[1]) <= tol:
-        return ClassificationVerdict("yes", "zero-bias", "analytic")
-
-    if abs(b[0] + b[1]) <= tol:
-        return ClassificationVerdict("yes", "antisymmetric-bias", "analytic")
-
-    if abs(b[0] - b[1]) <= tol:
+    if case == "symmetry-required":
         if model.symmetric is True:
-            return ClassificationVerdict("yes", "symmetry-required", "analytic")
-        if model.symmetric is False:
-            dev = symmetry_deviation(model)
-            return ClassificationVerdict(
-                "no", "symmetry-required", "analytic", {"symmetry_deviation": dev}
-            )
+            return ClassificationVerdict("yes", case, "analytic")
         dev = symmetry_deviation(model)
+        if model.symmetric is False:
+            return ClassificationVerdict("no", case, "analytic", {"symmetry_deviation": dev})
         verdict = "yes" if dev < SYMMETRY_THRESHOLD else "no"
-        return ClassificationVerdict(
-            verdict, "symmetry-required", "numerical", {"symmetry_deviation": dev}
-        )
+        return ClassificationVerdict(verdict, case, "numerical", {"symmetry_deviation": dev})
 
     # both components nonzero with different magnitudes: gaussian required
     if model.family == GAUSSIAN:
-        return ClassificationVerdict("yes", "gaussian-required", "analytic")
+        return ClassificationVerdict("yes", case, "analytic")
     if model.table is None:  # an analytic family, neither gaussian nor tabulated
-        return ClassificationVerdict("no", "gaussian-required", "analytic")
-    evidence = _curve_evidence(model, b, samples, seed)
-    return ClassificationVerdict("undetermined", "gaussian-required", "numerical", evidence)
+        return ClassificationVerdict("no", case, "analytic")
+    report = verify_linear_equilibrium(model, b, samples=samples, seed=seed)
+    return ClassificationVerdict(
+        "undetermined", case, "numerical", {"constancy_max_z": report.constancy_max_z}
+    )
 
 
 def correlated_gaussian_condition(

@@ -41,9 +41,8 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import CheapTalkError, InfeasibleDistortionError
-from .geometry import _is_whole, _whole
+from .geometry import _is_whole
 from .sources import (
-    _MIN_WINDOW_COUNT,
     SourceModel,
     correlated_gaussian_2d,
     iid_exponential,
@@ -415,19 +414,10 @@ def _cmd_classify(cfg: dict):
         raise ConfigError("invalid source block: classification is defined for 2-D sources, "
                           f"got a {model.dim}-D source")
     samples, seed = s["samples"], s["seed"]
-    lead = f"(solver.samples={samples}, solver.seed={seed}) "
-    with _invalid("solver", lead):  # read on every family, though only a table's curve samples
-        _whole(samples, "samples", _MIN_WINDOW_COUNT)
-        _whole(seed, "seed")
-    if model.family == "correlated-gaussian-2d":
-        verdict = classify_mod.classify_correlated_gaussian(
-            float(model.cov[0, 0]), float(model.cov[1, 1]), float(model.cov[0, 1]), bias
+    with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
+        verdict = classify_mod.classify_linear_existence(
+            model, bias, samples=min(samples, 400_000), seed=seed
         )
-    else:
-        with _invalid("solver", lead):
-            verdict = classify_mod.classify_linear_existence(
-                model, bias, samples=min(samples, 400_000), seed=seed
-            )
     if verdict.exists == "no":
         evidence = "".join(f", {name} {value:.6g}" for name, value in verdict.evidence.items())
         print(f"classify answered no: theorem_case {verdict.theorem_case}, source family "

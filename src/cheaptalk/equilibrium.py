@@ -38,7 +38,8 @@ import numpy as np
 
 from ._ndtr import ndtri
 from .errors import BinDeathError, DimensionMismatchError, InfeasibleBinCountError
-from .geometry import _assign_columns, _assign_targets, _whole, as_point, assign_actions_batch
+from .geometry import (_assign_columns, _assign_targets, _bias_case, _whole, as_point,
+                       assign_actions_batch)
 from .sources import (
     _SAMPLE_CHUNK,
     _TRUNCATION_EPS,
@@ -46,7 +47,6 @@ from .sources import (
     EstimateWithError,
     SourceModel,
     _finite_parameters,
-    _pair_values,
     _sorted_pairs,
     _stable_order,
     _support_box_range,
@@ -989,11 +989,15 @@ def construct_reveal_plus_quantize(
     transform); and, for a 2-D i.i.d. source, the antisymmetric bias
     ``b1 = -b2`` (any family) or the equal bias ``b1 = b2`` (symmetric
     families), both with the bias-aligning transform and a single
-    last-coordinate action.  Anything else raises ``ValueError``, an
-    equal-bias vector on a non-gaussian source in three or more dimensions
-    included: there the conditional mean of the last coordinate need not be
-    constant in the revealed ones, and then one last action is not the
-    decoder's best response.
+    last-coordinate action.  A 2-D bias is cased by the one rule
+    ``classify_linear_existence`` reads (``geometry._bias_case``), so on an
+    i.i.d. 2-D source this builds exactly when that answers "yes", and a
+    component within its tolerance of zero is revealed as a zero one is.
+    Anything else raises ``ValueError``, an equal-bias vector on a
+    non-gaussian source in three or more dimensions included: there the
+    conditional mean of the last coordinate need not be constant in the
+    revealed ones, and then one last action is not the decoder's best
+    response.
 
     Revealed cells carry their midpoint as the decoder value, which makes
     the cell partition exactly the nearest-value partition: the encoder has
@@ -1010,18 +1014,20 @@ def construct_reveal_plus_quantize(
         raise ValueError(
             f"reveal-and-quantize is not supported for the {model.family!r} family"
         )
-    nonzero = np.flatnonzero(b)
+    gaussian = model.family == GAUSSIAN
+    case = _bias_case(b) if n == 2 and not gaussian else None
 
     # each construction picks the transform, the revealed intervals and the
     # law of the last transformed coordinate (None: one action at its mean)
-    if nonzero.size <= 1:
-        # the biased coordinate decouples from the rest by independence
-        biased = int(nonzero[0]) if nonzero.size else n - 1
+    if np.count_nonzero(b) <= 1 or case == "zero-bias":
+        # the biased coordinate (the last of the largest) decouples from the
+        # rest by independence; a 2-D bias's near-zero component is revealed
+        biased = n - 1 - int(np.argmax(np.abs(b[::-1])))
         order = [j for j in range(n) if j != biased] + [biased]
         transform = permutation_transform(order, bias=b)
         intervals = [model.support_interval(j) for j in order[:-1]]
         last_law = iid_model(model.family, model.marginals[biased], 1)
-    elif model.family == GAUSSIAN:
+    elif gaussian:
         transform = bias_aligning_transform(b)
         mu_t = transform.apply(model.mean_vector, "forward")
         sigma_sq = model.marginal_variance(0)
@@ -1029,9 +1035,7 @@ def construct_reveal_plus_quantize(
         intervals = [(mu_t[r] - half, mu_t[r] + half) for r in range(n - 1)]
         last_law = iid_gaussian(1, mean=float(mu_t[-1]), sigma_sq=sigma_sq)
     else:
-        tol = 1e-12 * max(1.0, abs(b[0]))
-        antisym, equal = abs(b[0] + b[1]) <= tol, abs(b[0] - b[1]) <= tol
-        if n != 2 or not (antisym or (equal and model.symmetric)):
+        if case != "antisymmetric-bias" and not (case == "symmetry-required" and model.symmetric):
             raise ValueError(
                 "no supported construction: need a gaussian source, a single biased "
                 "coordinate, or a 2-D source with an antisymmetric bias or, if its "
@@ -1430,7 +1434,9 @@ class _QuantizerStream(_Stream):
         super().__init__(policy, b, samples)
         self.m = np.empty((samples + 1, policy.dim))
         self._codes = np.empty(samples + 1, dtype=np.intp)
-        k, n = policy.action_set.actions.shape
+        acts = policy.action_set.actions
+        self.shift = 2.0 * (acts @ (b - policy.bias))
+        k, n = acts.shape
         # t and u, the scores, and the job's (N,) temporaries
         self.slot_bytes = 8 * _SAMPLE_CHUNK * (2 * n + k + 3)
 
@@ -1451,15 +1457,14 @@ class _QuantizerStream(_Stream):
         # the targets -2 (pts - bias), transposed, as assign_actions_batch scores them
         t = np.subtract(pts.T, policy.bias[:, None], out=slot.t[: n * c].reshape(n, c))
         t *= -2.0
-        codes = _assign_targets(t, acts, slot.scores[: k * c].reshape(k, c), np.empty(c),
-                                np.empty(c, dtype=bool), self._codes[out])
-        # each row's deviation gain: its assigned score less its least, each
-        # action scored as -2 (m - b).u + ||u||^2 against the bias checked
-        q = np.subtract(pts, self.b, out=slot.u[: c * n].reshape(c, n))
-        q *= -2.0
-        scores = np.matmul(q, acts.T, out=slot.scores[: c * k].reshape(c, k))
-        scores += np.sum(acts * acts, axis=1)
-        self.gains[out] = scores[np.arange(c), codes] - scores.min(axis=1)
+        scores = slot.scores[: k * c].reshape(k, c)
+        codes = _assign_targets(t, acts, scores, np.empty(c), np.empty(c, dtype=bool),
+                                self._codes[out])
+        # each row's deviation gain: its assigned score less its least, the
+        # scores moved from the policy's bias to the bias checked, as
+        # -2 (m - b).u = -2 (m - bias).u + 2 (b - bias).u
+        scores += self.shift[:, None]
+        self.gains[out] = scores[codes, np.arange(c)] - scores.min(axis=0)
         u = np.take(acts, codes, axis=0, out=slot.u[: c * n].reshape(c, n))
         # the targets are spent: m - u takes their buffer, and the squares take u's
         _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
@@ -1673,15 +1678,14 @@ def verify_linear_equilibrium(
     transform's ``scale``).  One sample of ``samples`` points is drawn and
     sorted once, and the curve is read off it (it equals
     ``conditional_mean_curve`` with the same ``samples`` and ``seed``).  The
-    grid is 11 quantiles, 2% to 98%, of its first ``min(samples, 200_000)``
-    rows, which is what ``model.sample`` would draw for that count.
+    grid is 11 quantiles, 2% to 98%, of ``x1`` over its first
+    ``min(samples, 200_000)`` rows, which is what ``model.sample`` would draw
+    for that count.
     """
     if model.dim != 2:
         raise DimensionMismatchError("linear-equilibrium verification needs a 2-D source")
     pairs = _sorted_pairs(model, b, samples, seed)
-    pilot = pairs.pts[: min(pairs.pts.shape[0], 200_000)]
-    x1_pilot, _ = _pair_values(pairs.pair, pilot)
-    grid = np.quantile(x1_pilot, np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))
+    grid = np.quantile(pairs.x1[:200_000], np.linspace(0.02, 0.98, _LINEAR_GRID_POINTS))
     curve = _window_curve(pairs, grid)
 
     values = np.array([e.value for e in curve])

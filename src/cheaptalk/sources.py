@@ -836,7 +836,7 @@ class _SortedPairs:
     model: SourceModel
     pair: LinearTransform  # pair_transform_2d(b)
     x2_mean: float  # E[X2], the pair image of the model's mean
-    pts: np.ndarray  # the sample as drawn, unsorted
+    x1: np.ndarray  # X1 of the sample as drawn, unsorted
     x1s: np.ndarray
     csum: np.ndarray
     csq: np.ndarray
@@ -873,7 +873,7 @@ def _sorted_pairs(model: SourceModel, b, samples: int, seed: int) -> _SortedPair
     csum = np.concatenate([[0.0], np.cumsum(x2s)])
     csq = np.concatenate([[0.0], np.cumsum(x2s**2)])
     x2_mean = float(_pair_values(pair, model.mean)[1])
-    return _SortedPairs(model, pair, x2_mean, pts, x1s, csum, csq)
+    return _SortedPairs(model, pair, x2_mean, x1, x1s, csum, csq)
 
 
 def _window_curve(pairs: _SortedPairs, grid) -> list[EstimateWithError]:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cheaptalk.classify import (
     SYMMETRY_THRESHOLD,
@@ -7,7 +11,11 @@ from cheaptalk.classify import (
     classify_linear_existence,
     correlated_gaussian_condition,
 )
-from cheaptalk.equilibrium import verify_linear_equilibrium
+from cheaptalk.equilibrium import (
+    construct_reveal_plus_quantize,
+    verify_equilibrium,
+    verify_linear_equilibrium,
+)
 from cheaptalk.sources import (
     correlated_gaussian_2d,
     iid_exponential,
@@ -42,9 +50,15 @@ class TestDecisionTable:
         verdict = classify_linear_existence(iid_laplace(2), [1.0, 3.0])
         assert verdict.exists == "no" and verdict.theorem_case == "gaussian-required"
 
-    def test_correlated_source_redirected(self):
-        with pytest.raises(ValueError):
-            classify_linear_existence(correlated_gaussian_2d(1.0, 1.0, 0.5), [1.0, 2.0])
+    @pytest.mark.parametrize("b", [[1.0, 2.0], [1.0, 1.0], [0.0, 3.0]])
+    def test_correlated_source_answered(self, b):
+        # the model's verdict is the correlated-gaussian condition on its covariance
+        verdict = classify_linear_existence(correlated_gaussian_2d(1.0, 2.0, 0.5), b)
+        assert verdict.to_dict() == classify_correlated_gaussian(1.0, 2.0, 0.5, b).to_dict()
+        # samples and seed are checked on that path as on every other
+        for bad in ({"samples": 1}, {"seed": -1}):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be a whole number"):
+                classify_linear_existence(correlated_gaussian_2d(1.0, 2.0, 0.5), b, **bad)
 
     def _tabulated_2d(self, asym: bool):
         n = 32
@@ -65,10 +79,69 @@ class TestDecisionTable:
         assert asym.exists == "no" and asym.confidence == "numerical"
 
     def test_tabulated_gaussian_required_is_undetermined(self):
-        verdict = classify_linear_existence(self._tabulated_2d(asym=False), [1.0, 2.0],
-                                            samples=100_000)
+        # the evidence is the paper's constancy statistic, as the linear check reads it
+        model = self._tabulated_2d(asym=False)
+        verdict = classify_linear_existence(model, [1.0, 2.0], samples=100_000, seed=5)
         assert verdict.exists == "undetermined"
-        assert "curve_max_abs_z" in verdict.evidence
+        report = verify_linear_equilibrium(model, [1.0, 2.0], samples=100_000, seed=5)
+        assert verdict.evidence == {"constancy_max_z": report.constancy_max_z}
+
+
+def _signed(magnitude: float, negative: bool) -> float:
+    return -magnitude if negative else magnitude
+
+
+@st.composite
+def _biases(draw):
+    """A 2-D bias of magnitude 1e-14 to 1e100, either sign: a component near
+    zero (straddling the 1e-12 relative tolerance), an antisymmetric or equal
+    pair, exact or 3e-13 relative off, or two unrelated components."""
+    x = _signed(10.0 ** draw(st.floats(-14, 100)), draw(st.booleans()))
+    kind = draw(st.sampled_from(["near-zero", "antisymmetric", "equal", "general"]))
+    if kind == "near-zero":
+        y = _signed(draw(st.floats(0, 2e-12)) * max(1.0, abs(x)), draw(st.booleans()))
+    elif kind == "general":
+        y = _signed(10.0 ** draw(st.floats(-14, 100)), draw(st.booleans()))
+    else:
+        y = x * draw(st.sampled_from([1.0, 1.0 + 3e-13, 1.0 - 3e-13]))
+        y = -y if kind == "antisymmetric" else y
+    return [y, x] if draw(st.booleans()) else [x, y]
+
+
+class TestOneBiasRule:
+    """classify and the reveal constructor case a 2-D bias by one rule."""
+
+    @pytest.mark.parametrize("family", [iid_gaussian, iid_uniform, iid_exponential, iid_laplace])
+    @given(b=_biases())
+    @settings(max_examples=150, deadline=None)
+    @example(b=[1e-13, 1.0])
+    @example(b=[-1.0, 5e-13])
+    @example(b=[1.0, -1.0 - 3e-13])
+    def test_constructor_builds_iff_classify_says_yes(self, family, b):
+        model = family(2)
+        verdict = classify_linear_existence(model, b)
+        try:
+            construct_reveal_plus_quantize(model, b, 1)
+            built = True
+        except ValueError as exc:
+            assert "no supported construction" in str(exc)
+            built = False
+        assert built == (verdict.exists == "yes"), (verdict.theorem_case, b)
+
+    @pytest.mark.parametrize("b, case", [
+        ([-1e308, -1e308], "symmetry-required"),
+        ([1.7e308, 1e308], "gaussian-required"),
+    ])
+    def test_no_overflow_at_the_largest_biases(self, b, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = classify_linear_existence(iid_uniform(2), b)
+        assert verdict.theorem_case == case
+
+    def test_near_zero_component_is_revealed(self):
+        b = [1e-13, 1.0]
+        policy = construct_reveal_plus_quantize(iid_uniform(2), b, 1)
+        assert verify_equilibrium(policy, iid_uniform(2), b, samples=200_000, seed=3).passed
 
 
 class TestCorrelatedGaussianCondition:

@@ -126,6 +126,14 @@ class TestExitCodes:
         if "symmetry_deviation" in want:
             assert want.endswith(f"{record['payload']['evidence']['symmetry_deviation']:.6g}")
 
+    def test_classify_at_the_largest_bias(self):
+        # the bias case is decided without forming b1 + b2, which overflows here
+        config = str(ROOT / "configs" / "classify_uniform_antisym.json")
+        code, record, err = run_cli("classify", "--config", config, "--bias=-1e308")
+        assert code == 0, err
+        assert record["payload"]["theorem_case"] == "symmetry-required"
+        assert "Traceback" not in err
+
     def test_malformed_source_is_two_without_output(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = write_config(tmp_path, "bad.json", {

@@ -1724,6 +1724,20 @@ class TestStreamedCertificate:
         for got in self.certificates(monkeypatch, policy, model, b, samples, 44):
             assert got == want
 
+    @pytest.mark.parametrize("samples", [3, 65_537, 200_000])
+    def test_3d_lloyd_quantizer_against_a_foreign_bias(self, monkeypatch, samples):
+        # the rows are assigned for the policy's bias and scored against another
+        policy, model, b = lloyd_3d_policy()
+        foreign = np.array([0.9, -0.4, 0.6])
+        want = reference_quantizer_certificate(policy, model, foreign, samples, 45)
+        for got in self.certificates(monkeypatch, policy, model, foreign, samples, 45):
+            for name in ("deviation_gain", "deviation_gain_stderr"):
+                assert got.pop(name) == pytest.approx(want[name], rel=1e-12, abs=0.0)
+            assert got == {k: v for k, v in want.items() if not k.startswith("deviation_gain")}
+        if samples == 200_000:
+            assert not want["pass_deviation"]
+            assert want["deviation_gain"] > 3.0 * want["deviation_gain_stderr"]
+
     def test_threads_never_exceed_the_cpus_the_chunks_or_the_budget(self, monkeypatch):
         import concurrent.futures
 
