@@ -415,9 +415,7 @@ def _cmd_classify(cfg: dict):
                           f"got a {model.dim}-D source")
     samples, seed = s["samples"], s["seed"]
     with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
-        verdict = classify_mod.classify_linear_existence(
-            model, bias, samples=min(samples, 400_000), seed=seed
-        )
+        verdict = classify_mod.classify_linear_existence(model, bias, samples=samples, seed=seed)
     if verdict.exists == "no":
         evidence = "".join(f", {name} {value:.6g}" for name, value in verdict.evidence.items())
         print(f"classify answered no: theorem_case {verdict.theorem_case}, source family "

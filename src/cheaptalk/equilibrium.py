@@ -748,7 +748,19 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
             model=model, beta=float(beta),
             boundaries=np.array([lo, hi]), actions=np.array([mean]),
         )
+    quant = _solve_bins(model, beta, k)
+    if quant is not None:
+        return quant
+    # the largest smaller K that fits, one solve per K from K - 1 down; one bin always fits
+    max_feasible = next(
+        (j for j in range(k - 1, 1, -1) if _solve_bins(model, beta, j) is not None), 1)
+    raise InfeasibleBinCountError(requested=k, max_feasible=max_feasible)
 
+
+def _solve_bins(model: SourceModel, beta: float, k: int) -> ScalarQuantizer | None:
+    """The K-bin equilibrium (K >= 2) of ``solve_scalar_biased``, or None
+    when the shooting residual has no root on the scan grid."""
+    lo, hi = model.marginals[0].lo, model.marginals[0].hi
     scale = max(math.sqrt(model.marginal_variance(0)), 1e-12)
     s = -1.0 if beta >= 0.0 else 1.0
 
@@ -762,27 +774,14 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
     xs = _scan_grid(model, beta).tolist()
     # the residual increases in x: its first grid point at or above zero ends the bracket
     i = bisect.bisect_left(xs, 0.0, key=residual)
-
-    def infeasible() -> InfeasibleBinCountError:
-        # K-1 bins if they fit, else the largest count the K-1 failure reports:
-        # one nested solve per smaller K, however far down the first feasible K lies
-        max_feasible = 1
-        if k > 2:
-            try:
-                solve_scalar_biased(model, beta, k - 1)
-                max_feasible = k - 1
-            except InfeasibleBinCountError as exc:
-                max_feasible = exc.max_feasible
-        return InfeasibleBinCountError(requested=k, max_feasible=max_feasible)
-
     if i == 0 or i == len(xs):
-        raise infeasible()
+        return None
 
     x_star = _brentq(residual, xs[i - 1], xs[i], scale)
     resid, bounds, actions = shoot(x_star)
     if bounds is None or abs(resid) > 1e-8 * scale:
         # brentq can land on a feasibility jump rather than a true root
-        raise infeasible()
+        return None
     return ScalarQuantizer(
         model=model, beta=float(beta),
         boundaries=np.concatenate([[lo], bounds, [hi]]),
@@ -1277,9 +1276,7 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
     ``stream.fold`` takes what it returns.  A stream that folds keeps one
     more chunk in flight than threads, so that the threads work on while a
     chunk is folded, and the slots stay within ``_STREAM_BUDGET`` (two
-    always fit).  A job gets the chunk's rows, or two rows when the chunk
-    holds only one: a lone row would go through gemv, which rounds
-    differently from the gemm every other row goes through.
+    always fit).
     """
     chunks = -(-samples // _SAMPLE_CHUNK)
     cpus = _available_cpus()
@@ -1297,7 +1294,7 @@ def _stream_chunks(stream, model: SourceModel, samples: int, seed: int) -> None:
     def run(i):
         lo, hi = bounds(i)
         slot = slots[i % depth]
-        pts = model._sample_chunk(seed, i, stream.draw_buffer(slot, lo, max(hi - lo, 2)))
+        pts = model._sample_chunk(seed, i, stream.draw_buffer(slot, lo, hi - lo))
         return stream.job(pts, lo, hi, slot)
 
     _run_in_order(run, chunks, min(cpus, depth), depth,
@@ -1323,10 +1320,7 @@ def _costs(pts: np.ndarray, u: np.ndarray, b: np.ndarray, d: np.ndarray, sq: np.
 
 class _Stream:
     """What every certificate keeps of its sample: each row's encoder and
-    decoder cost and its deviation gain, which jobs write in place.
-
-    They hold one row more than the sample: a chunk of one row is computed
-    as two (see ``_stream_chunks``), and its second row lands there.  A
+    decoder cost and its deviation gain, which jobs write in place.  A
     stream that does not fold adds nothing on the calling thread.
     """
 
@@ -1334,7 +1328,7 @@ class _Stream:
 
     def __init__(self, policy: EncoderPolicy, b: np.ndarray, samples: int):
         self.policy, self.b = policy, b
-        self.ce, self.cd, self.gains = (np.empty(samples + 1) for _ in range(3))
+        self.ce, self.cd, self.gains = (np.empty(samples) for _ in range(3))
 
     def fold(self, lo: int, hi: int, result) -> None:
         pass
@@ -1376,12 +1370,12 @@ class _RevealStream(_Stream):
         """Score the chunk; returns its transformed rows, which the fold reads."""
         policy = self.policy
         c, n = pts.shape
-        out = slice(lo, lo + c)
+        out = slice(lo, hi)
         x = _apply_batch(policy.transform.forward, pts, out=slot.x[: n * c].reshape(n, c))
         # u's buffer holds the cell indices until u is computed
         cells = policy._cells(x, slot.u[: n * c].view(np.intp).reshape(n, c))
         y = policy._values(cells, slot.y[: n * c].reshape(n, c))
-        self.digits[:, lo:hi] = cells[:, : hi - lo]
+        self.digits[:, out] = cells
         self.gains[out] = _reveal_deviation_gains(policy, x, y, self.b_t)
         u = _apply_batch(policy.transform.inverse, y, out=slot.u[: n * c].reshape(n, c))
         # y is spent: m - u takes its buffer, and the squares take u's
@@ -1390,7 +1384,7 @@ class _RevealStream(_Stream):
 
     def fold(self, lo: int, hi: int, rows: np.ndarray) -> None:
         for r, cell in enumerate(self.digits[:, lo:hi]):
-            row = rows[r, : hi - lo]
+            row = rows[r]
             self.counts[r] += np.bincount(cell, minlength=self.counts[r].shape[0])
             np.add.at(self.sums[r], cell, row)
             np.add.at(self.sumsq[r], cell, row * row)
@@ -1426,14 +1420,13 @@ class _QuantizerStream(_Stream):
 
     Each job draws its rows into the sample, which the centroid check
     groups by bin, assigns them their cheapest action, and scores the
-    deviation gains and both costs.  Like the costs, the sample and the
-    codes hold one row more than the sample.
+    deviation gains and both costs.
     """
 
     def __init__(self, policy: QuantizerPolicy, b: np.ndarray, samples: int):
         super().__init__(policy, b, samples)
-        self.m = np.empty((samples + 1, policy.dim))
-        self._codes = np.empty(samples + 1, dtype=np.intp)
+        self.m = np.empty((samples, policy.dim))
+        self._codes = np.empty(samples, dtype=np.intp)
         acts = policy.action_set.actions
         self.shift = 2.0 * (acts @ (b - policy.bias))
         k, n = acts.shape
@@ -1453,7 +1446,7 @@ class _QuantizerStream(_Stream):
         acts = policy.action_set.actions
         k = acts.shape[0]
         c, n = pts.shape
-        out = slice(lo, lo + c)
+        out = slice(lo, hi)
         # the targets -2 (pts - bias), transposed, as assign_actions_batch scores them
         t = np.subtract(pts.T, policy.bias[:, None], out=slot.t[: n * c].reshape(n, c))
         t *= -2.0
@@ -1470,7 +1463,7 @@ class _QuantizerStream(_Stream):
         _costs(pts, u, self.b, slot.t, slot.u, self.ce[out], self.cd[out])
 
     def codes(self) -> np.ndarray:
-        return self._codes[:-1]
+        return self._codes
 
     def realized(self, rows: np.ndarray) -> np.ndarray:
         return self.policy.decode(self.m[rows])[0]
@@ -1483,7 +1476,7 @@ class _QuantizerStream(_Stream):
             cnt = int(counts[row])
             if cnt < _MIN_BIN_COUNT:
                 continue
-            sel = self.m[:-1][self.codes() == uniq[row]]
+            sel = self.m[self._codes == uniq[row]]
             resid = float(np.linalg.norm(acts[uniq[row]] - sel.mean(axis=0)))
             yield resid, math.sqrt(float(np.sum(sel.var(axis=0, ddof=1))) / cnt)
 
@@ -1526,8 +1519,8 @@ def verify_equilibrium(
     stream, samples, seed = _streamed_sample(policy, model, b, samples, seed)
     b = stream.b
 
-    je, jd = _estimate(stream.ce[:samples]), _estimate(stream.cd[:samples])
-    deviation = _estimate(stream.gains[:samples])
+    je, jd = _estimate(stream.ce), _estimate(stream.cd)
+    deviation = _estimate(stream.gains)
     stream.ce = stream.cd = stream.gains = None  # nothing reads them below
 
     uniq, first_idx, counts = _code_groups(stream.codes())
@@ -1616,9 +1609,9 @@ def expected_distortions(
     """Per-dimension expected costs (encoder, decoder) of a policy: the two
     costs ``verify_equilibrium`` estimates, from the same stream and with
     the same bits, divided by the dimension; checked as there."""
-    stream, samples, _ = _streamed_sample(policy, model, b, samples, seed)
+    stream = _streamed_sample(policy, model, b, samples, seed)[0]
     n = model.dim
-    return _estimate(stream.ce[:samples] / n), _estimate(stream.cd[:samples] / n)
+    return _estimate(stream.ce / n), _estimate(stream.cd / n)
 
 
 # -- linear (continuum) equilibrium verification -----------------------------------

@@ -239,6 +239,23 @@ def assign_actions_batch(points, actions, b) -> np.ndarray:
     return _assign_columns(np.ascontiguousarray((-2.0 * (pts - b)).T), acts)[0]
 
 
+def _product(a, b, out=None) -> np.ndarray:
+    """``a @ b`` for a (k, N) matrix ``b``, written into ``out`` when given,
+    each column rounding as it does in any batch: numpy hands a single column
+    to gemv, which rounds differently from gemm, so a lone column goes twice.
+
+    The pair is laid out column-major, as a transposed batch is.  On x86
+    OpenBLAS the rule holds while ``b`` has fewer than 16 rows; from 16 on,
+    a row-major batch of up to four columns and a wide batch's last few
+    columns take other gemm kernels, and the pair matches only the others.
+    """
+    if b.shape[1] != 1:
+        return np.matmul(a, b, out=out)
+    out = np.empty((a.shape[0], 1)) if out is None else out
+    out[:] = np.matmul(a, np.repeat(b.T, 2, axis=0).T)[:, :1]
+    return out
+
+
 def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray:
     """Lowest-index cheapest action for targets ``t = -2 (points - b).T``, shape (dim, N).
 
@@ -250,13 +267,11 @@ def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray
     ``mask`` and ``idx`` (N,) are caller-owned buffers; ``idx`` is returned
     and ``best`` ends as each point's lowest score.  Given a ``second`` (N,)
     buffer, it ends as the lowest score among the other actions (+inf for
-    K = 1).  Each score depends only on its own point, so scoring a subset
+    K = 1).  Each score depends only on its own point, so scoring any subset
     of the columns of ``t`` gives those columns' full-set scores bit for bit,
-    as long as the subset has two or more columns: numpy hands a single
-    column to gemv, which rounds differently from gemm (``_assign_columns``
-    scores a lone column twice).
+    within the limit ``_product`` states.
     """
-    np.matmul(acts, t, out=scores)
+    _product(acts, t, out=scores)
     scores += np.sum(acts * acts, axis=1)[:, None]
     np.copyto(best, scores[0])
     idx.fill(0)
@@ -275,18 +290,11 @@ def _assign_targets(t, acts, scores, best, mask, idx, second=None) -> np.ndarray
 
 
 def _assign_columns(t, acts, second: bool = False):
-    """``_assign_targets`` on fresh buffers: (idx, best, second or None) per column.
-
-    A single column is scored as two identical ones, so that a lone point
-    goes through gemm and scores exactly as it does within any batch.
-    """
-    n = t.shape[1]
-    if n == 1:
-        t = np.repeat(t, 2, axis=1)
+    """``_assign_targets`` on fresh buffers: (idx, best, second or None) per column."""
     m = t.shape[1]
     best, runner_up = np.empty(m), (np.empty(m) if second else None)
     idx = _assign_targets(
         t, acts, np.empty((acts.shape[0], m)), best, np.empty(m, dtype=bool),
         np.empty(m, dtype=np.intp), runner_up,
     )
-    return idx[:n], best[:n], None if runner_up is None else runner_up[:n]
+    return idx, best, runner_up

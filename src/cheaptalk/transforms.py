@@ -17,12 +17,13 @@ lets the n-dimensional game split into independent scalar games.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import _whole, as_point
+from .geometry import _product, _whole, as_point
 
 __all__ = [
     "LinearTransform",
@@ -160,10 +161,16 @@ def bias_aligning_transform(b) -> LinearTransform:
     n = b.shape[0]
     if n < 2:
         raise ValueError("bias alignment needs n >= 2")
-    norm = float(np.linalg.norm(b))
+    # b over the power of two at max |b_i|: the scaling is exact, and keeps the
+    # norm's squares from overflowing or underflowing
+    exp = math.frexp(float(np.max(np.abs(b))))[1]
+    scaled = np.ldexp(b, -exp)
+    norm = float(np.linalg.norm(scaled))
     if norm == 0.0:
         raise ValueError("bias alignment requires a nonzero bias vector")
-    b_hat = b / norm
+    if exp + math.frexp(norm)[1] > np.finfo(float).maxexp:
+        raise ValueError(f"the bias norm {norm!r} * 2**{exp} is not representable as a float")
+    b_hat = scaled / norm
 
     if n == 2:
         fwd = np.array([[b_hat[1], -b_hat[0]], b_hat])
@@ -188,13 +195,5 @@ def _householder_to_last_axis(b_hat: np.ndarray) -> np.ndarray:
 def _apply_batch(mat: np.ndarray, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``mat`` applied to every row of the (N, n) batch ``arr``, as the
     transposed view of the (n, N) product ``mat @ arr.T`` (written into
-    ``out`` when given).
-
-    Each column of the product rounds the same in any batch: numpy hands a
-    lone column to gemv, which rounds differently, so a lone row goes twice.
-    """
-    if arr.shape[0] != 1:
-        return np.matmul(mat, arr.T, out=out).T
-    out = np.empty((mat.shape[0], 1)) if out is None else out
-    out[:] = np.matmul(mat, np.repeat(arr, 2, axis=0).T)[:, :1]
-    return out.T
+    ``out`` when given); each row rounds as it does in any batch."""
+    return _product(mat, arr.T, out=out).T

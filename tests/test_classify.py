@@ -93,15 +93,15 @@ def _signed(magnitude: float, negative: bool) -> float:
 
 @st.composite
 def _biases(draw):
-    """A 2-D bias of magnitude 1e-14 to 1e100, either sign: a component near
+    """A 2-D bias of magnitude 1e-200 to 1e300, either sign: a component near
     zero (straddling the 1e-12 relative tolerance), an antisymmetric or equal
     pair, exact or 3e-13 relative off, or two unrelated components."""
-    x = _signed(10.0 ** draw(st.floats(-14, 100)), draw(st.booleans()))
+    x = _signed(10.0 ** draw(st.floats(-200, 300)), draw(st.booleans()))
     kind = draw(st.sampled_from(["near-zero", "antisymmetric", "equal", "general"]))
     if kind == "near-zero":
         y = _signed(draw(st.floats(0, 2e-12)) * max(1.0, abs(x)), draw(st.booleans()))
     elif kind == "general":
-        y = _signed(10.0 ** draw(st.floats(-14, 100)), draw(st.booleans()))
+        y = _signed(10.0 ** draw(st.floats(-200, 300)), draw(st.booleans()))
     else:
         y = x * draw(st.sampled_from([1.0, 1.0 + 3e-13, 1.0 - 3e-13]))
         y = -y if kind == "antisymmetric" else y
@@ -117,6 +117,10 @@ class TestOneBiasRule:
     @example(b=[1e-13, 1.0])
     @example(b=[-1.0, 5e-13])
     @example(b=[1.0, -1.0 - 3e-13])
+    # the bias's norm is taken scaled, so neither overflows nor underflows
+    @example(b=[1e300, -1e300])
+    @example(b=[1e-14, 1e300])
+    @example(b=[1e-200, 2e-200])
     def test_constructor_builds_iff_classify_says_yes(self, family, b):
         model = family(2)
         verdict = classify_linear_existence(model, b)
@@ -137,6 +141,16 @@ class TestOneBiasRule:
             warnings.simplefilter("error", RuntimeWarning)
             verdict = classify_linear_existence(iid_uniform(2), b)
         assert verdict.theorem_case == case
+
+    def test_an_unrepresentable_bias_norm_is_named(self):
+        # classify says yes, but |b| exceeds the float range: the constructor
+        # names that before anything overflows
+        b = [1.7e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert classify_linear_existence(iid_gaussian(2), b).exists == "yes"
+            with pytest.raises(ValueError, match=r"bias norm .* is not representable"):
+                construct_reveal_plus_quantize(iid_gaussian(2), b, 1)
 
     def test_near_zero_component_is_revealed(self):
         b = [1e-13, 1.0]

@@ -213,6 +213,25 @@ class TestExitCodes:
         assert f") {field} must be a whole number" in err
         assert "Traceback" not in err
 
+    def test_classify_reads_every_sample_it_is_given(self, tmp_path):
+        # a tabulated verdict reads solver.samples as the library does, past 400,000 too
+        from cheaptalk.classify import classify_linear_existence
+        from cheaptalk.cli import build_source
+
+        w = [[1.0 + i * j / 50 for j in range(10)] for i in range(10)]
+        total = sum(map(sum, w)) / 100
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("x1,x2,density\n" + "".join(
+            f"{(i + 0.5) / 10},{(j + 0.5) / 10},{w[i][j] / total!r}\n"
+            for i in range(10) for j in range(10)))
+        source = {"family": "tabulated-density", "csv": str(csv_path)}
+        config = write_config(tmp_path, "tab.json", {"source": source, "bias": [0.3, 0.1]})
+        code, record, _ = run_cli("classify", "--config", config, "--solver.samples=500000")
+        verdict = classify_linear_existence(build_source(source), [0.3, 0.1], samples=500_000,
+                                            seed=42)
+        assert code == 0 and verdict.exists == "undetermined"
+        assert record["payload"] == verdict.to_dict()
+
     @pytest.mark.parametrize("override, field", [
         ("--solver.seed=-1", "seed"),
         ("--solver.samples=1", "samples"),
@@ -338,6 +357,9 @@ class TestExitCodes:
          '--source={"family":"tabulated-density","csv":"/nonexistent/table.csv"}', "table.csv"),
         ("verify", "verify_reveal_quantize.json", "--solver.grid_levels=0", "solver.grid_levels "),
         ("verify", "verify_reveal_quantize.json", "--policy.k_last=0", "policy.k_last "),
+        # classify says yes to this bias, but its norm is past the float range
+        ("verify", "verify_reveal_quantize.json", "--bias=[1.7e308,1e308]",
+         "invalid policy block: the bias norm 1.0971329055460066 * 2**1024 is not representable"),
     ])
     def test_malformed_leaf_is_two(self, command, config, override, leaf):
         config = str(ROOT / "configs" / config)
@@ -452,6 +474,14 @@ class TestExitCodes:
         code, _, err = run_cli("solve", "--config", cfg)
         assert code == 3
         assert "bin" in err.lower() or "numerical" in err.lower()
+
+    def test_bin_count_far_past_the_maximum_is_three(self):
+        # a bin count far past the maximum is a numerical failure that names it, not a traceback
+        config = str(ROOT / "configs" / "verify_reveal_quantize.json")
+        code, record, err = run_cli("verify", "--config", config, "--policy.k_last=1000")
+        assert code == 3 and record is None
+        assert err.splitlines() == [
+            "numerical failure: no 1000-bin equilibrium exists (maximum feasible: 12)"]
 
 
 class TestDeterminism:

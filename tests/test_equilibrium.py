@@ -182,16 +182,22 @@ class TestScalarSolver:
 
         def counted(*args, **kwargs):
             calls.append(args[2])
-            return solve(*args, **kwargs)
+            return solve_bins(*args, **kwargs)
 
-        solve = equilibrium.solve_scalar_biased
-        monkeypatch.setattr(equilibrium, "solve_scalar_biased", counted)
+        solve_bins = equilibrium._solve_bins
+        monkeypatch.setattr(equilibrium, "_solve_bins", counted)
         with pytest.raises(InfeasibleBinCountError) as info:
             equilibrium.solve_scalar_biased(model, beta, k)
         assert info.value.max_feasible == brute
-        # one nested solve per bin count from K-1 down to the feasible one
+        # one solve per bin count from K down to the feasible one
         assert calls == list(range(k, brute - 1, -1))
         assert len(calls) - 1 <= k - 2
+
+    def test_infeasible_far_past_the_maximum(self):
+        # the smaller K are walked in a loop, so a K far past the maximum needs no deeper stack
+        with pytest.raises(InfeasibleBinCountError) as info:
+            solve_scalar_biased(iid_gaussian(1), math.sqrt(2.0), 1000)
+        assert (info.value.requested, info.value.max_feasible) == (1000, 12)
 
     @pytest.mark.parametrize("model", [iid_gaussian(1), iid_uniform(1), iid_exponential(1),
                                        iid_laplace(1, mean=0.3, scale=2.0)],
@@ -228,19 +234,20 @@ class TestScalarSolver:
         # prefix and nonnegative after it, and the solve brackets that change
         lo, hi = model.marginals[0].lo, model.marginals[0].hi
         scale = math.sqrt(model.marginal_variance(0))
-        solve, brentq = equilibrium.solve_scalar_biased, equilibrium._brentq
-        brackets = []
+        solve, solve_bins, brentq = (equilibrium.solve_scalar_biased, equilibrium._solve_bins,
+                                     equilibrium._brentq)
+        brackets, requested = [], []
 
         def recorded(f, a, b, scale):
             if f.__name__ == "residual":
                 brackets.append((a, b))
             return brentq(f, a, b, scale)
 
-        def nested(model, beta, k):  # the smaller K an infeasible solve tries next
-            raise InfeasibleBinCountError(requested=k, max_feasible=1)
+        def first_only(model, beta, k):  # the smaller K an infeasible solve tries next: none fit
+            return solve_bins(model, beta, k) if k == requested[-1] else None
 
         monkeypatch.setattr(equilibrium, "_brentq", recorded)
-        monkeypatch.setattr(equilibrium, "solve_scalar_biased", nested)
+        monkeypatch.setattr(equilibrium, "_solve_bins", first_only)
         for beta in (0.05, -0.05, 0.1, -0.1, 0.5, -0.5, math.sqrt(2.0), -math.sqrt(2.0)):
             s = -1.0 if beta >= 0.0 else 1.0
             xs = equilibrium._scan_grid(model, beta).tolist()
@@ -250,6 +257,7 @@ class TestScalarSolver:
                 first = signs.index(True) if True in signs else len(xs)
                 assert all(signs[first:]), (beta, k)
                 brackets.clear()
+                requested.append(k)
                 try:
                     solve(model, beta, k)
                 except InfeasibleBinCountError:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cheaptalk.errors import DimensionMismatchError
 from cheaptalk.geometry import (
     Hyperplane,
+    _assign_targets,
     assign_action,
     assign_actions_batch,
     decoder_cost,
@@ -224,6 +225,27 @@ class TestAssignmentExactness:
             pts = np.concatenate([b + (acts[0] + acts[1]) / 2 + w, rng.normal(size=(40, dim))])
             batch = assign_actions_batch(pts, acts, b)
             assert [assign_action(p, acts, b) for p in pts] == batch.tolist()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_a_lone_target_scores_as_in_its_batch(self, dim, k):
+        # on caller-owned buffers, as the certificate's chunks score: a lone
+        # column would go to gemv, which rounds differently from gemm
+        rng = np.random.default_rng(100 * dim + k)
+        acts = rng.normal(size=(k, dim))
+        t = np.ascontiguousarray(-2.0 * rng.normal(size=(dim, 300)))
+
+        def scored(cols):
+            m = cols.shape[1]
+            best, second = np.empty(m), np.empty(m)
+            idx = _assign_targets(cols, acts, np.empty((k, m)), best, np.empty(m, dtype=bool),
+                                  np.empty(m, dtype=np.intp), second)
+            return idx, best, second
+
+        batch = scored(t)
+        for j in range(t.shape[1]):
+            lone = scored(np.ascontiguousarray(t[:, j : j + 1]))
+            assert all(a[0] == b[j] for a, b in zip(lone, batch)), j
 
     def test_single_action(self):
         pts = np.random.default_rng(3).normal(size=(1000, 2))
