@@ -539,14 +539,17 @@ class ScalarQuantizer:
         return float(total)
 
 
-def _brentq(f, a: float, b: float, scale: float) -> float:
+def _brentq(f, a: float, b: float, scale: float, fa: float | None = None,
+            fb: float | None = None) -> float:
     """Root of f in [a, b] at the scalar solver's tolerances.
 
     Brent's method step for step as ``scipy.optimize.brentq`` runs it
     (``xtol = 1e-13*scale``, ``rtol = 8.9e-16``, at most 100 iterations),
-    so the root and the number of evaluations of f are the same.  Raises
-    ValueError when f returns NaN or f(a) and f(b) have the same sign, and
-    RuntimeError when the iterations run out.
+    so the root is the same, and so is the number of evaluations of f when
+    ``fa`` and ``fb`` are not given.  A caller that already holds f(a) or
+    f(b) passes it as ``fa`` or ``fb``, and that end is not evaluated again.
+    Raises ValueError when f returns NaN or f(a) and f(b) have the same
+    sign, and RuntimeError when the iterations run out.
     """
     xtol, rtol = 1e-13 * scale, 8.9e-16
 
@@ -557,7 +560,8 @@ def _brentq(f, a: float, b: float, scale: float) -> float:
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = call(xpre) if fa is None else fa
+    fcur = call(xcur) if fb is None else fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -606,50 +610,47 @@ def _bin_moments(model: SourceModel, a: float, b: float):
     return truncated_moments_1d(model, a, b) if a <= b else truncated_moments_1d(model, b, a)
 
 
-def _moments_from(model: SourceModel, start: float):
-    """``x -> _bin_moments(model, start, x)`` for a fixed ``start`` and an
-    ``x``, either finite or infinite, straight from the marginal; one with
-    ``moments_from`` (the gaussian) evaluates its terms at ``start`` once."""
-    marginal = model.marginals[0]
-    if hasattr(marginal, "moments_from"):
-        return marginal.moments_from(start)
-    moments = marginal.truncated_moments
-    return lambda x: moments(start, x) if start <= x else moments(x, start)
-
-
 def _next_boundary(model: SourceModel, start: float, target: float, end: float, scale: float, s: float):
     """Nearest x past ``start`` in direction ``s`` (+1 up, -1 down) at which the
     bin between ``start`` and ``x`` has conditional mean ``target``; None when
-    the target is out of reach before the support end ``end``."""
-    moments = _moments_from(model, start)
+    the target is out of reach before the support end ``end``.
 
-    @functools.cache  # brentq starts from g(near) and g(far), both already known
+    Each evaluation reads the marginal's start-fixed kernel, ``(mass, mean)``
+    of the bin between ``start`` and ``x``.  No x is evaluated twice: the
+    values at the bracket ends go into ``_brentq`` with them."""
+    kernel = model.marginals[0].mass_mean_from(start)
+
     def g(x):
-        mass, mean, _ = moments(x)
+        mass, mean = kernel(x)
         if mass <= 0.0 or not math.isfinite(mean):
             return -s
         return mean - target
 
-    if s * g(end) <= 0.0:
+    g_far = g(end)
+    if s * g_far <= 0.0:
         return None  # the target centroid is unreachable before the support end
     near = start + s * (1e-13 * scale)
-    if s * g(near) >= 0.0:
+    g_near = g(near)
+    if s * g_near >= 0.0:
         return near
-    if math.isfinite(end):
-        far = end
-    else:
+    far = end
+    if not math.isfinite(end):
         far = start + s * max(scale, abs(target - start))
         for _ in range(200):
-            if s * g(far) > 0.0:
+            g_far = g(far)
+            if s * g_far > 0.0:
                 break
             far = start + (far - start) * 2.0
         else:
             return None
     # the smaller end first: brentq's iterates, so the root's last bits, depend on the order
-    return _brentq(g, near, far, scale) if s > 0 else _brentq(g, far, near, scale)
+    if s > 0:
+        return _brentq(g, near, far, scale, g_near, g_far)
+    return _brentq(g, far, near, scale, g_far, g_near)
 
 
-def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: float, scale: float, s: float):
+def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: float, scale: float, s: float,
+           trunks: dict):
     """The Crawford-Sobel recursion run from one outer boundary ``x0``.
 
     ``s = +1`` starts at the first boundary and walks up, ``s = -1`` starts
@@ -661,27 +662,40 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
     increases in ``x0``.  A recursion whose bins collapse (``x0`` too far
     back) returns ``-s * 1e30`` and one that overflows the support (too far
     ahead) ``s * 1e30``, both without bounds.
+
+    A shoot's first K - 2 boundaries do not depend on K.  ``trunks`` maps
+    each shooting point to its recursion as far as it has been grown:
+    ``bounds`` and ``actions`` in shooting order, and ``ended``, the
+    stand-in residual of the step that collapsed or overflowed the support
+    (None while it can still grow).  A shoot at a smaller K reads the
+    recursion an earlier shoot grew, and one at a larger K grows it further.
     """
     end = hi if s > 0 else lo
-    mass, u, _ = _bin_moments(model, lo if s > 0 else hi, x0)
-    if mass <= 0.0:
-        return -s * 1e30, None, None
-    bounds = [x0]
-    actions = [u]
-    for j in range(k - 1):
+    trunk = trunks.get(x0)
+    if trunk is None:
+        mass, u, _ = _bin_moments(model, lo if s > 0 else hi, x0)
+        trunk = trunks[x0] = SimpleNamespace(bounds=[x0], actions=[u], ended=None if mass > 0.0 else -s * 1e30)
+    bounds, actions = trunk.bounds, trunk.actions
+    while len(actions) < k:
+        if trunk.ended is not None:
+            return trunk.ended, None, None
+        if len(bounds) < len(actions):  # the boundary at which the last action is its bin's mean
+            nxt = _next_boundary(model, bounds[-1], actions[-1], end, scale, s)
+            if nxt is None:
+                trunk.ended = s * 1e30
+            else:
+                bounds.append(nxt)
+            continue
         u = 2.0 * (bounds[-1] - beta) - actions[-1]
         if s * u <= s * bounds[-1]:
-            return -s * 1e30, None, None
-        if j < k - 2:
-            nxt = _next_boundary(model, bounds[-1], u, end, scale, s)
-            if nxt is None:
-                return s * 1e30, None, None
-            bounds.append(nxt)
-        actions.append(u)
-    end_mass, end_mean, _ = _bin_moments(model, bounds[-1], end)
+            trunk.ended = -s * 1e30
+        else:
+            actions.append(u)
+    end_mass, end_mean, _ = _bin_moments(model, bounds[k - 2], end)
     if end_mass <= 0.0:
         return s * 1e30, None, None
-    residual = actions[-1] - end_mean
+    residual = actions[k - 1] - end_mean
+    bounds, actions = bounds[:k - 1], actions[:k]
     if s < 0:
         bounds.reverse()
         actions.reverse()
@@ -741,31 +755,34 @@ def solve_scalar_biased(model: SourceModel, beta: float, k: int) -> ScalarQuanti
         raise DimensionMismatchError("the scalar solver needs a 1-D source model")
     k = _whole(k, "k", 1)
     _finite_parameters(beta=beta)
-    lo, hi = model.marginals[0].lo, model.marginals[0].hi
-    _, mean, _ = truncated_moments_1d(model, lo, hi)
     if k == 1:
+        lo, hi = model.marginals[0].lo, model.marginals[0].hi
+        _, mean, _ = truncated_moments_1d(model, lo, hi)
         return ScalarQuantizer(
             model=model, beta=float(beta),
             boundaries=np.array([lo, hi]), actions=np.array([mean]),
         )
-    quant = _solve_bins(model, beta, k)
+    # each shooting point's recursion, shared by the K solved in this call
+    trunks = {}
+    quant = _solve_bins(model, beta, k, trunks)
     if quant is not None:
         return quant
     # the largest smaller K that fits, one solve per K from K - 1 down; one bin always fits
     max_feasible = next(
-        (j for j in range(k - 1, 1, -1) if _solve_bins(model, beta, j) is not None), 1)
+        (j for j in range(k - 1, 1, -1) if _solve_bins(model, beta, j, trunks) is not None), 1)
     raise InfeasibleBinCountError(requested=k, max_feasible=max_feasible)
 
 
-def _solve_bins(model: SourceModel, beta: float, k: int) -> ScalarQuantizer | None:
+def _solve_bins(model: SourceModel, beta: float, k: int, trunks: dict) -> ScalarQuantizer | None:
     """The K-bin equilibrium (K >= 2) of ``solve_scalar_biased``, or None
-    when the shooting residual has no root on the scan grid."""
+    when the shooting residual has no root on the scan grid.  ``trunks``
+    holds the recursions of ``_shoot`` that earlier solves of the same call grew."""
     lo, hi = model.marginals[0].lo, model.marginals[0].hi
     scale = max(math.sqrt(model.marginal_variance(0)), 1e-12)
     s = -1.0 if beta >= 0.0 else 1.0
 
     # one shoot per point: the bisection, brentq's bracket ends and the root share them
-    shoot = functools.cache(lambda x: _shoot(model, beta, k, x, lo, hi, scale, s))
+    shoot = functools.cache(lambda x: _shoot(model, beta, k, x, lo, hi, scale, s, trunks))
 
     def residual(x):
         return shoot(x)[0]

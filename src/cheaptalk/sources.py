@@ -3,7 +3,8 @@
 A :class:`SourceModel` describes the distribution of the n-dimensional
 observation.  It holds one frozen 1-D marginal per coordinate (gaussian,
 uniform, exponential, laplace or table: support ends, moments, pdf/cdf/ppf,
-truncated moments), plus the joint law where it is not a product: the
+truncated moments and the scalar solver's start-fixed mass-and-mean
+kernel), plus the joint law where it is not a product: the
 covariance of the correlated 2-D gaussian, or the table of a tabulated
 density (1-D or 2-D, loaded from CSV).  Adding an i.i.d. family takes one
 marginal class, one factory and its family name.
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._ndtr import ndtr, ndtri
+from ._ndtr import _ndtr_float, ndtr, ndtri
 from .errors import DimensionMismatchError
 from .geometry import _whole
 from .transforms import LinearTransform, pair_transform_2d
@@ -91,26 +92,58 @@ def _norm_pdf(z):
 
 
 def _exponential_bin(rate: float, d: float, w: float):
-    """Mass, mean offset from ``d`` and variance of the exponential law of ``rate``
-    on ``[0, inf)`` restricted to ``[d, d + w]``, ``d >= 0``, ``0 <= w <= inf``:
-    with ``x = rate w`` and ``h = x / 2``, ``exp(-rate d) (1 - exp(-x))``,
-    ``1/rate - w / expm1(x)`` and ``(1 - (h / sinh h)^2) / rate^2``."""
+    """Mass and mean offset from ``d`` of the exponential law of ``rate`` on
+    ``[0, inf)`` restricted to ``[d, d + w]``, ``d >= 0``, ``0 <= w <= inf``:
+    with ``x = rate w``, ``exp(-rate d) (1 - exp(-x))`` and ``1/rate - w / expm1(x)``."""
     x = rate * w
     mass = math.exp(-rate * d) * -math.expm1(-x)
-    if x < 1e-3:  # the closed forms cancel; next series terms: x^3/360 and x^4/504 relative
-        return mass, 0.5 * w * (1.0 - x / 6.0), w * w / 12.0 * (1.0 - x * x / 20.0)
+    if x < 1e-3:  # the closed form cancels; next series term: x^3/360 relative
+        return mass, 0.5 * w * (1.0 - x / 6.0)
     if x > 700.0:  # x e^-x is below rounding next to 1
-        return mass, 1.0 / rate, 1.0 / rate**2
+        return mass, 1.0 / rate
+    return mass, 1.0 / rate - w / math.expm1(x)
+
+
+def _exponential_variance(rate: float, w: float):
+    """Variance of that bin, which does not depend on ``d``: with ``h = rate w / 2``,
+    ``(1 - (h / sinh h)^2) / rate^2``."""
+    x = rate * w
+    if x < 1e-3:  # the closed form cancels; next series term: x^4/504 relative
+        return w * w / 12.0 * (1.0 - x * x / 20.0)
+    if x > 700.0:
+        return 1.0 / rate**2
     h = 0.5 * x
-    return mass, 1.0 / rate - w / math.expm1(x), (1.0 - (h / math.sinh(h)) ** 2) / rate**2
+    return (1.0 - (h / math.sinh(h)) ** 2) / rate**2
+
+
+def _empty(second: bool):
+    """The moments of a bin without mass: zero mass, a NaN mean and, when
+    ``second``, a NaN second moment."""
+    return (0.0, math.nan, math.nan) if second else (0.0, math.nan)
+
+
+class _BinMoments:
+    """``truncated_moments`` and the start-fixed kernel ``mass_mean_from`` of a
+    marginal that defines ``_bin(a, b, second)``: the mass, the mean and, when
+    ``second``, the second moment of the bin ``[a, b]``, ``a <= b``."""
+
+    def truncated_moments(self, a: float, b: float):
+        return self._bin(a, b, True)
+
+    def mass_mean_from(self, start: float):
+        """``x -> truncated_moments(min(start, x), max(start, x))[:2]``; either
+        end may be infinite.  The scalar solver's boundary search reads it."""
+        moments = self._bin
+        return lambda x: moments(start, x, False) if start <= x else moments(x, start, False)
 
 
 # gaussian bins narrower than this many sd take the width series below
 _NARROW_SDS = 1e-3
 
 
-def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float):
-    """Gaussian moments of a finite bin narrower than ``_NARROW_SDS`` sd.
+def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float, second: bool):
+    """Gaussian moments of a finite bin narrower than ``_NARROW_SDS`` sd: its
+    mass, its mean and, when ``second``, its second moment.
 
     The closed forms take the mean and second moment as differences of pdf
     values, which cancel on a narrow bin.  In sd units, with ``w`` the width
@@ -129,30 +162,34 @@ def _narrow_gaussian_bin(mu: float, sd: float, a: float, b: float):
     series = 1.0 + (zz - 1.0) * ww / 24.0 + (zz * zz - 6.0 * zz + 3.0) * ww * ww / 1920.0
     mass = w * series / _NORM_PDF_C * math.exp(-0.5 * zz)
     if mass <= 0.0:
-        return 0.0, math.nan, math.nan
+        return _empty(second)
     mean = mid - sd * z * ww * (1.0 / 12.0 - (zz + 2.0) * ww / 720.0)
+    if not second:
+        return mass, mean
     var = sd * sd * ww * (1.0 / 12.0 - (3.0 * zz + 2.0) * ww / 720.0)
     return mass, mean, mean * mean + var
 
 
-def _end_pdf(z: float):
-    """The standard normal pdf at a standardized bin end, 0 at an infinite one."""
-    return _norm_pdf(z) if math.isfinite(z) else 0.0
+def _end_pdf(z: float) -> float:
+    """The standard normal pdf at a standardized bin end, 0 at an infinite one:
+    ``_norm_pdf``'s bits, with numpy's ``exp`` taken as a Python float."""
+    return float(np.exp(-(z * z) / 2.0)) / _NORM_PDF_C if math.isfinite(z) else 0.0
 
 
-def _gaussian_bin(mu: float, sd: float, alpha: float, beta: float, mass, pa, pb):
-    """Mass, mean and second moment of the gaussian bin between the
-    standardized ends ``alpha <= beta``, from its ``mass`` and the pdf values
-    ``pa``, ``pb`` at its ends."""
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
+def _gaussian_bin(mu: float, sd: float, alpha: float, beta: float, mass: float, pa: float, pb: float,
+                  second: bool):
+    """Mass, mean and, when ``second``, second moment of the gaussian bin
+    between the standardized ends ``alpha <= beta``, from its positive
+    ``mass`` and the pdf values ``pa``, ``pb`` at its ends."""
     z_mean = (pa - pb) / mass
+    mean = mu + sd * z_mean
+    if not second:
+        return mass, mean
     apa = alpha * pa if math.isfinite(alpha) else 0.0
     bpb = beta * pb if math.isfinite(beta) else 0.0
     z_second = 1.0 + (apa - bpb) / mass
-    mean = mu + sd * z_mean
-    second = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
-    return float(mass), float(mean), float(second)
+    second_moment = mu**2 + 2.0 * mu * sd * z_mean + sd**2 * z_second
+    return float(mass), float(mean), float(second_moment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,32 +232,52 @@ class GaussianMarginal:
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
     def truncated_moments(self, a: float, b: float):
-        return self.moments_from(a)(b)
+        return self._moments_from(a, True)(b)
 
-    def moments_from(self, start: float):
-        """``x -> truncated_moments`` of the bin between ``start`` and ``x``,
-        taken in either order, with the cdf and pdf values at ``start``
-        computed once rather than once per ``x``; either may be infinite."""
+    def mass_mean_from(self, start: float):
+        """``x -> truncated_moments(min(start, x), max(start, x))[:2]``; either
+        end may be infinite.  The scalar solver's boundary search reads it."""
+        return self._moments_from(start, False)
+
+    def _moments_from(self, start: float, second: bool):
+        """``x ->`` the mass, mean and, when ``second``, second moment of the
+        bin between ``start`` and ``x``, taken in either order.  The cdf
+        values ``ndtr(z0)``, ``ndtr(-z0)`` and the pdf at ``start`` are each
+        computed once, when a bin first reads it: a narrow bin reads none, and
+        a bin with ``start`` as its lower end one of the two cdf values."""
         mu, sd = self.mean, math.sqrt(self.variance)
         z0 = (start - mu) / sd
-        below, above, p0 = ndtr(z0), ndtr(-z0), _norm_pdf(z0)
+        narrow = _NARROW_SDS * sd
+        below = above = p0 = None
 
         def moments(x: float):
-            a, b = (start, x) if start <= x else (x, start)
-            if b - a < _NARROW_SDS * sd:
-                return _narrow_gaussian_bin(mu, sd, a, b)
+            nonlocal below, above, p0
+            up = start <= x  # start is the lower end
+            a, b = (start, x) if up else (x, start)
+            if b - a < narrow:
+                return _narrow_gaussian_bin(mu, sd, a, b, second)
             z = (x - mu) / sd if math.isfinite(x) else x
-            if start <= x:  # start is the lower end; above the mean, masses are upper tails
-                mass = above - ndtr(-z) if z0 > 0.0 else ndtr(z) - below
-                return _gaussian_bin(mu, sd, z0, z, mass, p0, _end_pdf(z))
-            mass = ndtr(-z) - above if z > 0.0 else below - ndtr(z)
-            return _gaussian_bin(mu, sd, z, z0, mass, _end_pdf(z), p0)
+            # the mass from start to x, exactly negated when x is the lower end;
+            # above the mean, masses are upper tails
+            if (z0 if up else z) > 0.0:
+                above = _ndtr_float(-z0) if above is None else above
+                mass = above - _ndtr_float(-z)
+            else:
+                below = _ndtr_float(z0) if below is None else below
+                mass = _ndtr_float(z) - below
+            mass = mass if up else -mass
+            if mass <= 0.0:
+                return _empty(second)
+            p0 = _end_pdf(z0) if p0 is None else p0
+            if up:
+                return _gaussian_bin(mu, sd, z0, z, mass, p0, _end_pdf(z), second)
+            return _gaussian_bin(mu, sd, z, z0, mass, _end_pdf(z), p0, second)
 
         return moments
 
 
 @dataclass(frozen=True)
-class UniformMarginal:
+class UniformMarginal(_BinMoments):
     """Uniform law on ``[lo, hi]``."""
 
     lo: float
@@ -253,17 +310,19 @@ class UniformMarginal:
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def truncated_moments(self, a: float, b: float):
+    def _bin(self, a: float, b: float, second: bool):
         left, right = max(a, self.lo), min(b, self.hi)
         if right <= left:
-            return 0.0, math.nan, math.nan
+            return _empty(second)
         mass = (right - left) / (self.hi - self.lo)
         mean = 0.5 * (left + right)
+        if not second:
+            return mass, mean
         return mass, mean, mean * mean + (right - left) ** 2 / 12.0
 
 
 @dataclass(frozen=True)
-class ExponentialMarginal:
+class ExponentialMarginal(_BinMoments):
     """Exponential law on ``[0, inf)`` with the given ``rate``."""
 
     rate: float
@@ -295,17 +354,20 @@ class ExponentialMarginal:
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=size)
 
-    def truncated_moments(self, a: float, b: float):
+    def _bin(self, a: float, b: float, second: bool):
         a = max(a, 0.0)
-        mass, offset, var = _exponential_bin(self.rate, a, max(b - a, 0.0))
+        w = max(b - a, 0.0)
+        mass, offset = _exponential_bin(self.rate, a, w)
         if not mass > 0.0:  # also a NaN mass, as on [inf, inf]
-            return 0.0, math.nan, math.nan
+            return _empty(second)
         mean = a + offset
-        return mass, mean, mean * mean + var
+        if not second:
+            return mass, mean
+        return mass, mean, mean * mean + _exponential_variance(self.rate, w)
 
 
 @dataclass(frozen=True)
-class LaplaceMarginal:
+class LaplaceMarginal(_BinMoments):
     """Laplace law with the given ``mean`` (its location) and ``scale``."""
 
     mean: float
@@ -338,36 +400,40 @@ class LaplaceMarginal:
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.laplace(self.mean, self.scale, size=size)
 
-    def truncated_moments(self, a: float, b: float):
+    def _bin(self, a: float, b: float, second: bool):
         # two exponential halves of rate 1/scale and weight 1/2, mirrored about
-        # the location; parts are (mass, mean, variance), the upper half first.
+        # the location; parts are (mass, mean, width), the upper half first.
         # The sums are plain loops from 0.0, as sum() adds them, at half the
         # cost of generator sums in the shooting solver's inner loop
         mu, rate = self.mean, 1.0 / self.scale
         parts = []
         if b - mu > 0.0:
             start = max(a, mu)
-            mass, offset, var = _exponential_bin(rate, start - mu, b - start)
-            parts.append((mass, start + offset, var))
+            w = b - start
+            mass, offset = _exponential_bin(rate, start - mu, w)
+            parts.append((mass, start + offset, w))
         if a - mu < 0.0:
             start = min(b, mu)
-            mass, offset, var = _exponential_bin(rate, -(start - mu), -(a - start))
-            parts.append((mass, start - offset, var))
+            w = -(a - start)
+            mass, offset = _exponential_bin(rate, -(start - mu), w)
+            parts.append((mass, start - offset, w))
         total = mean = var = 0.0
         for m, _, _ in parts:
             total += m
         if not total > 0.0:
-            return 0.0, math.nan, math.nan
+            return _empty(second)
         for m, u, _ in parts:
             mean += m * u
         mean /= total
-        for m, u, v in parts:
-            var += m * (v + (u - mean) ** 2)
+        if not second:
+            return 0.5 * total, mean
+        for m, u, w in parts:
+            var += m * (_exponential_variance(rate, w) + (u - mean) ** 2)
         return 0.5 * total, mean, mean * mean + var / total
 
 
 @dataclass(frozen=True, eq=False)
-class TableMarginal:
+class TableMarginal(_BinMoments):
     """Piecewise-constant density: ``density[k]`` on ``[lo + k step, lo + (k+1) step)``.
 
     A tabulated source takes its mean and its sampler from the joint table and
@@ -413,21 +479,23 @@ class TableMarginal:
         cell_mass = np.maximum(cum[k + 1] - cum[k], 1e-300)
         return lo + (k + (q - base) / cell_mass) * step
 
-    def truncated_moments(self, a: float, b: float):
+    def _bin(self, a: float, b: float, second: bool):
         dens, lo, step = self.density, self.lo, self.step
         edges = lo + step * np.arange(dens.shape[0] + 1)
         if not (a < edges[-1] and b > edges[0]):  # off the table, [inf, inf] and [-inf, -inf] too
-            return 0.0, math.nan, math.nan
+            return _empty(second)
         left = np.clip(edges[:-1], a, b)
         right = np.clip(edges[1:], a, b)
         w = np.maximum(right - left, 0.0)
         cell_mass = dens * w
         mass = float(np.sum(cell_mass))
         if mass <= 0.0:
-            return 0.0, math.nan, math.nan
+            return _empty(second)
         # each cell is uniform: its centre, and its variance w^2 / 12
         centre = 0.5 * (left + right)
         mean = float(np.sum(cell_mass * centre)) / mass
+        if not second:
+            return mass, mean
         var = float(np.sum(cell_mass * (w * w / 12.0 + (centre - mean) ** 2))) / mass
         return mass, mean, mean * mean + var
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -238,13 +239,13 @@ class TestScalarSolver:
                                      equilibrium._brentq)
         brackets, requested = [], []
 
-        def recorded(f, a, b, scale):
+        def recorded(f, a, b, scale, *ends):
             if f.__name__ == "residual":
                 brackets.append((a, b))
-            return brentq(f, a, b, scale)
+            return brentq(f, a, b, scale, *ends)
 
-        def first_only(model, beta, k):  # the smaller K an infeasible solve tries next: none fit
-            return solve_bins(model, beta, k) if k == requested[-1] else None
+        def first_only(model, beta, k, trunks):  # the smaller K an infeasible solve tries next: none fit
+            return solve_bins(model, beta, k, trunks) if k == requested[-1] else None
 
         monkeypatch.setattr(equilibrium, "_brentq", recorded)
         monkeypatch.setattr(equilibrium, "_solve_bins", first_only)
@@ -252,7 +253,7 @@ class TestScalarSolver:
             s = -1.0 if beta >= 0.0 else 1.0
             xs = equilibrium._scan_grid(model, beta).tolist()
             for k in (2, 5, 8, 12):
-                signs = [equilibrium._shoot(model, beta, k, x, lo, hi, scale, s)[0] >= 0.0
+                signs = [equilibrium._shoot(model, beta, k, x, lo, hi, scale, s, {})[0] >= 0.0
                          for x in xs]
                 first = signs.index(True) if True in signs else len(xs)
                 assert all(signs[first:]), (beta, k)
@@ -284,6 +285,74 @@ class TestScalarSolver:
         monkeypatch.setattr(equilibrium, "truncated_moments_1d", recorded)
         assert equilibrium.solve_scalar_biased(model, beta, k).k == k
         assert [ab for ab, n in seen.items() if n > 1] == []
+
+    @pytest.mark.parametrize("model, beta", [(iid_exponential(1), -0.125), (iid_uniform(1), 0.05)],
+                             ids=["exponential", "uniform"])
+    def test_infeasible_walk_repeats_no_search(self, model, beta, monkeypatch):
+        # a shoot's first K - 2 boundaries do not depend on K, so the walk from
+        # K - 1 down reads those an earlier shoot from the same point found
+        searches = collections.Counter()
+        next_boundary = equilibrium._next_boundary
+
+        def recorded(model, start, target, *rest):
+            searches[start, target] += 1
+            return next_boundary(model, start, target, *rest)
+
+        monkeypatch.setattr(equilibrium, "_next_boundary", recorded)
+        with pytest.raises(InfeasibleBinCountError) as info:
+            equilibrium.solve_scalar_biased(model, beta, 8)
+        assert info.value.max_feasible == 3
+        assert searches and max(searches.values()) == 1
+
+        # no state outlives a call: an identical second call evaluates as many bins
+        evaluations = []
+        marginal_type = type(model.marginals[0])
+        kernel_from = marginal_type.mass_mean_from
+
+        def counted_from(self, start):
+            kernel = kernel_from(self, start)
+
+            def counted(x):
+                evaluations.append(x)
+                return kernel(x)
+
+            return counted
+
+        monkeypatch.setattr(marginal_type, "mass_mean_from", counted_from)
+        counts = []
+        for _ in range(2):
+            evaluations.clear()
+            with pytest.raises(InfeasibleBinCountError):
+                equilibrium.solve_scalar_biased(model, beta, 8)
+            counts.append(len(evaluations))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
+    @pytest.mark.parametrize("model, beta, want", [
+        (iid_gaussian(1), 0.1, "8875b2debfc35f5b286ccb1e021f6eb45b930853ce6b46cc8aab3a3aca5084da"),
+        (iid_gaussian(1), -0.1, "8a6c053aa296134e2c59e94f8caf02d360592b4bcb6ed4dcb09425d0262d4486"),
+        (iid_laplace(1), 0.1, "a97308b86574545118762e2d13e460d6209600513ca8ab7fbbc10ee6fba26a73"),
+        (iid_laplace(1), -0.1, "fab51aa4fea5488877d566eadab9d00cf8053125d18b722d4cbbe828dd2d0153"),
+        (iid_exponential(1), 0.1, "b5d75db67316dc5067d6a57e6f2fc42031d3b2782d456cb1fb0e88a6473579a9"),
+        (iid_exponential(1), -0.1, "249a878db2300d2b5c6afa705420a040bd988cb81fc593ca7710c09636cf9460"),
+        (iid_uniform(1), 0.06, "9779839ce8fdc264553f18f9c96f4aa7a4af5cbc29f8108008dd6b51df627bb9"),
+        (iid_uniform(1), -0.06, "b0fb372aad526c72493b0caf9bd3c5513164b9eb1c99ad1fd88cc5bf611c4042"),
+        (triangle_table(), 0.05, "a057657640a14bbf4b0b46c2469733fbfe65c65184b48e33ca37bc239709ceeb"),
+        (triangle_table(), -0.05, "f2b616413af48c4a878c4197bd0ac333e28996168fefe20919cbe15c044db5c5"),
+    ], ids=["gaussian+", "gaussian-", "laplace+", "laplace-", "exponential+", "exponential-",
+            "uniform+", "uniform-", "triangle+", "triangle-"])
+    def test_k3_to_k8_solves_are_pinned(self, model, beta, want):
+        # every bit of the K = 3..8 boundaries and actions, and each infeasible
+        # K's reported maximum, as one sha256 over their hex forms
+        h = hashlib.sha256()
+        for k in range(3, 9):
+            try:
+                quant = solve_scalar_biased(model, beta, k)
+            except InfeasibleBinCountError as exc:
+                h.update(f"infeasible {k} {exc.max_feasible};".encode())
+                continue
+            values = np.concatenate([quant.boundaries, quant.actions])
+            h.update(" ".join(float(v).hex() for v in values).encode() + b";")
+        assert h.hexdigest() == want
 
 
 def _brent_outcome(solver, f, a, b, scale):

@@ -34,6 +34,8 @@ from cheaptalk.sources import (
     truncated_moments_1d,
 )
 
+from test_equilibrium import triangle_table
+
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E[Z | Z > 0] for a standard normal
 
 INF = math.inf
@@ -397,20 +399,56 @@ class TestGaussianClosedForms:
         assert mean == 0.0
         assert second == pytest.approx(w * w / 12.0, rel=1e-12)
 
-    def test_moments_from_a_fixed_end_equal_truncated_moments(self):
-        """The shooting recursion's bins share one end; reusing its cdf and pdf
-        values changes no bit of the moments, in either order of the ends."""
-        rng = np.random.default_rng(2)
-        xs = list(rng.normal(0.0, 4.0, 200)) + [-INF, INF, -39.0, 39.0, 0.0]
-        for mu, sigma_sq in [(0.0, 1.0), (0.7, 2.25)]:
-            marginal = GaussianMarginal(mu, sigma_sq)
-            for start in [0.0, 0.3, -1.2, 2.5, -6.0, 9.0, 38.5]:
-                moments = marginal.moments_from(start)
-                # bins narrower than 1e-3 sd take the width series on both paths
-                near = [start + d for d in (1e-13, -1e-13, 1e-4, -1e-4, 0.0)]
-                for x in xs + near:
-                    want = marginal.truncated_moments(min(start, x), max(start, x))
-                    assert np.array_equal(moments(x), want, equal_nan=True), (mu, start, x)
+    def test_truncated_moments_read_only_the_start_terms_they_need(self, monkeypatch):
+        # the cdf values and the pdf at the lower end are computed when a bin
+        # reads them: one cdf value at each end, and none for a narrow bin
+        calls = []
+        ndtr_float = sources._ndtr_float
+
+        def counted(z):
+            calls.append(z)
+            return ndtr_float(z)
+
+        monkeypatch.setattr(sources, "_ndtr_float", counted)
+        marginal = GaussianMarginal(0.0, 1.0)
+        for a, b in [(-1.0, 2.0), (0.5, 3.0), (-INF, 0.3), (0.3, INF), (-2.0, -1.5)]:
+            calls.clear()
+            marginal.truncated_moments(a, b)
+            assert len(calls) == 2, (a, b)
+        calls.clear()
+        marginal.truncated_moments(0.2, 0.2 + 1e-4)
+        assert calls == []
+
+
+_KERNEL_STARTS = (-6.0, -1.2, 0.0, 0.3, 2.5, 9.0)
+
+
+@pytest.mark.parametrize("model", [
+    iid_gaussian(1), iid_gaussian(1, mean=0.7, sigma_sq=2.25), iid_uniform(1, lo=-1.0, hi=3.0),
+    iid_exponential(1, rate=1.5), iid_laplace(1, mean=0.4, scale=0.9), triangle_table(),
+], ids=["gaussian", "gaussian-shifted", "uniform", "exponential", "laplace", "triangle"])
+def test_mass_mean_kernel_equals_truncated_moments(model):
+    """The scalar solver's boundary search reads each bin through the
+    marginal's start-fixed kernel: its (mass, mean) has every bit of
+    ``truncated_moments`` of the same bin, ends in either order, infinite
+    ends and bins narrower than 1e-3 sd included."""
+    marginal = model.marginals[0]
+    mu, sd = float(model.mean[0]), math.sqrt(model.marginal_variance(0))
+    rng = np.random.default_rng(2)
+    xs = (mu + sd * rng.normal(0.0, 4.0, 120)).tolist() + [-INF, INF, mu - 39.0 * sd, mu + 39.0 * sd, mu]
+    starts = [mu + sd * t for t in _KERNEL_STARTS] + [-INF, INF, marginal.lo, marginal.hi]
+    for start in starts:
+        kernel = marginal.mass_mean_from(start)
+        # bins narrower than 1e-3 sd take the gaussian width series on both paths
+        near = [start + sd * d for d in (1e-13, -1e-13, 1e-4, -1e-4, 0.0)]
+        for x in xs + near:
+            want = truncated_moments_1d(model, min(start, x), max(start, x))[:2]
+            assert np.array_equal(kernel(x), want, equal_nan=True), (start, x)
+    # the empty bins at either infinity
+    for end in (-INF, INF):
+        assert np.array_equal(marginal.mass_mean_from(end)(end), (0.0, math.nan), equal_nan=True)
+        assert np.array_equal(truncated_moments_1d(model, end, end), (0.0, math.nan, math.nan),
+                              equal_nan=True)
 
 
 @pytest.mark.parametrize("sigma1_sq, sigma2_sq, rho", [
