@@ -10,7 +10,8 @@ has one.
 
 Exit codes: 0 success/verified; 1 verification failed or classification
 answered "no" (the computation itself succeeded); 2 invalid config;
-3 numerical failure (non-convergence, bin death after retries).
+3 numerical failure (non-convergence, bin death after retries, a payload
+value that is not finite).
 """
 
 from __future__ import annotations
@@ -79,14 +80,30 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return v if math.isfinite(v) else str(v)  # "nan", "inf" or "-inf"
     if isinstance(obj, (np.integer, int, str, bool)) or obj is None:
         return int(obj) if isinstance(obj, np.integer) else obj
     raise ConfigError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+# payload fields that are +inf by definition: the least slack over no pair
+# (fewer than two realized actions), and the centroid stderr when no bin has a z
+_INFINITE_FIELDS = ("min_pairwise_geo_slack", "centroid_residual_stderr")
+
+
+def _nonfinite(obj, path: str = ""):
+    """(path, value) of each payload value that is NaN, or infinite outside
+    ``_INFINITE_FIELDS`` (which may hold +inf), in payload order."""
+    obj = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nonfinite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _nonfinite(value, f"{path}[{i}]")
+    elif isinstance(obj, (np.floating, float)) and not math.isfinite(obj) and not (
+            obj == math.inf and path.rpartition(".")[2] in _INFINITE_FIELDS):
+        yield path, float(obj)
 
 
 def canonical_json(obj) -> str:
@@ -402,10 +419,12 @@ def _cmd_verify(cfg: dict):
     samples, seed = s["samples"], s["seed"]
     with _invalid("solver", f"(solver.samples={samples}, solver.seed={seed}) "):
         cert = verify_equilibrium(policy, model, bias, samples=samples, seed=seed)
-    for check in cert.checks:
-        if not check.passed:
-            print(f"verify failed the {check}", file=sys.stderr)
-    return {"policy_kind": policy.kind, **cert.to_dict()}, (0 if cert.passed else 1), None
+    payload = {"policy_kind": policy.kind, **cert.to_dict()}
+    if next(_nonfinite(payload), None) is None:  # else main reports the value and no check reads it
+        for check in cert.checks:
+            if not check.passed:
+                print(f"verify failed the {check}", file=sys.stderr)
+    return payload, (0 if cert.passed else 1), None
 
 
 def _cmd_classify(cfg: dict):
@@ -528,6 +547,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
+    bad = next(_nonfinite(payload), None)
+    if bad is not None:
+        print(f"numerical failure: payload field {bad[0]} is {bad[1]}", file=sys.stderr)
+        return 3
 
     payload = _jsonable(payload)
     line = (

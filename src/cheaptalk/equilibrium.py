@@ -604,12 +604,6 @@ def _brentq(f, a: float, b: float, scale: float, fa: float | None = None,
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
 
 
-def _bin_moments(model: SourceModel, a: float, b: float):
-    """Truncated moments of the bin between a and b, given in either order
-    (``truncated_moments_1d`` takes the smaller end first)."""
-    return truncated_moments_1d(model, a, b) if a <= b else truncated_moments_1d(model, b, a)
-
-
 def _next_boundary(model: SourceModel, start: float, target: float, end: float, scale: float, s: float):
     """Nearest x past ``start`` in direction ``s`` (+1 up, -1 down) at which the
     bin between ``start`` and ``x`` has conditional mean ``target``; None when
@@ -661,7 +655,9 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
     the last action reached minus the mean of the bin left at the far end,
     increases in ``x0``.  A recursion whose bins collapse (``x0`` too far
     back) returns ``-s * 1e30`` and one that overflows the support (too far
-    ahead) ``s * 1e30``, both without bounds.
+    ahead) ``s * 1e30``, both without bounds.  Every bin, the first, each
+    searched one and the end bin, is read through the marginal's start-fixed
+    kernel ``mass_mean_from``.
 
     A shoot's first K - 2 boundaries do not depend on K.  ``trunks`` maps
     each shooting point to its recursion as far as it has been grown:
@@ -671,9 +667,10 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
     recursion an earlier shoot grew, and one at a larger K grows it further.
     """
     end = hi if s > 0 else lo
+    marginal = model.marginals[0]
     trunk = trunks.get(x0)
     if trunk is None:
-        mass, u, _ = _bin_moments(model, lo if s > 0 else hi, x0)
+        mass, u = marginal.mass_mean_from(lo if s > 0 else hi)(x0)
         trunk = trunks[x0] = SimpleNamespace(bounds=[x0], actions=[u], ended=None if mass > 0.0 else -s * 1e30)
     bounds, actions = trunk.bounds, trunk.actions
     while len(actions) < k:
@@ -691,7 +688,7 @@ def _shoot(model: SourceModel, beta: float, k: int, x0: float, lo: float, hi: fl
             trunk.ended = -s * 1e30
         else:
             actions.append(u)
-    end_mass, end_mean, _ = _bin_moments(model, bounds[k - 2], end)
+    end_mass, end_mean = marginal.mass_mean_from(bounds[k - 2])(end)
     if end_mass <= 0.0:
         return s * 1e30, None, None
     residual = actions[k - 1] - end_mean
@@ -1104,8 +1101,36 @@ class CertificateCheck:
         return f"{self.name} check: {self.statistic} {self.value:.6g}, needs {bound} {self.threshold:.6g}"
 
 
+class _Checked:
+    """A verification result whose verdict is its ``checks``, a tuple of
+    :class:`CertificateCheck` that the result derives on construction."""
+
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+    def to_dict(self) -> dict:
+        """``passed``, then each field in order: an estimate, or a list of
+        them, as ``name`` and ``name_stderr``, an array as a list, each check
+        as ``pass_<name>``."""
+        out = {"passed": self.passed}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, EstimateWithError):
+                out[f.name], out[f"{f.name}_stderr"] = value.value, value.stderr
+            elif isinstance(value, list):
+                out[f.name], out[f"{f.name}_stderr"] = [e.value for e in value], [e.stderr for e in value]
+            elif isinstance(value, np.ndarray):
+                out[f.name] = value.tolist()
+            elif f.name == "checks":
+                out.update((f"pass_{check.name}", check.passed) for check in value)
+            else:
+                out[f.name] = value
+        return out
+
+
 @dataclass(eq=False)
-class EquilibriumCertificate:
+class EquilibriumCertificate(_Checked):
     """Slacks and residuals for the equilibrium conditions, with verdicts.
 
     ``max_centroid_residual`` and ``centroid_residual_stderr`` describe the
@@ -1139,24 +1164,6 @@ class EquilibriumCertificate:
             CertificateCheck("deviation", "deviation_gain", gain.value,
                              3.0 * gain.stderr + 1e-12 * max(1.0, self.je.value)),
         )
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def to_dict(self) -> dict:
-        """``passed``, then each field in order: an estimate as ``name`` and
-        ``name_stderr``, each check as ``pass_<name>``."""
-        out = {"passed": self.passed}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, EstimateWithError):
-                out[f.name], out[f"{f.name}_stderr"] = value.value, value.stderr
-            elif f.name == "checks":
-                out.update((f"pass_{check.name}", check.passed) for check in value)
-            else:
-                out[f.name] = value
-        return out
 
 
 # verify_equilibrium: the pairwise slack may dip this far below zero, at most
@@ -1635,39 +1642,27 @@ def expected_distortions(
 
 
 @dataclass(eq=False)
-class LinearEquilibriumReport:
+class LinearEquilibriumReport(_Checked):
     """The paper's condition for an informative linear equilibrium of an
     i.i.d. 2-D source: the conditional-mean curve ``E[X2 | X1 = t] - E[X2]``
     of the bias-aligned coordinate is constant in the revealed one.
 
-    ``passed`` is ``pass_constancy``: every curve point within 3 stderr of
-    the curve's inverse-variance weighted mean.  Truthful reporting needs no
-    check of its own: on a constant curve the encoder's cost of reporting
-    ``p`` is ``(x1 - p)^2`` plus a constant, least at ``p = x1``.
+    ``checks`` holds the one condition, "constancy": every curve point
+    within 3 stderr of the curve's inverse-variance weighted mean
+    (``constancy_max_z <= 3``).  Truthful reporting needs no check of its
+    own: on a constant curve the encoder's cost of reporting ``p`` is
+    ``(x1 - p)^2`` plus a constant, least at ``p = x1``.
     """
 
+    constancy_max_z: float
+    checks: tuple = field(init=False)
     grid: np.ndarray
     curve: list[EstimateWithError]
-    constancy_max_z: float
-    pass_constancy: bool
     kappa: float
     b_tilde: float
 
-    @property
-    def passed(self) -> bool:
-        return self.pass_constancy
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "constancy_max_z": self.constancy_max_z,
-            "pass_constancy": self.pass_constancy,
-            "grid": [float(t) for t in self.grid],
-            "curve": [e.value for e in self.curve],
-            "curve_stderr": [e.stderr for e in self.curve],
-            "kappa": self.kappa,
-            "b_tilde": self.b_tilde,
-        }
+    def __post_init__(self):
+        self.checks = (CertificateCheck("constancy", "constancy_max_z", self.constancy_max_z, 3.0),)
 
 
 # verify_linear_equilibrium: points of the constancy curve
@@ -1708,7 +1703,6 @@ def verify_linear_equilibrium(
         grid=grid,
         curve=curve,
         constancy_max_z=constancy_max_z,
-        pass_constancy=constancy_max_z <= 3.0,
         kappa=pairs.x2_mean,
         b_tilde=pairs.pair.scale,
     )

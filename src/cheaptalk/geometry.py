@@ -135,22 +135,17 @@ def h_value(m, u_first, u_second, b) -> float:
 
     Returns ``(m - ((u_first + u_second)/2 + b)) . (u_first - u_second)``:
     positive iff the encoder strictly prefers ``u_first`` over ``u_second``,
-    zero exactly on the indifference hyperplane.
+    zero exactly on the indifference hyperplane: the value of
+    ``indifference_hyperplane(u_first, u_second, b)`` at ``m``.
     """
-    m = as_point(m)
-    u1 = as_point(u_first, dim=m.shape[0])
-    u2 = as_point(u_second, dim=m.shape[0])
-    b = as_point(b, dim=m.shape[0])
-    if np.array_equal(u1, u2):
-        raise ValueError("indifference is undefined for identical actions")
-    anchor = 0.5 * (u1 + u2) + b
-    return float((m - anchor) @ (u1 - u2))
+    plane = indifference_hyperplane(u_first, u_second, b)
+    return float(plane.value(as_point(m, dim=plane.normal.shape[0])))
 
 
 def indifference_hyperplane(u_first, u_second, b) -> Hyperplane:
     """The hyperplane where the encoder is indifferent between two actions.
 
-    ``plane.value(m)`` equals ``h_value(m, u_first, u_second, b)``; the bin of
+    ``plane.value(m)`` is ``h_value(m, u_first, u_second, b)``; the bin of
     ``u_first`` lies in ``{value >= 0}``.
     """
     u1 = as_point(u_first)

@@ -128,6 +128,9 @@ _BLOCK_VALUES = 1 << 15
 # Bytes the jobs in flight may hold together: 25 B for each of a chunk's
 # values (a draw, a cell index, a comparison flag and an error).
 _MEMORY_BUDGET = 25 * _CHUNK_VALUES
+# Draws of numpy's standard normal lie within this many sd (its ziggurat's
+# tail draw is r - log1p(-u) / r, r = 3.654, u <= 1 - 2**-53: at most 13.71).
+_DRAW_SDS = 16.0
 
 
 def _chunk_sums(seed, idx, part, m, n, sd, first, rest, actions, shift):
@@ -198,12 +201,27 @@ def asymptotic_experiment(
     available, and on fewer when their buffers would not fit a fixed
     memory budget.  Their sums are added in chunk order, so the rows do
     not depend on the thread count.
+
+    Raises ``ValueError`` naming ``sigma_sq`` or ``b`` when a sum could
+    leave the float range: each is at most ``samples`` times a row's term
+    squared, and with draws and actions within ``_DRAW_SDS`` sd a row's
+    ``jd`` is at most ``(2 _DRAW_SDS sd)**2``, its ``|gap|`` at most
+    ``b**2 + 2 |b| _DRAW_SDS sd``.
     """
     _finite_parameters(sigma_sq=sigma_sq, b=b)
     _positive_parameters(sigma_sq=sigma_sq)
     rate_bits = _whole(rate_bits, "rate_bits")
     n_list = [_whole(n, f"n_list[{i}]", 2) for i, n in enumerate(n_list)]
     samples, seed = _whole(samples, "samples", 2), _whole(seed, "seed")
+    term = math.sqrt(np.finfo(float).max / samples)  # the largest row term whose square sums stay finite
+    reach = _DRAW_SDS * math.sqrt(sigma_sq)  # the largest |draw| and |action|
+    if 2.0 * reach > math.sqrt(term):
+        raise ValueError(f"sigma_sq must be at most {term / (2.0 * _DRAW_SDS) ** 2:.6g} for "
+                         f"{samples} samples, got {sigma_sq}")
+    b_max = term / (reach + math.sqrt(reach * reach + term))  # the root of b**2 + 2 b reach = term
+    if abs(b) > b_max:
+        raise ValueError(f"b must be at most {b_max:.6g} in magnitude for sigma_sq={sigma_sq} "
+                         f"and {samples} samples, got {b}")
 
     levels = 2**rate_bits
     quant, d_q = lloyd_max_quantizer(sigma_sq, levels)

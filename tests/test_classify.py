@@ -225,7 +225,8 @@ class TestConsistencyWithVerification:
             if exists != "yes":
                 continue
             report = verify_linear_equilibrium(model, b, samples=200_000, seed=41)
-            assert report.pass_constancy, (model.family, b)
+            assert report.passed, (model.family, b)
+            assert [check.name for check in report.checks] == ["constancy"]
 
     def test_analytic_no_fails_verification(self):
         report = verify_linear_equilibrium(iid_exponential(2), [1.0, 1.0],

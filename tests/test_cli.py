@@ -12,19 +12,19 @@ SRC = str(ROOT / "src")
 EXAMPLES = sorted(path.name for path in (ROOT / "configs").glob("*.json"))
 
 
-def run_process(*args, env_extra=None):
+def run_process(*args, env_extra=None, warnings="error::RuntimeWarning"):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cheaptalk.cli", *args],
+        [sys.executable, "-W", warnings, "-m", "cheaptalk.cli", *args],
         capture_output=True, text=True, env=env,
     )
 
 
-def run_cli(*args, env_extra=None):
-    proc = run_process(*args, env_extra=env_extra)
+def run_cli(*args, env_extra=None, warnings="error::RuntimeWarning"):
+    proc = run_process(*args, env_extra=env_extra, warnings=warnings)
     record = None
     if proc.stdout.strip():
         record = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -440,6 +440,7 @@ class TestExitCodes:
         "--rd.sigma_sq=-1",
         "--rd.sigma_sq=Infinity",
         "--rd.sigma_sq=NaN",
+        "--rd.sigma_sq=1e300",  # the experiment's sums could overflow
         "--rd.b=NaN",
         "--rd.d_team=0",
         "--rd.de=0",
@@ -474,6 +475,47 @@ class TestExitCodes:
         code, _, err = run_cli("solve", "--config", cfg)
         assert code == 3
         assert "bin" in err.lower() or "numerical" in err.lower()
+
+    @pytest.mark.parametrize("overrides, field, value", [
+        (["--source.mean=1e308"], "deviation_gain", "nan"),
+        (["--source.sigma_sq=1e300"], "je_stderr", "inf"),
+        (["--bias=[1e154,1e154]", "--source.mean=2"], "je", "inf"),
+    ], ids=["mean", "sigma_sq", "bias"])
+    def test_non_finite_payload_is_three(self, overrides, field, value):
+        # these scales overflow on the way; the run names the first field at
+        # fault and prints no record and no check line that reads it
+        config = str(ROOT / "configs" / "verify_planted_violation.json")
+        code, record, err = run_cli("verify", "--config", config, *overrides,
+                                    warnings="ignore::RuntimeWarning")
+        assert code == 3 and record is None
+        assert err.splitlines() == [f"numerical failure: payload field {field} is {value}"]
+
+    def test_non_finite_sweep_point_is_three_and_named(self, tmp_path):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "source": {"family": "iid-gaussian", "dim": 2, "sigma_sq": 1.0},
+            "bias": [1.0, 0.0],
+            "policy": {"kind": "quantizer", "actions": [[0.0, 0.0], [1.0, 0.0]]},
+            "solver": {"samples": 20000},
+            "sweep": {"command": "verify", "path": "source.mean", "values": [0.0, 1e308]},
+        })
+        code, record, err = run_cli("sweep", "--config", cfg, warnings="ignore::RuntimeWarning")
+        assert code == 3 and record is None
+        lines = err.splitlines()
+        assert lines[-1] == "numerical failure: payload field points[1].payload.deviation_gain is nan"
+        assert lines[:-1] and all(line.startswith("verify failed the ") for line in lines[:-1])
+        assert "nan" not in "".join(lines[:-1])
+
+    @pytest.mark.parametrize("overrides, field, more", [
+        (["--solver.samples=20"], "centroid_residual_stderr", {"evaluated_bins": 0}),
+        (['--policy.actions=[[0,0]]'], "min_pairwise_geo_slack", {"realized_actions": 1}),
+    ], ids=["no-bin", "one-action"])
+    def test_fields_infinite_by_definition_are_written(self, overrides, field, more):
+        config = str(ROOT / "configs" / "verify_planted_violation.json")
+        code, record, err = run_cli("verify", "--config", config, *overrides)
+        assert code in (0, 1) and "numerical failure" not in err
+        payload = record["payload"]
+        assert payload[field] == "inf"
+        assert {key: payload[key] for key in more} == more
 
     def test_bin_count_far_past_the_maximum_is_three(self):
         # a bin count far past the maximum is a numerical failure that names it, not a traceback

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import threading
 import tracemalloc
@@ -274,17 +275,25 @@ class TestScalarSolver:
     ], ids=["gaussian", "laplace", "exponential", "uniform"])
     def test_solve_repeats_no_interval(self, model, beta, k, monkeypatch):
         # the bisection probes, brentq's bracket ends and the re-shoot at the
-        # root share their shoots; brentq in a boundary search reuses g(near), g(far)
+        # root share their shoots; brentq in a boundary search reuses g(near), g(far).
+        # Every bin a shoot reads, its first, each searched one and its end
+        # bin, goes through the marginal's kernel, so the hook sees them all
         seen = collections.Counter()
-        moments = equilibrium.truncated_moments_1d
+        marginal_type = type(model.marginals[0])
+        kernel_from = marginal_type.mass_mean_from
 
-        def recorded(model, a, b):
-            seen[a, b] += 1
-            return moments(model, a, b)
+        def recorded_from(self, start):
+            kernel = kernel_from(self, start)
 
-        monkeypatch.setattr(equilibrium, "truncated_moments_1d", recorded)
+            def recorded(x):
+                seen[min(start, x), max(start, x)] += 1
+                return kernel(x)
+
+            return recorded
+
+        monkeypatch.setattr(marginal_type, "mass_mean_from", recorded_from)
         assert equilibrium.solve_scalar_biased(model, beta, k).k == k
-        assert [ab for ab, n in seen.items() if n > 1] == []
+        assert seen and [ab for ab, n in seen.items() if n > 1] == []
 
     @pytest.mark.parametrize("model, beta", [(iid_exponential(1), -0.125), (iid_uniform(1), 0.05)],
                              ids=["exponential", "uniform"])
@@ -1331,10 +1340,26 @@ class TestVerifyLinearEquilibrium:
 
     def test_report_is_the_constancy_check(self):
         report = verify_linear_equilibrium(iid_exponential(2), [1.0, 2.0], samples=50_000, seed=37)
-        assert report.passed is report.pass_constancy is (report.constancy_max_z <= 3.0)
+        (check,) = report.checks
+        assert (check.name, check.statistic, check.value, check.threshold, check.at_most) == (
+            "constancy", "constancy_max_z", report.constancy_max_z, 3.0, True)
+        assert report.passed is check.passed is (report.constancy_max_z <= 3.0)
+        assert report.to_dict()["pass_constancy"] is report.passed
         assert sorted(report.to_dict()) == sorted([
             "passed", "constancy_max_z", "pass_constancy", "grid", "curve", "curve_stderr",
             "kappa", "b_tilde"])
+
+    @pytest.mark.parametrize("factory, b, want", [
+        (iid_gaussian, [1.0, 2.0], "29fdc6635100cb7ee0cf757b3aa89a2a790a9d63f73b36b29a42f465811ce4bd"),
+        (iid_exponential, [1.0, 1.0], "b8a6576286083ae7fd1cbd3228b4dc263239be937dffb92afa700f293bea03f7"),
+        (iid_uniform, [1.0, -1.0], "09cc1fead7cc81f428e6da230b9ebb34c322ee9c8cdc5e33d54648962e5b384b"),
+        (iid_exponential, [0.0, 3.0], "a097210633840ff4a92354631977f4333ca54bbb846ae4f33af08031c0e6e0cb"),
+        (iid_exponential, [1.0, 2.0], "a4800cacc654fe293e34d17681bb0e45b9b4dfd6e92e150ce48eedfbb6d47a4e"),
+    ], ids=["gaussian", "exponential-no", "uniform", "exponential-decoupled", "exponential-no-2"])
+    def test_report_dict_is_pinned(self, factory, b, want):
+        # the keys, their order and every bit of the values, as json.dumps writes them
+        report = verify_linear_equilibrium(factory(2), b, samples=20_000, seed=77)
+        assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == want
 
     def test_one_sample_draw_serves_the_grid_and_the_curve(self, monkeypatch):
         model, b = iid_exponential(2), [1.0, 2.0]

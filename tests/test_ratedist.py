@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import threading
 
 import numpy as np
@@ -273,11 +275,31 @@ class TestAsymptoticExperiment:
         ((1.0, 1.0, 1, [4, True]), {}, r"n_list\[1\]"),
         ((1.0, 1.0, 1, [4, "4"]), {}, r"n_list\[1\]"),
         ((1.0, 1.0, 1, [4, 1]), {}, r"n_list\[1\]"),
+        # sums that could leave the float range
+        ((1e300, 1.0, 1, [4]), {}, "sigma_sq"),
+        ((sys.float_info.max, 0.0, 1, [4]), {}, "sigma_sq"),
+        ((1.0, 1e100, 1, [4]), {}, "b"),
+        ((1.0, -1e100, 1, [4]), {}, "b"),
     ])
     def test_rejects_non_finite_and_non_integer_input_by_name(self, args, kwargs, name):
         kwargs = {"samples": 1000, "seed": 0} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
             asymptotic_experiment(*args, **kwargs)
+
+    def test_the_largest_accepted_scale_keeps_every_sum_finite(self):
+        # just inside both bounds no sum overflows, which would warn (an error
+        # under the test suite's warning filter); just past each, a ValueError
+        samples = 2000
+        term = math.sqrt(sys.float_info.max / samples)
+        sigma_sq = term / (2.0 * ratedist._DRAW_SDS) ** 2
+        reach = ratedist._DRAW_SDS * math.sqrt(sigma_sq)
+        b = term / (reach + math.sqrt(reach * reach + term))
+        rows = asymptotic_experiment(0.999 * sigma_sq, 0.999 * b, 2, [2, 8], samples=samples, seed=0)
+        assert all(math.isfinite(value) for row in rows for value in dataclasses.astuple(row))
+        with pytest.raises(ValueError, match="^sigma_sq"):
+            asymptotic_experiment(1.001 * sigma_sq, 0.0, 2, [2], samples=samples, seed=0)
+        with pytest.raises(ValueError, match="^b"):
+            asymptotic_experiment(0.999 * sigma_sq, 1.001 * b, 2, [2], samples=samples, seed=0)
 
     def test_integral_float_counts_are_read_as_integers(self):
         got = asymptotic_experiment(1.0, 1.0, 1, [4.0], samples=1000.0, seed=3.0)
