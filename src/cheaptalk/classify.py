@@ -11,7 +11,7 @@ bias vector                         informative linear equilibrium exists
 both nonzero, ``|b1| != |b2|``      iff the source is gaussian
 ==================================  =========================================
 
-Each equality holds to 1e-12 max(1, |b1|, |b2|), by the one rule the reveal
+Each equality holds to 1e-12 max(|b1|, |b2|), by the one rule the reveal
 constructor reads too.  Gaussianity and symmetry are exact distributional
 characterizations, so a finite numerical test cannot certify them: analytic
 families carry exact flags, while tabulated densities get a numeric
@@ -116,11 +116,7 @@ def correlated_gaussian_condition(
     _check_covariance_2d(sigma1_sq, sigma2_sq, rho)
     b = as_point(b, dim=2)
     residual = float(b[0] * b[1] * (sigma2_sq - sigma1_sq) + (b[0] ** 2 - b[1] ** 2) * rho)
-    scale = max(
-        1.0,
-        abs(b[0] * b[1]) * (sigma1_sq + sigma2_sq),
-        abs(b[0] ** 2 - b[1] ** 2) * abs(rho),
-    )
+    scale = max(abs(b[0] * b[1]) * (sigma1_sq + sigma2_sq), abs(b[0] ** 2 - b[1] ** 2) * abs(rho))
     return residual, bool(abs(residual) <= 1e-12 * scale)
 
 

@@ -775,7 +775,7 @@ def _solve_bins(model: SourceModel, beta: float, k: int, trunks: dict) -> Scalar
     when the shooting residual has no root on the scan grid.  ``trunks``
     holds the recursions of ``_shoot`` that earlier solves of the same call grew."""
     lo, hi = model.marginals[0].lo, model.marginals[0].hi
-    scale = max(math.sqrt(model.marginal_variance(0)), 1e-12)
+    scale = math.sqrt(model.marginal_variance(0))
     s = -1.0 if beta >= 0.0 else 1.0
 
     # one shoot per point: the bisection, brentq's bracket ends and the root share them
@@ -1162,7 +1162,7 @@ class EquilibriumCertificate(_Checked):
                              -_GEO_TOLERANCE, at_most=False),
             CertificateCheck("centroid", "centroid_max_z", self.centroid_max_z, 3.0),
             CertificateCheck("deviation", "deviation_gain", gain.value,
-                             3.0 * gain.stderr + 1e-12 * max(1.0, self.je.value)),
+                             3.0 * gain.stderr + 1e-12 * self.je.value),
         )
 
 
@@ -1694,7 +1694,8 @@ def verify_linear_equilibrium(
     curve = _window_curve(pairs, grid)
 
     values = np.array([e.value for e in curve])
-    errs = np.array([max(e.stderr, 1e-15) for e in curve])
+    errs = np.array([e.stderr for e in curve])
+    errs = np.maximum(errs, 1e-15 * errs.max())
     weights = 1.0 / errs**2
     center = float(np.sum(weights * values) / np.sum(weights))
     constancy_max_z = float(np.max(np.abs(values - center) / errs))

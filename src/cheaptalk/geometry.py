@@ -73,12 +73,12 @@ def _whole(value, name: str, least: int = 0) -> int:
 def _bias_case(b) -> str:
     """The ``theorem_case`` of a 2-D bias in the paper's linear-equilibrium
     split, for ``classify_linear_existence`` and the reveal constructor alike:
-    a component within 1e-12 max(1, |b1|, |b2|) of zero is "zero-bias", b1 + b2
+    a component within 1e-12 max(|b1|, |b2|) of zero is "zero-bias", b1 + b2
     "antisymmetric-bias", b1 - b2 "symmetry-required", anything else
     "gaussian-required".  The sum and difference are taken halved, which is
     exact past the zero test and cannot overflow."""
     b1, b2 = float(b[0]), float(b[1])
-    tol = 1e-12 * max(1.0, abs(b1), abs(b2))
+    tol = 1e-12 * max(abs(b1), abs(b2))
     if abs(b1) <= tol or abs(b2) <= tol:
         return "zero-bias"
     if abs(0.5 * b1 + 0.5 * b2) <= 0.5 * tol:

@@ -52,7 +52,7 @@ class RDTuple:
             raise ValueError("rate and distortions must be finite")
         if self.rate < 0.0 or self.de < 0.0 or self.dd < 0.0:
             raise ValueError("rate and distortions must be nonnegative")
-        if self.de < self.dd - 1e-12:
+        if self.de < self.dd - 1e-12 * self.dd:
             raise ValueError("encoder distortion cannot be below decoder distortion")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -124,17 +125,34 @@ def _empty(second: bool):
 
 class _BinMoments:
     """``truncated_moments`` and the start-fixed kernel ``mass_mean_from`` of a
-    marginal that defines ``_bin(a, b, second)``: the mass, the mean and, when
+    marginal, both read from ``_moments_from(start, second)``: ``x ->`` the
+    moments of the bin between ``start`` and ``x``, in either order.  By
+    default that reads ``_bin(a, b, second)``: the mass, the mean and, when
     ``second``, the second moment of the bin ``[a, b]``, ``a <= b``."""
 
     def truncated_moments(self, a: float, b: float):
-        return self._bin(a, b, True)
+        return self._moments_from(a, True)(b)
 
     def mass_mean_from(self, start: float):
         """``x -> truncated_moments(min(start, x), max(start, x))[:2]``; either
         end may be infinite.  The scalar solver's boundary search reads it."""
+        return self._moments_from(start, False)
+
+    def _moments_from(self, start: float, second: bool):
         moments = self._bin
-        return lambda x: moments(start, x, False) if start <= x else moments(x, start, False)
+        return lambda x: moments(start, x, second) if start <= x else moments(x, start, second)
+
+
+def _normal_variance(marginal, name: str) -> None:
+    """The scale rule of every marginal: its variance, reached without overflowing, is a finite
+    normal float; anything else raises ValueError naming ``name``, the factory parameter."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a table's sums read inf or NaN
+            variance = marginal.variance
+    except (OverflowError, ZeroDivisionError):
+        variance = math.inf
+    if not sys.float_info.min <= variance <= sys.float_info.max:  # also a NaN
+        raise ValueError(f"{name} gives the variance {variance!r}, not a finite normal float")
 
 
 # gaussian bins narrower than this many sd take the width series below
@@ -205,7 +223,7 @@ class EstimateWithError:
 
 
 @dataclass(frozen=True)
-class GaussianMarginal:
+class GaussianMarginal(_BinMoments):
     """Normal law with the given ``mean`` and ``variance``."""
 
     mean: float
@@ -215,8 +233,8 @@ class GaussianMarginal:
     symmetric = True
 
     def __post_init__(self):
-        _finite_parameters(mean=self.mean, variance=self.variance)
-        _positive_parameters(variance=self.variance)
+        _finite_parameters(mean=self.mean)
+        _normal_variance(self, "sigma_sq")
 
     def pdf(self, x):
         sd = math.sqrt(self.variance)
@@ -231,20 +249,11 @@ class GaussianMarginal:
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
-    def truncated_moments(self, a: float, b: float):
-        return self._moments_from(a, True)(b)
-
-    def mass_mean_from(self, start: float):
-        """``x -> truncated_moments(min(start, x), max(start, x))[:2]``; either
-        end may be infinite.  The scalar solver's boundary search reads it."""
-        return self._moments_from(start, False)
-
     def _moments_from(self, start: float, second: bool):
-        """``x ->`` the mass, mean and, when ``second``, second moment of the
-        bin between ``start`` and ``x``, taken in either order.  The cdf
-        values ``ndtr(z0)``, ``ndtr(-z0)`` and the pdf at ``start`` are each
-        computed once, when a bin first reads it: a narrow bin reads none, and
-        a bin with ``start`` as its lower end one of the two cdf values."""
+        """``_BinMoments``'s kernel in closed form.  The cdf values ``ndtr(z0)``,
+        ``ndtr(-z0)`` and the pdf at ``start`` are each computed once, when a
+        bin first reads it: a narrow bin reads none, and a bin with ``start``
+        as its lower end one of the two cdf values."""
         mu, sd = self.mean, math.sqrt(self.variance)
         z0 = (start - mu) / sd
         narrow = _NARROW_SDS * sd
@@ -288,6 +297,7 @@ class UniformMarginal(_BinMoments):
         _finite_parameters(lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"lo must be below hi, got lo={self.lo}, hi={self.hi}")
+        _normal_variance(self, "hi - lo")
 
     @property
     def mean(self) -> float:
@@ -333,6 +343,7 @@ class ExponentialMarginal(_BinMoments):
     def __post_init__(self):
         _finite_parameters(rate=self.rate)
         _positive_parameters(rate=self.rate)
+        _normal_variance(self, "rate")
 
     @property
     def mean(self) -> float:
@@ -379,6 +390,7 @@ class LaplaceMarginal(_BinMoments):
     def __post_init__(self):
         _finite_parameters(mean=self.mean, scale=self.scale)
         _positive_parameters(scale=self.scale)
+        _normal_variance(self, "scale")
 
     @property
     def variance(self) -> float:
@@ -444,6 +456,9 @@ class TableMarginal(_BinMoments):
     density: np.ndarray
     lo: float
     step: float
+
+    def __post_init__(self):
+        _normal_variance(self, "step")
 
     @property
     def hi(self) -> float:
@@ -813,7 +828,7 @@ def tabulated_from_csv(path) -> SourceModel:
         if vals.shape[0] < 2:
             raise ValueError("tabulated grids need at least two cells per axis")
         steps = np.diff(vals)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError(f"grid along column {header[i]} is not uniform")
         axes.append(vals)
     shape = tuple(a.shape[0] for a in axes)
@@ -1029,11 +1044,10 @@ def conditional_support(model: SourceModel, b, x2: float) -> tuple[float, float]
         cov_x = fwd @ cov_m @ fwd.T
         mu_x = fwd @ model.mean
         cond_mean = mu_x[0] + cov_x[0, 1] / cov_x[1, 1] * (x2 - mu_x[1])
-        cond_var = max(cov_x[0, 0] - cov_x[0, 1] ** 2 / cov_x[1, 1], 0.0)
-        if cond_var == 0.0:
-            return float(cond_mean), float(cond_mean)
-        cond = GaussianMarginal(cond_mean, cond_var)
-        return float(cond.ppf(_TRUNCATION_EPS)), float(cond.ppf(1.0 - _TRUNCATION_EPS))
+        # GaussianMarginal.ppf's bits, without the scale rule a marginal applies
+        sd = math.sqrt(max(cov_x[0, 0] - cov_x[0, 1] ** 2 / cov_x[1, 1], 0.0))
+        return (float(ndtri(_TRUNCATION_EPS) * sd + cond_mean),
+                float(ndtri(1.0 - _TRUNCATION_EPS) * sd + cond_mean))
 
     bias = fwd[1]
     box = (model.support_interval(0), model.support_interval(1))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,12 @@ class TestDecisionTable:
     def test_symmetric_families_with_equal_bias(self):
         for model in (iid_gaussian(2), iid_uniform(2), iid_laplace(2)):
             assert classify_linear_existence(model, [0.7, 0.7]).exists == "yes"
+
+    @pytest.mark.parametrize("s", [1.0, 1e-13])
+    def test_the_bias_rule_has_no_scale(self, s):
+        # [1e-13, 3e-13] is the case [1, 3] is: neither component is zero
+        verdict = classify_linear_existence(iid_uniform(2), [s, 3.0 * s])
+        assert (verdict.exists, verdict.theorem_case) == ("no", "gaussian-required")
 
     def test_laplace_generic_bias_not_gaussian(self):
         verdict = classify_linear_existence(iid_laplace(2), [1.0, 3.0])
@@ -94,12 +101,12 @@ def _signed(magnitude: float, negative: bool) -> float:
 @st.composite
 def _biases(draw):
     """A 2-D bias of magnitude 1e-200 to 1e300, either sign: a component near
-    zero (straddling the 1e-12 relative tolerance), an antisymmetric or equal
-    pair, exact or 3e-13 relative off, or two unrelated components."""
+    zero (straddling the tolerance, 1e-12 of the other), an antisymmetric or
+    equal pair, exact or 3e-13 relative off, or two unrelated components."""
     x = _signed(10.0 ** draw(st.floats(-200, 300)), draw(st.booleans()))
     kind = draw(st.sampled_from(["near-zero", "antisymmetric", "equal", "general"]))
     if kind == "near-zero":
-        y = _signed(draw(st.floats(0, 2e-12)) * max(1.0, abs(x)), draw(st.booleans()))
+        y = _signed(draw(st.floats(0, 2e-12)) * abs(x), draw(st.booleans()))
     elif kind == "general":
         y = _signed(10.0 ** draw(st.floats(-200, 300)), draw(st.booleans()))
     else:
@@ -121,9 +128,17 @@ class TestOneBiasRule:
     @example(b=[1e300, -1e300])
     @example(b=[1e-14, 1e300])
     @example(b=[1e-200, 2e-200])
+    # the rule has no scale of its own: these are the cases of [1, -1], [1, 1] and [-3, 1]
+    @example(b=[1e-200, -1e-200])
+    @example(b=[1e-200, 1e-200])
+    @example(b=[-3e-200, 1e-200])
     def test_constructor_builds_iff_classify_says_yes(self, family, b):
         model = family(2)
         verdict = classify_linear_existence(model, b)
+        # and the case of the bias scaled by a power of two, which is exact, to near 1
+        e = math.frexp(max(abs(b[0]), abs(b[1])))[1]
+        unit = classify_linear_existence(model, [math.ldexp(v, -e) for v in b])
+        assert (verdict.exists, verdict.theorem_case) == (unit.exists, unit.theorem_case), b
         try:
             construct_reveal_plus_quantize(model, b, 1)
             built = True
@@ -169,6 +184,14 @@ class TestCorrelatedGaussianCondition:
         assert abs(residual) < 1e-12 and holds
         residual, holds = correlated_gaussian_condition(1.0, 2.0, 0.5, [1.0, 2.0])
         assert residual == pytest.approx(0.5) and not holds
+
+    @pytest.mark.parametrize("s", [1.0, 1e-4])
+    def test_condition_has_no_scale(self, s):
+        # the failing case of test_rho_two_thirds, its covariance scaled by s^2 and its bias by s
+        args = (s * s, 2.0 * s * s, 0.5 * s * s, [s, 2.0 * s])
+        residual, holds = correlated_gaussian_condition(*args)
+        assert residual == pytest.approx(0.5 * s**4) and not holds
+        assert classify_correlated_gaussian(*args).exists == "undetermined"
 
     def test_failing_example(self):
         residual, holds = correlated_gaussian_condition(1.0, 2.0, 0.0, [1.0, 1.0])

@@ -417,6 +417,16 @@ class TestExitCodes:
         assert f"{name} must be finite" in err
         assert "Traceback" not in err
 
+    def test_subnormal_variance_is_two_and_named(self):
+        # below the smallest normal float the shooting scale means nothing: the
+        # source is rejected by name before any solve
+        config = str(ROOT / "configs" / "verify_reveal_quantize.json")
+        code, record, err = run_cli("verify", "--config", config, "--source.sigma_sq=1e-310",
+                                    "--bias=[1e-155,1e-155]", "--policy.k_last=3")
+        assert code == 2 and record is None
+        assert "sigma_sq gives the variance 1e-310" in err
+        assert "Traceback" not in err
+
     def test_unknown_solver_key_in_config_file_is_two(self, tmp_path):
         cfg = write_config(tmp_path, "typo.json", {
             "source": {"family": "iid-uniform", "dim": 1, "lo": 0.0, "hi": 1.0},
@@ -643,6 +653,15 @@ class TestOutputs:
         assert code == 0 and err == ""
         assert record["payload"]["passed"] is True
         assert record["payload"]["policy_kind"] == "linear-plus-quantizer"
+
+    def test_reveal_quantize_verify_passes_at_a_tiny_scale(self):
+        # the example config with the source scaled by 1e-26 verifies as it does at scale 1
+        config = str(ROOT / "configs" / "verify_reveal_quantize.json")
+        code, record, err = run_cli("verify", "--config", config, "--source.sigma_sq=1e-52",
+                                    "--bias=[1e-26,1e-26]", "--solver.samples=200000")
+        assert code == 0 and err == ""
+        assert record["payload"]["passed"] is True
+        assert record["payload"]["centroid_max_z"] <= 3.0
 
     def test_reveal_quantize_of_an_equal_bias_3d_uniform_source_is_two(self):
         # revealing the contrasts and sending one action for the mean is no

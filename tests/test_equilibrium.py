@@ -67,13 +67,44 @@ def solve_up_to(model, beta, k):
         return solve_scalar_biased(model, beta, exc.max_feasible)
 
 
-def triangle_table():
-    """Symmetric triangle density on [-1, 1], tabulated on 200 cells."""
+def triangle_table(scale=1.0):
+    """Symmetric triangle density on [-scale, scale], tabulated on 200 cells."""
     edges = np.linspace(-1.0, 1.0, 201)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dens = 1.0 - np.abs(centers)
     dens /= dens.sum() * (edges[1] - edges[0])
-    return tabulated_density([-1.0], [edges[1] - edges[0]], dens)
+    return tabulated_density([-scale], [(edges[1] - edges[0]) * scale], dens / scale)
+
+
+# the scale probe: each source family at scale s (sd s for the analytic four,
+# support [-s, s] for the triangle table), and the biases and bin counts it is solved at
+_SCALED_SOURCES = {
+    "gaussian": lambda s: iid_gaussian(1, sigma_sq=s * s),
+    "uniform": lambda s: iid_uniform(1, lo=0.0, hi=s),
+    "exponential": lambda s: iid_exponential(1, rate=1.0 / s),
+    "laplace": lambda s: iid_laplace(1, scale=s),
+    "triangle": triangle_table,
+}
+_SCALE_PROBE = {
+    **dict.fromkeys(["gaussian", "uniform", "exponential", "laplace"],
+                    ((0.05, -0.05, 0.3, -0.3, 1.0, -1.0), range(2, 13))),
+    "triangle": ((0.01, -0.01, 0.02, -0.02, 0.05, -0.05, 0.1), range(2, 7)),
+}
+_SCALE_CASES = [
+    (family, beta, k, s)
+    for family, (betas, ks) in _SCALE_PROBE.items()
+    for beta in betas for k in ks for s in (1e-150, 1e-40, 1e40, 1e150)
+]
+
+
+@functools.cache
+def scaled_solve(family, beta, k, s):
+    """The K-bin solve of the family at scale s with bias beta * s, or the
+    largest feasible K when there is none."""
+    try:
+        return solve_scalar_biased(_SCALED_SOURCES[family](s), beta * s, k)
+    except InfeasibleBinCountError as exc:
+        return exc.max_feasible
 
 
 class TestScalarSolver:
@@ -145,14 +176,18 @@ class TestScalarSolver:
             assert np.max(np.abs(qn.actions + qp.actions[::-1])) <= 1e-12, b
             assert np.all(np.abs(qn.boundaries[1:-1] + qp.boundaries[-2:0:-1]) <= 1e-12), b
 
-    def test_scale_covariance(self):
-        # scaling the source and bias by c scales the equilibrium by c
-        c = 2.5
-        base = solve_scalar_biased(iid_uniform(1), 0.05, 3)
-        scaled = solve_scalar_biased(iid_uniform(1, lo=0.0, hi=c), 0.05 * c, 3)
-        assert np.allclose(scaled.boundaries[1:-1], c * base.boundaries[1:-1], atol=1e-8)
-        assert np.allclose(scaled.actions, c * base.actions, atol=1e-8)
-        assert scaled.distortion() == pytest.approx(c**2 * base.distortion(), rel=1e-8)
+    @pytest.mark.parametrize("family, beta, k, s", _SCALE_CASES)
+    def test_scale_covariance(self, family, beta, k, s):
+        # costs are quadratic: scaling the source and bias by s scales the
+        # equilibrium by s and its distortion by s^2, and keeps the largest feasible K
+        base, scaled = scaled_solve(family, beta, k, 1.0), scaled_solve(family, beta, k, s)
+        if isinstance(base, int):
+            assert scaled == base
+            return
+        span = np.max(np.abs(base.actions))
+        assert np.max(np.abs(scaled.actions / s - base.actions)) <= 1e-12 * span
+        assert np.all(np.abs(scaled.boundaries[1:-1] / s - base.boundaries[1:-1]) <= 1e-12 * span)
+        assert scaled.distortion() / s**2 == pytest.approx(base.distortion(), rel=1e-10)
 
     def test_laplace_and_tabulated_equilibrium_conditions(self):
         from cheaptalk.sources import truncated_moments_1d
@@ -1053,15 +1088,16 @@ class TestVerifyEquilibrium:
         assert failing(cert) == ["centroid"]
         assert cert.centroid_max_z > 5.0
 
-    def test_corrupted_boundary_fails_deviation_check(self):
+    @pytest.mark.parametrize("s", [1.0, 1e-7])
+    def test_corrupted_boundary_fails_deviation_check(self, s):
         import copy
 
-        model = iid_gaussian(2)
-        b = [1.0, 1.0]
+        model = iid_gaussian(2, sigma_sq=s * s)
+        b = [s, s]
         policy = construct_reveal_plus_quantize(model, b, 2)
         bad = copy.deepcopy(policy)
         bad.last_boundaries = bad.last_boundaries.copy()
-        bad.last_boundaries[1] -= 0.8  # no longer the encoder's indifference point
+        bad.last_boundaries[1] -= 0.8 * s  # no longer the encoder's indifference point
         cert = verify_equilibrium(bad, model, b, samples=300_000, seed=51)
         assert "deviation" in failing(cert)
         gain = cert.deviation_gain
@@ -1069,7 +1105,7 @@ class TestVerifyEquilibrium:
         [check] = [check for check in cert.checks if check.name == "deviation"]
         assert not check.passed
         assert (check.statistic, check.value, check.at_most) == ("deviation_gain", gain.value, True)
-        assert check.threshold == 3.0 * gain.stderr + 1e-12 * max(1.0, cert.je.value)
+        assert check.threshold == 3.0 * gain.stderr + 1e-12 * cert.je.value
 
     def test_correlated_gaussian_fixed_point_verifies(self):
         model = correlated_gaussian_2d(1.0, 2.0, 0.8)
@@ -1315,6 +1351,15 @@ class TestVerifyLinearEquilibrium:
     def test_exponential_equal_bias_fails_constancy(self):
         report = verify_linear_equilibrium(iid_exponential(2), [1.0, 1.0], samples=300_000, seed=32)
         assert report.constancy_max_z > 5.0
+        assert not report.passed
+
+    def test_constancy_statistic_does_not_depend_on_scale(self):
+        # the stderr floor is relative to the curve's own stderrs: the unit case
+        # scaled by 1e-10 fails as it does at scale 1
+        unit = verify_linear_equilibrium(iid_exponential(2), [1.0, 1.0], samples=300_000, seed=32)
+        report = verify_linear_equilibrium(iid_exponential(2, rate=1e10), [1e-10, 1e-10],
+                                           samples=300_000, seed=32)
+        assert report.constancy_max_z == pytest.approx(unit.constancy_max_z, rel=1e-9)
         assert not report.passed
 
     def test_uniform_antisymmetric_passes(self):

@@ -109,6 +109,13 @@ class TestAchievableTuple:
         with pytest.raises(ValueError):
             RDTuple(rate=1.0, de=0.2, dd=0.5)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-13])
+    def test_rdtuple_invariant_has_no_scale(self, s):
+        # the tolerance is relative to dd: de a third below it is rejected at any scale
+        with pytest.raises(ValueError, match="encoder distortion cannot be below"):
+            RDTuple(rate=0.0, de=s, dd=1.5 * s)
+        assert RDTuple(rate=0.0, de=s, dd=s).de == s
+
 
 class TestGameRateBound:
     def test_example(self):

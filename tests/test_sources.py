@@ -222,14 +222,25 @@ class TestSampling:
             factory(value)
 
     @pytest.mark.parametrize("factory, message", [
-        (lambda: iid_gaussian(2, sigma_sq=0.0), "^variance must be positive"),
-        (lambda: iid_gaussian(2, sigma_sq=-1.0), "^variance must be positive"),
+        (lambda: iid_gaussian(2, sigma_sq=0.0), "^sigma_sq gives the variance 0.0"),
+        (lambda: iid_gaussian(2, sigma_sq=-1.0), "^sigma_sq gives the variance -1.0"),
         (lambda: iid_exponential(2, rate=0.0), "^rate must be positive"),
         (lambda: iid_exponential(2, rate=-2.0), "^rate must be positive"),
         (lambda: iid_laplace(2, scale=0.0), "^scale must be positive"),
         (lambda: iid_laplace(2, scale=-1.0), "^scale must be positive"),
         (lambda: iid_uniform(2, lo=1.0, hi=1.0), "^lo must be below hi"),
         (lambda: iid_uniform(2, lo=1.0, hi=0.0), "^lo must be below hi"),
+        # the scale rule: each marginal's variance is a finite normal float
+        (lambda: iid_gaussian(2, sigma_sq=1e-310), "^sigma_sq gives the variance 1e-310"),
+        (lambda: correlated_gaussian_2d(1.0, 1e-310, 0.0), "^sigma_sq gives the variance 1e-310"),
+        (lambda: iid_uniform(2, lo=0.0, hi=1e-160), "^hi - lo gives the variance"),
+        (lambda: iid_uniform(2, lo=0.0, hi=1e155), "^hi - lo gives the variance inf"),
+        (lambda: iid_exponential(2, rate=1e160), "^rate gives the variance"),
+        (lambda: iid_exponential(2, rate=1e-200), "^rate gives the variance inf"),
+        (lambda: iid_laplace(2, scale=1e-160), "^scale gives the variance"),
+        (lambda: iid_laplace(2, scale=1e154), "^scale gives the variance inf"),
+        (lambda: tabulated_density([0.0], [1e-160], [1e160]), "^step gives the variance"),
+        (lambda: tabulated_density([0.0], [1e155], [1e-155]), "^step gives the variance nan"),
     ])
     def test_out_of_range_parameters_rejected_by_name(self, factory, message):
         # the factories leave the range checks to the marginal laws
@@ -237,10 +248,10 @@ class TestSampling:
             factory()
 
     @pytest.mark.parametrize("family, make, message", [
-        ("iid-gaussian", lambda: GaussianMarginal(0.0, -1.0), "^variance must be positive"),
-        ("iid-gaussian", lambda: GaussianMarginal(0.0, 0.0), "^variance must be positive"),
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, -1.0), "^sigma_sq gives the variance -1.0"),
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, 0.0), "^sigma_sq gives the variance 0.0"),
         ("iid-gaussian", lambda: GaussianMarginal(math.nan, 1.0), "^mean must be finite"),
-        ("iid-gaussian", lambda: GaussianMarginal(0.0, math.inf), "^variance must be finite"),
+        ("iid-gaussian", lambda: GaussianMarginal(0.0, math.inf), "^sigma_sq gives the variance inf"),
         ("iid-uniform", lambda: UniformMarginal(1.0, 0.0), "^lo must be below hi"),
         ("iid-uniform", lambda: UniformMarginal(1.0, 1.0), "^lo must be below hi"),
         ("iid-uniform", lambda: UniformMarginal(-math.inf, 0.0), "^lo must be finite"),
@@ -670,6 +681,12 @@ class TestConditionalSupport:
         sd_x1 = math.sqrt(5.0)
         assert lo < -4.0 * sd_x1 and hi > 4.0 * sd_x1
 
+    def test_gaussian_conditional_law_below_the_marginal_scale_rule(self):
+        # sigma_sq 1e-300 is a normal variance, but the law of X1 given X2
+        # under b = [1e-5, 1e-5] has variance 2e-310, a subnormal one
+        lo, hi = conditional_support(iid_gaussian(2, sigma_sq=1e-300), [1e-5, 1e-5], 0.0)
+        assert -1e-153 < lo < 0.0 < hi < 1e-153 and hi == pytest.approx(-lo, rel=1e-9)
+
     def test_axis_bias_cases(self):
         model = iid_uniform(2)
         # b1 = 0: the line fixes m2; X1 = -b2 m1
@@ -805,6 +822,14 @@ class TestTabulated:
         with open(path, "w") as fh:
             fh.write("x,density\n0.0,1.0\n0.1,1.0\n0.35,1.0\n")
         with pytest.raises(ValueError):
+            tabulated_from_csv(path)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-13])
+    def test_csv_grid_rule_has_no_scale(self, tmp_path, s):
+        # cells at 0, s and 3 s, steps s and 2 s, are not uniform at any scale
+        path = tmp_path / "bad.csv"
+        path.write_text("x,density\n" + "".join(f"{x!r},{1.0 / (3.0 * s)!r}\n" for x in (0.0, s, 3.0 * s)))
+        with pytest.raises(ValueError, match="grid along column x is not uniform"):
             tabulated_from_csv(path)
 
 
